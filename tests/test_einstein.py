@@ -8,8 +8,8 @@ import pytest
 
 from varjet.einstein import EHLagrangian, natural_lift
 from varjet.jets import pair_index, sym_pairs
-from varjet.metric import (constant_metric_jet, curvature, random_metric_jet,
-                           metric_from_jet_point)
+from varjet.metric import (MetricJet, constant_metric_jet, curvature,
+                           random_metric_jet, metric_from_jet_point)
 from varjet.fwd import value_of
 
 
@@ -99,6 +99,31 @@ def test_reconstruction_equals_curvature_contraction():
                     w = 2 if i != j else 1
                     tot = tot + w * tab[b][a] * mj.d2comp(r, s, i, j)
             assert abs(lhs - tot) <= 1e-9 * max(1.0, abs(lhs))
+
+
+def test_l0_factorized_equals_displayed_form_exactly():
+    """The factorized L0 equals the literal double pair sum over Fractions.
+
+    g = A diag(eps) A^T with rational A keeps rho = |det A| rational, so both
+    sides are exact rationals and must agree with no tolerance."""
+    rng = np.random.default_rng(53)
+    for n, sig in [(3, (2, 1)), (4, (1, 3))]:
+        eps = [1] * sig[0] + [-1] * sig[1]
+        eh = EHLagrangian(n, sig)
+        for _ in range(3):
+            while True:
+                a = [[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+                      for _ in range(n)] for _ in range(n)]
+                if np.linalg.det(np.array(a, dtype=float)) != 0:
+                    break
+            g = tuple(sum(a[i][c] * eps[c] * a[j][c] for c in range(n))
+                      for i, j in sym_pairs(n))
+            dg = tuple(tuple(Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 6)))
+                             for _ in range(n)) for _ in sym_pairs(n))
+            mj = MetricJet(n, sig, g, dg)
+            lhs = eh.l0(mj)
+            assert isinstance(lhs, Fraction)
+            assert lhs == eh.l0_reference(mj)
 
 
 def test_jet_function_matches_contraction():
