@@ -19,8 +19,10 @@ from fractions import Fraction
 import numpy as np
 
 from .fwd import Jet, ring_abs, ring_sqrt, value_of
-from .jets import JetFunction, JetPoint, JetVars, pair_index, sym_pairs
-from .metric import MetricJet, christoffel, curvature, mat_det, mat_inverse
+from .jets import (JetFunction, JetPoint, JetVars, jet_of_section, pair_index,
+                   seed_point, sym_pairs, total_derivative_j1)
+from .metric import (MetricJet, christoffel, curvature, mat_det, mat_inverse,
+                     metric_from_jet_point)
 from .poly import Poly
 
 
@@ -312,99 +314,76 @@ def el_residual_beta(beta: BetaForm, s, x, signature):
         - (1/(1+d_ab)) { d/dx^r [(-1)^a Phi_a^{rb} + (-1)^b Phi_b^{ra}]
           + (-1)^l [Phi_l^{rb} Gamma^a_{rl} + Phi_l^{ra} Gamma^b_{rl}] }
 
-    with Phi_a^{rb} the covariant-divergence auxiliary of beta o g.  All
-    x-derivatives are exact polynomial/section derivatives via order-3 jets.
+    with Phi_a^{rb} the covariant-divergence auxiliary of beta o g.  Phi is
+    a function on J^1, evaluated once as Jets over the J^1 coordinates; its
+    x-derivatives are the exact total derivatives D_r Phi along the order-3
+    jet of the section.
     """
-    from .jets import jet_of_section
-
     n = beta.n
     p3 = jet_of_section(s, x, 3)
-    from .metric import metric_from_jet_point
-    mj = metric_from_jet_point(p3, signature)
-    cdat = curvature(mj)
+    cdat = curvature(metric_from_jet_point(p3, signature))
     gam = cdat.gamma
-    ginv = cdat.ginv
-
-    # d beta/d y_ab at the section value (stored-slot partials via seeding)
     npairs = len(sym_pairs(n))
-    seeds = [Jet.variable(w, mj.g[w], 1, 1.0) for w in range(npairs)]
-    tab_seeded = beta.table(seeds)
 
-    def dbeta(k, l, j, i, w):
-        v = tab_seeded[k][l][j][i]
-        return float(v.deriv(w)) if isinstance(v, Jet) else 0.0
+    # beta o g and its formal x-derivatives D_r(beta o g) = y_w,r dbeta/dy_w,
+    # as Jets over J^1 (cap 2, so the partials keep first-order data)
+    seeded, jv = seed_point(p3.truncated(1), cap=2)
+    smj = metric_from_jet_point(seeded, signature)
+    gam1, ginv1 = christoffel(smj)
+    tab = beta.table(smj.g)
 
-    # Phi_a^{rb} along the section as a function of x; computed exactly at
-    # shifted jets for the d/dx^r derivative via order-1 x-seeding
-    def phi_vals(xs):
-        p2 = jet_of_section(s, xs, 2)
-        mj2 = metric_from_jet_point(p2, signature)
-        gam2, ginv2 = christoffel(mj2)
-        tab2 = beta.table(mj2.g)
-        # x-derivative of beta o g: chain rule through the metric slots
-        seeds2 = [Jet.variable(w, mj2.g[w], 1, 1.0) for w in range(npairs)]
-        tab2_seeded = beta.table(seeds2)
+    def dbog(k, l, i, j, r):   # D_r (beta o g)_{kl,i}^j
+        v = tab[k][l][i][j]
+        if not isinstance(v, Jet):
+            return 0
+        tot = 0
+        for w in range(npairs):
+            tot = tot + v.partial(jv.y(w)) * smj.dg[w][r]
+        return tot
 
-        def dbog(k, l, i, j, r):   # d (beta o g)_{kl,i}^j / dx^r
-            v = tab2_seeded[k][l][i][j]
-            if not isinstance(v, Jet):
-                return 0.0
-            tot = 0.0
-            for w, (aa, bb) in enumerate(sym_pairs(n)):
-                tot += float(v.deriv(w)) * mj2.dcomp(aa, bb, r)
-            return tot
+    phi = [[[0] * n for _ in range(n)] for _ in range(n)]  # [a][r][b]
+    for a in range(n):
+        for r in range(n):
+            for b in range(n):
+                tot = 0
+                for k in range(n):
+                    sk = -1 if (k + 1) % 2 else 1    # (-1)^k, 1-based
+                    for i in range(n):
+                        inner = -dbog(k, a, i, b, k)
+                        for mm in range(n):
+                            inner = inner + tab[k][a][mm][b] * gam1[mm][k][i] \
+                                - tab[k][a][i][mm] * gam1[b][k][mm]
+                        tot = tot + sk * inner * ginv1[r][i]
+                phi[a][r][b] = tot
 
-        out = [[[0.0] * n for _ in range(n)] for _ in range(n)]  # [a][r][b]
-        for a in range(n):
-            for r in range(n):
-                for b in range(n):
-                    tot = 0.0
-                    for k in range(n):
-                        sk = -1 if (k + 1) % 2 else 1    # (-1)^k, 1-based
-                        for i in range(n):
-                            inner = -dbog(k, a, i, b, k)
-                            for mm in range(n):
-                                inner += tab2[k][a][mm][b] * gam2[mm][k][i] \
-                                    - tab2[k][a][i][mm] * gam2[b][k][mm]
-                            tot += sk * inner * ginv2[r][i]
-                    out[a][r][b] = tot
-        return out
-
-    phi0 = phi_vals(list(x))
-    h = 1e-4
-    dphi = {}   # (a, r, b, direction) -> d Phi_a^{rb} / dx^dir
-    for direction in range(n):
-        xp, xm = list(x), list(x)
-        xp[direction] += h
-        xm[direction] -= h
-        pp, pm = phi_vals(xp), phi_vals(xm)
-        for a in range(n):
-            for r in range(n):
-                for b in range(n):
-                    dphi[(a, r, b, direction)] = (pp[a][r][b] - pm[a][r][b]) / (2 * h)
+    def dphi(a, r, b):   # D_r Phi_a^{rb}
+        v = phi[a][r][b]
+        return total_derivative_j1(v, jv, p3, r) if isinstance(v, Jet) else 0
 
     out = {}
     for a, b in sym_pairs(n):
-        first = 0.0
+        first = 0
         w_ab = pair_index(n, a, b)
         for k in range(n):
             for l in range(n):
                 skl = -1 if (k + l + 3) % 2 else 1   # (-1)^{k+l+1}, 1-based
                 for i in range(n):
                     for j in range(n):
-                        first += 0.5 * skl * dbeta(k, l, i, j, w_ab) \
-                            * cdat.riemann[i][j][k][l]
-        second = 0.0
+                        v = tab[k][l][i][j]
+                        if isinstance(v, Jet):
+                            first = first + skl * v.deriv(jv.y(w_ab)) \
+                                * cdat.riemann[i][j][k][l]
+        second = 0
         sa = -1 if (a + 1) % 2 else 1
         sb = -1 if (b + 1) % 2 else 1
         for r in range(n):
-            second += sa * dphi[(a, r, b, r)] + sb * dphi[(b, r, a, r)]
+            second = second + sa * dphi(a, r, b) + sb * dphi(b, r, a)
         for l in range(n):
             sl = -1 if (l + 1) % 2 else 1
             for r in range(n):
-                second += sl * (phi0[l][r][b] * gam[a][r][l]
-                                + phi0[l][r][a] * gam[b][r][l])
-        out[(a, b)] = first - second / (1 + (1 if a == b else 0))
+                second = second + sl * (value_of(phi[l][r][b]) * gam[a][r][l]
+                                        + value_of(phi[l][r][a]) * gam[b][r][l])
+        out[(a, b)] = float(first / 2 - second / (1 + (1 if a == b else 0)))
     return out
 
 
@@ -495,8 +474,7 @@ def flat_corollary_expression(beta: BetaForm, s, x, signature):
     g^{jt} (indices in slot order), with beta_{lt}^{jk} the antisymmetrized
     auxiliary; the result is R^{ki} = (nabla^2 S)_{uv}^{k u v i}.
     """
-    from .jets import jet_of_section
-    from .metric import metric_from_jet_point, _dginv
+    from .metric import _dginv
 
     n = beta.n
     p3 = jet_of_section(s, x, 3)

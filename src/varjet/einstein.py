@@ -66,11 +66,13 @@ class EHLagrangian:
         full index ranges and reassociating gives
 
             L0 = rho/8 [ 8 W.trD - 2 trD^T G trD + 6 G_ij tr(D_i G D_j G)
-                         - 4 G_ir Frob(G D_i G, D_r) - 8 (G D_i G)_is V_s ]
+                         - 4 G_ir (G D_i G)_sj y_{rs,j} - 8 (G D_i G)_is V_s ]
 
         with G the inverse metric, D_i the matrix (y_{kl,i})_kl,
-        trD_i = tr(G D_i), V_s = Frob(G, D_s), W_j = (G V)_j.  The identity
-        with the literal display is pinned by `l0_reference` in the tests.
+        trD_i = tr(G D_i), V_s = sum_{k,i} G_ki y_{ks,i}, W_j = (G V)_j
+        (sums over repeated indices).  G D_i G is built for one i at a time.
+        The identity with the literal display is pinned exactly over
+        Fractions against `l0_reference` in the tests.
         """
         n = self.n
         ginv, rho = self._ginv_rho(mj.g)
@@ -94,7 +96,6 @@ class EHLagrangian:
              for s in range(n)]
         w = [sum(ginv[j][l] * v[l] for l in range(n)) for j in range(n)]
         e = [matmul(d[i], ginv) for i in range(n)]          # E_i = D_i G
-        gdg = [matmul(ginv, e[i]) for i in range(n)]        # G D_i G
         total = 0
         for j in range(n):
             total = total + 8 * w[j] * trd[j]
@@ -105,13 +106,13 @@ class EHLagrangian:
                             for a in range(n) for b in range(n))
                 total = total + 6 * ginv[i][j] * tr_ij
         for i in range(n):
+            gdg = matmul(ginv, e[i])                        # G D_i G
             for r in range(n):
-                frob = sum(gdg[i][s][j] * d[j][r][s]
+                frob = sum(gdg[s][j] * d[j][r][s]
                            for s in range(n) for j in range(n))
                 total = total - 4 * ginv[i][r] * frob
-        for i in range(n):
             for s in range(n):
-                total = total - 8 * gdg[i][i][s] * v[s]
+                total = total - 8 * gdg[i][s] * v[s]
         return rho * total * Fraction(1, 8)
 
     def l0_reference(self, mj: MetricJet):

@@ -5,6 +5,8 @@ order.  Coefficients are stored sparsely in a dict keyed by packed integer
 monomials: bits 0..4 hold the total degree, and variable ``v`` occupies the
 3-bit field starting at bit ``5 + 3 v``.  Multiplying monomials is then a
 single integer addition, and the truncation test is ``(k1 + k2) & 31 <= order``.
+A 3-bit field holds exponents up to 7, so a Jet of order above 7 is refused
+(exponent 8 would carry into the next variable's field).
 Coefficients are stored in the *normalized* (Taylor) convention — the
 coefficient on a monomial is the partial derivative divided by the monomial's
 multiplicity factorial — so multiplication is a plain convolution.
@@ -22,6 +24,7 @@ from fractions import Fraction
 _DEG_MASK = 31
 _VAR_SHIFT = 5
 _VAR_BITS = 3
+_MAX_ORDER = (1 << _VAR_BITS) - 1
 
 
 def var_key(v: int) -> int:
@@ -57,6 +60,8 @@ class Jet:
     __slots__ = ("order", "coef")
 
     def __init__(self, order: int, coef: dict | None = None):
+        if order > _MAX_ORDER:
+            raise ValueError(f"jet order {order} exceeds the packed-key limit {_MAX_ORDER}")
         self.order = order
         self.coef = coef if coef is not None else {}
 

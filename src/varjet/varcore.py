@@ -590,120 +590,32 @@ def euler_lagrange_first_order(supplier, s: PolySection, x) -> list:
 # Helmholtz conditions
 #
 # The three families of conditions on the Euler-Lagrange operator
-# E_a = dL/dy^a - D_i A_a^i are evaluated along a section; the total
-# derivatives in them equal x-derivatives of compositions with the section
-# and are computed by Richardson-extrapolated central differences of
-# exactly-evaluated point data.
+# E_a = dL/dy^a - D_i A_a^i are evaluated along a section.  Their
+# coefficients are partials of A, L_0 and the L^{ij} block: functions on J^1,
+# two of them affine in y''.  The total derivatives D_j and D_iD_j of those
+# coefficients are exact contractions of the higher partials from one cap-3
+# pipeline with the order-3 jet of the section (Olver, Applications of Lie
+# Groups to Differential Equations, GTM 107, ch. 5), so the check is exact
+# over Fractions.
 
 
-def _helmholtz_point_tables(supplier, s: PolySection, x):
-    n, m = s.n, s.m
-    p2 = jet_of_section(s, [float(v) for v in x], 2)
-    data = pipeline(supplier, p2.truncated(1), cap=2, with_primitives=False)
-    jv = data.jv
-    pairs = sym_pairs(n)
+class _Partials:
+    """sum_t c_t * (d^|ids_t| jet_t / d ids_t) as a function on J^1.
 
-    def f(v):
-        return float(value_of(v))
+    Exposes `deriv` like a Jet, which is all `total_derivative_j1` and
+    `total_derivative2_j1` read, and reads every partial through the parent
+    Jets instead of building the partial Jets."""
 
-    # G[al][si][pair] = dE_al / dy''^si_(pair)
-    g_tab = {}
-    for al in range(m):
-        for si in range(m):
-            for (k, l) in pairs:
-                v = (2 - _d(k, l)) * data.lij_get(si, k, l).deriv(jv.id_of[("y", al)])
-                if k < l:
-                    v = v - data.a[(al, k)].deriv(jv.id_of[("y1", si, l)]) \
-                          - data.a[(al, l)].deriv(jv.id_of[("y1", si, k)])
-                else:
-                    v = v - data.a[(al, k)].deriv(jv.id_of[("y1", si, k)])
-                g_tab[(al, si, k, l)] = f(v)
-    # TL1[al][si][i] = d^2 L / dy^al dy'^si_i   (at the order-2 jet of s)
-    tl1 = {}
-    for al in range(m):
-        for si in range(m):
-            for i in range(n):
-                acc = data.l0.deriv(jv.id_of[("y", al)], jv.id_of[("y1", si, i)])
-                for be in range(m):
-                    for (k, l) in pairs:
-                        acc = acc + (2 - _d(k, l)) * p2.y2(be, k, l) \
-                            * data.lij_get(be, k, l).deriv(jv.id_of[("y", al)],
-                                                           jv.id_of[("y1", si, i)])
-                tl1[(al, si, i)] = f(acc)
-    # TL0[al][si] = d^2 L / dy^al dy^si
-    tl0 = {}
-    for al in range(m):
-        for si in range(m):
-            acc = data.l0.deriv(jv.id_of[("y", al)], jv.id_of[("y", si)])
-            for be in range(m):
-                for (k, l) in pairs:
-                    acc = acc + (2 - _d(k, l)) * p2.y2(be, k, l) \
-                        * data.lij_get(be, k, l).deriv(jv.id_of[("y", al)],
-                                                       jv.id_of[("y", si)])
-            tl0[(al, si)] = f(acc)
-    # V[al][si][i] = dA_al^i/dy^si ; W[al][si][j][i] = dA_al^j/dy'^si_i
-    v_tab = {}
-    w_tab = {}
-    for al in range(m):
-        for si in range(m):
-            for i in range(n):
-                v_tab[(al, si, i)] = f(data.a[(al, i)].deriv(jv.id_of[("y", si)]))
-                for j in range(n):
-                    w_tab[(al, si, j, i)] = f(
-                        data.a[(al, j)].deriv(jv.id_of[("y1", si, i)]))
-    return {"G": g_tab, "TL1": tl1, "TL0": tl0, "V": v_tab, "W": w_tab}
+    __slots__ = ("terms",)
 
+    def __init__(self, terms):
+        self.terms = terms
 
-class _SectionFD:
-    """Richardson central differences of point-table components along x."""
-
-    def __init__(self, fn, x, h: float = 1e-2):
-        self.fn = fn
-        self.x = list(x)
-        self.h = h
-        self.cache = {}
-
-    def at(self, offsets):
-        key = tuple(offsets)
-        if key not in self.cache:
-            xs = [xi + oi * self.h for xi, oi in zip(self.x, key)]
-            self.cache[key] = self.fn(xs)
-        return self.cache[key]
-
-    def d1(self, comp, key, j):
-        e = [0] * len(self.x)
-
-        def val(k):
-            e2 = list(e)
-            e2[j] = k
-            return self.at(e2)[comp][key]
-
-        return (8 * (val(1) - val(-1)) - (val(2) - val(-2))) / (12 * self.h)
-
-    def d2_pure(self, comp, key, j):
-        e = [0] * len(self.x)
-
-        def val(k):
-            e2 = list(e)
-            e2[j] = k
-            return self.at(e2)[comp][key]
-
-        return (-val(2) + 16 * val(1) - 30 * val(0) + 16 * val(-1) - val(-2)) \
-            / (12 * self.h ** 2)
-
-    def d2_mixed(self, comp, key, i, j):
-        def cross(step):
-            def val(a, b):
-                e = [0] * len(self.x)
-                e[i] = a
-                e[j] = b
-                return self.at(e)[comp][key]
-            return (val(step, step) + val(-step, -step)
-                    - val(step, -step) - val(-step, step)) / (4 * (step * self.h) ** 2)
-        return (4 * cross(1) - cross(2)) / 3
-
-    def d2(self, comp, key, i, j):
-        return self.d2_pure(comp, key, i) if i == j else self.d2_mixed(comp, key, i, j)
+    def deriv(self, *vars):
+        acc = 0
+        for c, jet, ids in self.terms:
+            acc = acc + c * jet.deriv(*ids, *vars)
+        return acc
 
 
 @dataclass
@@ -721,54 +633,106 @@ def helmholtz_residuals(supplier, s: PolySection, x,
                         perturb=None) -> HelmholtzResult:
     """Residuals of the three Helmholtz condition families along a section.
 
-    `perturb` optionally modifies the point tables (signature
-    perturb(tables, x) -> tables); it exists so tests can feed a
-    deliberately non-variational operator through the same evaluator.
+    One cap-3 pipeline at the order-3 jet of `s` at x supplies every term:
+    the coefficient values, and their total derivatives D_j and D_iD_j as
+    exact contractions of its partials with the jet, so over Fractions a
+    variational operator gives exactly 0.  `perturb(tables, x) -> tables`
+    optionally edits the value tables at x ("G", "TL1", "TL0", "V", "W");
+    the derivative terms still come from the pipeline.  It exists so tests
+    can feed a deliberately non-variational operator through the same
+    evaluator.
     """
     n, m = s.n, s.m
     pairs = sym_pairs(n)
+    p3 = jet_of_section(s, x, 3)
+    data = pipeline(supplier, p3.truncated(1), cap=3, with_primitives=False)
+    jv = data.jv
 
-    def tables(xs):
-        t = _helmholtz_point_tables(supplier, s, xs)
-        return perturb(t, xs) if perturb is not None else t
+    # G[al,si,k,l] = dE_al/dy''^si_(kl)
+    g_fn = {}
+    for al in range(m):
+        for si in range(m):
+            for (k, l) in pairs:
+                terms = [(2 - _d(k, l), data.lij_get(si, k, l), (jv.y(al),)),
+                         (-1, data.a[(al, k)], (jv.y1(si, l),))]
+                if k < l:
+                    terms.append((-1, data.a[(al, l)], (jv.y1(si, k),)))
+                g_fn[(al, si, k, l)] = _Partials(terms)
 
-    fd = _SectionFD(tables, x)
-    t0 = fd.at((0,) * n)
-    worst_a = worst_b = worst_c = 0.0
+    # TL1[al,si,i] = d^2L/dy^al dy'^si_i and TL0[al,si] = d^2L/dy^al dy^si
+    # at the order-2 jet of s; both affine in y''
+    def y2_affine(ids):
+        terms = [(1, data.l0, ids)]
+        for be in range(m):
+            for (k, l) in pairs:
+                terms.append(((2 - _d(k, l)) * p3.y2(be, k, l),
+                              data.lij_get(be, k, l), ids))
+        return _Partials(terms)
+
+    tl1_fn = {(al, si, i): y2_affine((jv.y(al), jv.y1(si, i)))
+              for al in range(m) for si in range(m) for i in range(n)}
+    tl0_fn = {(al, si): y2_affine((jv.y(al), jv.y(si)))
+              for al in range(m) for si in range(m)}
+    # V[al,si,i] = dA_al^i/dy^si ; W[al,si,j,i] = dA_al^j/dy'^si_i
+    v_fn = {(al, si, i): _Partials([(1, data.a[(al, i)], (jv.y(si),))])
+            for al in range(m) for si in range(m) for i in range(n)}
+    w_fn = {(al, si, j, i): _Partials([(1, data.a[(al, j)], (jv.y1(si, i),))])
+            for al in range(m) for si in range(m) for j in range(n)
+            for i in range(n)}
+
+    t0 = {name: {key: f.deriv() for key, f in fns.items()}
+          for name, fns in (("G", g_fn), ("TL1", tl1_fn), ("TL0", tl0_fn),
+                            ("V", v_fn), ("W", w_fn))}
+    if perturb is not None:
+        t0 = perturb(t0, x)
+
+    def d1(f, j):
+        return total_derivative_j1(f, jv, p3, j)
+
+    def d2(f, i, j):
+        return total_derivative2_j1(f, jv, p3, i, j)
+
+    worst_a = worst_b = worst_c = 0
     for al in range(m):
         for si in range(m):
             for (k, l) in pairs:
                 worst_a = max(worst_a, abs(t0["G"][(al, si, k, l)]
                                            - t0["G"][(si, al, k, l)]))
     # family (b): dE_al/dy'^si_i + dE_si/dy'^al_i - (1+d_ij) D_j G_si_al^(ij)
+    dedy1 = {}
+    for (a, sg, i) in tl1_fn:
+        acc = t0["TL1"][(a, sg, i)] - t0["V"][(a, sg, i)]
+        for j in range(n):
+            acc = acc - d1(w_fn[(a, sg, j, i)], j)
+        dedy1[(a, sg, i)] = acc
     for al in range(m):
         for si in range(m):
             for i in range(n):
-                def dEdy1(a, sg):
-                    acc = t0["TL1"][(a, sg, i)] - t0["V"][(a, sg, i)]
-                    for j in range(n):
-                        acc = acc - fd.d1("W", (a, sg, j, i), j)
-                    return acc
-                r = dEdy1(al, si) + dEdy1(si, al)
+                r = dedy1[(al, si, i)] + dedy1[(si, al, i)]
                 for j in range(n):
-                    r = r - (1 + _d(i, j)) * fd.d1("G", (si, al) + _sp(i, j), j)
+                    r = r - (1 + _d(i, j)) * d1(g_fn[(si, al) + _sp(i, j)], j)
                 worst_b = max(worst_b, abs(r))
     # family (c): dE_al/dy^si - dE_si/dy^al + D_i(dE_si/dy'^al_i)
     #             - sum_{i<=j} D_iD_j G_si_al^(ij).
     # Expanding all three E-derivatives, the D_i V(si,al) contributions of
-    # the second and third terms cancel, leaving:
+    # the second and third terms cancel, leaving the terms below.  D_i of
+    # TL1 also differentiates its y'' factor, which brings in y'''.
     for al in range(m):
         for si in range(m):
             r = t0["TL0"][(al, si)] - t0["TL0"][(si, al)]
             for i in range(n):
-                r = r - fd.d1("V", (al, si, i), i)
-                r = r + fd.d1("TL1", (si, al, i), i)
+                ids = (jv.y(si), jv.y1(al, i))
+                r = r - d1(v_fn[(al, si, i)], i) + d1(tl1_fn[(si, al, i)], i)
+                for be in range(m):
+                    for (k, l) in pairs:
+                        r = r + (2 - _d(k, l)) * p3.y3(be, k, l, i) \
+                            * data.lij_get(be, k, l).deriv(*ids)
                 for j in range(n):
-                    r = r - fd.d2("W", (si, al, j, i), i, j)
+                    r = r - d2(w_fn[(si, al, j, i)], i, j)
             for (i, j) in pairs:
-                r = r - fd.d2("G", (si, al, i, j), i, j)
+                r = r - d2(g_fn[(si, al, i, j)], i, j)
             worst_c = max(worst_c, abs(r))
-    return HelmholtzResult(worst_a, worst_b, worst_c)
+    return HelmholtzResult(float(worst_a), float(worst_b), float(worst_c))
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_el_beta_eh_flat_is_zero():
            parse_poly("x3 - x1^2/7", names, n)]
     s = flat_pullback_section(n, [1.0, 1.0, 1.0], phi)
     res = el_residual_beta(b, s, (0.1, -0.2, 0.15), (3, 0))
-    assert max(abs(v) for v in res.values()) <= 1e-6
+    assert max(abs(v) for v in res.values()) <= 1e-12
 
 
 def test_el_beta_matches_generic_euler_lagrange():

@@ -4,6 +4,8 @@ from fractions import Fraction
 import math
 import random
 
+import pytest
+
 from varjet.fwd import Jet, ring_sqrt
 
 
@@ -72,3 +74,18 @@ def test_power_and_abs():
 
 def test_ring_sqrt_rational():
     assert ring_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+
+
+def test_order_above_packed_key_limit_is_refused():
+    # Each variable has a 3-bit exponent field: at order 8, x0**8 would carry
+    # into x1's field, so (x0**8).partial(1) came out nonzero and
+    # .restricted([0]) dropped the term.  Such jets must not be built.
+    with pytest.raises(ValueError):
+        Jet.variable(0, 0.0, 8)
+    with pytest.raises(ValueError):
+        Jet.constant(1.0, 8)
+    # order 7 is the largest that packs faithfully
+    f = Jet.variable(0, 0.0, 7) ** 7
+    assert f.deriv(*[0] * 7) == math.factorial(7)
+    assert f.partial(1).coef == {}
+    assert f.restricted([0]).coef == f.coef
