@@ -595,8 +595,8 @@ def euler_lagrange_first_order(supplier, s: PolySection, x) -> list:
 # two of them affine in y''.  The total derivatives D_j and D_iD_j of those
 # coefficients are exact contractions of the higher partials from one cap-3
 # pipeline with the order-3 jet of the section (Olver, Applications of Lie
-# Groups to Differential Equations, GTM 107, ch. 5), so the check is exact
-# over Fractions.
+# Groups to Differential Equations, GTM 107), so the check is exact over
+# Fractions.
 
 
 class _Partials:
