@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fwd import Jet, ring_abs, ring_sqrt, value_of
+from .fwd import Jet, ring_sqrt, value_of
 from .jets import (JetFunction, JetPoint, JetVars, jet_of_section, pair_index,
                    seed_point, sym_pairs, total_derivative_j1)
 from .metric import (MetricJet, christoffel, curvature, mat_det, mat_inverse,
@@ -96,7 +96,7 @@ def beta_eh(n: int, signature) -> BetaForm:
         # so translate: coefficient beta_{kl, cov}^{contra}.
         gm = [[g_row[pair_index(n, a, b)] for b in range(n)] for a in range(n)]
         ginv = mat_inverse(gm)
-        rho = ring_sqrt(ring_abs(mat_det(gm)))
+        rho = ring_sqrt(abs(mat_det(gm)))
         sign = -1 if (k + l) % 2 == 0 else 1   # (-1)^{k+l+1} with 0-based k,l
         dik = 1 if j == k else 0
         dil = 1 if j == l else 0

@@ -10,14 +10,12 @@ Euler-Lagrange comparisons) cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .fwd import Jet, ring_abs, ring_sqrt, value_of
-from .jets import (JetFunction, JetPoint, JetVars, pair_index, seed_point,
-                   sym_pairs)
+from .fwd import Jet, ring_sqrt, value_of
+from .jets import JetFunction, JetPoint, pair_index, sym_pairs
 from .metric import MetricJet, christoffel, curvature, mat_det, mat_inverse
 from .poly import Poly
 
@@ -42,7 +40,7 @@ class EHLagrangian:
         n = self.n
         gm = [[g_row[pair_index(n, a, b)] for b in range(n)] for a in range(n)]
         ginv = mat_inverse(gm)
-        rho = ring_sqrt(ring_abs(mat_det(gm)))
+        rho = ring_sqrt(abs(mat_det(gm)))
         return ginv, rho
 
     # -- second-derivative coefficient block --------------------------------
@@ -224,21 +222,6 @@ class EHLagrangian:
                 total = total + ginv[i][j] * s
         return rho * total
 
-    def fibre_primitives(self, mj: MetricJet):
-        """L^i with dL^i/dy_{kl,h} = (L_EH)^{ih}_{kl}; radial primitive from
-        the zero section, here simply sum y_{kl,h} (L_EH)^{ih}_{kl}."""
-        lij = self.lij_rs(mj.g)
-        n = self.n
-        out = []
-        for i in range(n):
-            s = 0
-            for h in range(n):
-                row = pair_index(n, min(i, h), max(i, h))
-                for a in range(self.npairs):
-                    s = s + mj.dg[a][h] * lij[row][a]
-            out.append(s)
-        return out
-
     # -- regularity ----------------------------------------------------------
 
     def regularity_determinant(self, mj: MetricJet):
@@ -355,10 +338,6 @@ class EHLagrangian:
                 rows.append(self.phi_matrix(mj, self.pairs[a], self.pairs[b],
                                             _cache=(table, lam)))
         return int(np.linalg.matrix_rank(np.vstack(rows), tol=1e-8))
-
-
-def _sort(i, h):
-    return (i, h) if i <= h else (h, i)
 
 
 # ---------------------------------------------------------------------------
@@ -481,23 +460,3 @@ def affine_supplier(eh: EHLagrangian):
     sup.lij_only = lambda x, y, dy, jv, cap: lij_dict(y)
     return sup
 
-
-@dataclass
-class EHCoefficients:
-    """All closed-form tables evaluated at one metric jet."""
-
-    lij_rs: list
-    l0: object
-    y: list
-    p: list
-    h: object
-
-
-def eh_coefficients(eh: EHLagrangian, mj: MetricJet) -> EHCoefficients:
-    return EHCoefficients(
-        lij_rs=eh.lij_rs(mj.g),
-        l0=eh.l0(mj) if mj.order >= 1 else 0,
-        y=eh.y_table(mj.g),
-        p=eh.momenta(mj) if mj.order >= 1 else None,
-        h=eh.hamiltonian(mj) if mj.order >= 1 else None,
-    )

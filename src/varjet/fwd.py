@@ -50,10 +50,6 @@ def key_multiplicity(vars) -> int:
     return mult
 
 
-def key_exponent(key: int, v: int) -> int:
-    return (key >> (_VAR_SHIFT + _VAR_BITS * v)) & 7
-
-
 class Jet:
     """Truncated multivariate Taylor scalar (forward-mode AD value)."""
 
@@ -265,12 +261,6 @@ def ring_sqrt(x):
             return Fraction(rn, rd)
         raise ValueError(f"no exact rational square root of {x}")
     return math.sqrt(x)
-
-
-def ring_abs(x):
-    if isinstance(x, Jet):
-        return abs(x)
-    return abs(x)
 
 
 def ring_one(sample):

@@ -12,40 +12,95 @@ curvature; at a constant flat metric it degenerates to a constant-coefficient
 operator whose matrix (quadratic polynomials in the formal symbols D^1..D^n)
 is derived here exactly over the rationals, and whose polynomial solution
 spaces are exact nullspace computations.
+
+Both operators are linear in V, with coefficients that depend only on the
+Lagrangian and j^2 s(x).  A :class:`JacobiCoefficients` record holds them as
+blocks C2[a][c][i][j], C1[a][c][h] and C0[a][c] multiplying d_i d_j V^c,
+d_h V^c and V^c in row a (for Einstein-Hilbert, a and c run over the stored
+pairs, with the ordered sum over the slots of V^{ab} folded into the stored
+pair), so a residual is one contraction against the 2-jet of V.  Each
+residual function keeps the record of the last background it saw, keyed by
+the supplier object (or signature), j^2 s(x) and the type of every jet
+entry; suppliers are keyed by identity and treated as immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
-import numpy as np
-
-from .fwd import value_of
 from .jets import (JetPoint, MultiIndex, PolySection, jet_of_section,
                    pair_index, sym_pairs)
-from .linalg import in_row_space, nullspace, rank, rref
-from .metric import christoffel, curvature, metric_from_jet_point
+from .linalg import nullspace, rank
+from .metric import curvature, metric_from_jet_point
 from .poly import Poly
-from .varcore import pipeline
+from .varcore import hc_first_family, pipeline
+
+
+@dataclass
+class JacobiCoefficients:
+    """The coefficient blocks of a Jacobi operator at one background point,
+    with the first-family Hamilton-Cartan gap of the background (None for
+    the Einstein-Hilbert operator, which does not compute it)."""
+
+    n: int
+    c2: list
+    c1: list
+    c0: list
+    hc_gap: float | None = None
+
+    def residual(self, v_polys: list, x) -> list:
+        """The operator applied to the field with components `v_polys`
+        (polynomials in the base variables) at x."""
+        n = self.n
+        v0 = [p.eval(x) for p in v_polys]
+        d1 = [[p.diff(i) for i in range(n)] for p in v_polys]
+        v1 = [[d.eval(x) for d in row] for row in d1]
+        v2 = [[[row[min(i, j)].diff(max(i, j)).eval(x) for j in range(n)]
+               for i in range(n)] for row in d1]
+        out = []
+        for c2, c1, c0 in zip(self.c2, self.c1, self.c0):
+            acc = 0
+            for c in range(len(c0)):
+                for i in range(n):
+                    for j, k in enumerate(c2[c][i]):
+                        if k:
+                            acc = acc + v2[c][i][j] * k
+            for c, k in enumerate(c0):
+                if k:
+                    acc = acc + v0[c] * k
+            for c in range(len(c0)):
+                for h, k in enumerate(c1[c]):
+                    if k:
+                        acc = acc + v1[c][h] * k
+            out.append(acc)
+        return out
+
+
+_GENERIC_MEMO: dict = {}
+_EH_MEMO: dict = {}
+
+
+def _memoized(memo: dict, owner, p2: JetPoint, build) -> JacobiCoefficients:
+    """One-entry memo.  Fraction(1, 2) == 0.5 and both hash alike, so the
+    key holds the entry types: a float call must never get exact
+    coefficients, or the reverse."""
+    types = tuple(map(type, chain(p2.x, p2.y, chain.from_iterable(p2.dy),
+                                  chain.from_iterable(p2.d2y))))
+    key = (owner, p2, types)
+    if key not in memo:
+        memo.clear()
+        memo[key] = build(p2)
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
 # generic linearization
 
 
-def jacobi_residual(supplier, s: PolySection, v_polys: list, x,
-                    extremal_tol: float = 1e-7):
-    """Residual of the linearized Hamilton-Cartan equation at x.
-
-    `v_polys` are the components V^c of the vertical field (polynomials in
-    the base variables, one per fibre coordinate).  Returns (residuals,
-    hc_gap): hc_gap is the max first-family Hamilton-Cartan residual of s at
-    x, attached as a warning when s is not extremal there.
-    """
-    n, m = s.n, s.m
-    p2 = jet_of_section(s, x, 2)
+def _generic_coefficients(supplier, p2: JetPoint) -> JacobiCoefficients:
+    n, m = p2.n, p2.m
     data = pipeline(supplier, p2.truncated(1), cap=2)
     jv = data.jv
 
@@ -55,91 +110,61 @@ def jacobi_residual(supplier, s: PolySection, v_polys: list, x,
     def dh(*labs):
         return data.h.deriv(*(jv.id_of[lab] for lab in labs))
 
-    v0 = [p.eval(x) for p in v_polys]
-    v1 = [[p.diff(i).eval(x) for i in range(n)] for p in v_polys]
-    v2 = [[[p.diff(i).diff(j).eval(x) for j in range(n)] for i in range(n)]
-          for p in v_polys]
-
-    res = []
-    for al in range(m):
-        lhs = 0
-        for c in range(m):
-            for i in range(n):
-                for j in range(n):
-                    lhs = lhs + v2[c][i][j] * dp(al, i, ("y1", c, j))
-        acc = lhs
-        for c in range(m):
-            br = dh(("y", al), ("y", c))
-            for be in range(m):
-                for i in range(n):
-                    br = br + p2.y1(be, i) * (dp(be, i, ("y", al), ("y", c))
-                                              - dp(al, i, ("y", be), ("y", c)))
-                    for j in range(n):
-                        br = br - p2.y2(be, i, j) * dp(al, i, ("y", c), ("y1", be, j))
-            for i in range(n):
-                br = br - dp(al, i, ("x", i), ("y", c))
-            acc = acc - v0[c] * br
-        for c in range(m):
-            for h in range(n):
-                br = dp(c, h, ("y", al)) - dp(al, h, ("y", c))
-                br = br + dh(("y", al), ("y1", c, h))
-                for be in range(m):
-                    for i in range(n):
-                        br = br + p2.y1(be, i) * (dp(be, i, ("y", al), ("y1", c, h))
-                                                  - dp(al, i, ("y", be), ("y1", c, h)))
-                        for j in range(n):
-                            br = br - p2.y2(be, i, j) \
-                                * dp(al, i, ("y1", be, j), ("y1", c, h))
-                for i in range(n):
-                    br = br - dp(al, i, ("x", i), ("y1", c, h))
-                acc = acc - v1[c][h] * br
-        res.append(acc)
-
-    # extremality of the background (first H-C family, momentum-space
-    # y-partial of H via the chain rule)
-    hc_gap = 0.0
-    for al in range(m):
-        g = -data.h.deriv(jv.id_of[("y", al)])
-        from .jets import total_derivative_j1
+    def bracket(al, c, lab, br):
+        # minus the coefficient of the V^c (lab = y^c) or dV^c/dx^h
+        # (lab = y'^c_h) term, given its leading part br
         for be in range(m):
             for i in range(n):
-                g = g - p2.y1(be, i) * data.p[(be, i)].deriv(jv.id_of[("y", al)])
+                br = br + p2.y1(be, i) * (dp(be, i, ("y", al), lab)
+                                          - dp(al, i, ("y", be), lab))
+                for j in range(n):
+                    br = br - p2.y2(be, i, j) * dp(al, i, ("y1", be, j), lab)
         for i in range(n):
-            g = g + total_derivative_j1(data.p[(al, i)], jv, p2, i)
-        hc_gap = max(hc_gap, abs(float(value_of(g))))
-    return res, hc_gap
+            br = br - dp(al, i, ("x", i), lab)
+        return -br
+
+    c2 = [[[[dp(al, i, ("y1", c, j)) for j in range(n)] for i in range(n)]
+           for c in range(m)] for al in range(m)]
+    c0 = [[bracket(al, c, ("y", c), dh(("y", al), ("y", c))) for c in range(m)]
+          for al in range(m)]
+    c1 = [[[bracket(al, c, ("y1", c, h), dp(c, h, ("y", al)) - dp(al, h, ("y", c))
+                    + dh(("y", al), ("y1", c, h))) for h in range(n)]
+           for c in range(m)] for al in range(m)]
+    gap = max((abs(float(g)) for g in hc_first_family(data, p2)), default=0.0)
+    return JacobiCoefficients(n, c2, c1, c0, gap)
+
+
+def jacobi_coefficients(supplier, s: PolySection, x) -> JacobiCoefficients:
+    """Coefficient blocks of the linearized Hamilton-Cartan equation along s
+    at x, from one cap-2 pipeline at j^1 s(x), with the extremality gap of
+    s at x."""
+    return _generic_coefficients(supplier, jet_of_section(s, x, 2))
+
+
+def jacobi_residual(supplier, s: PolySection, v_polys: list, x):
+    """Residual of the linearized Hamilton-Cartan equation at x.
+
+    `v_polys` are the components V^c of the vertical field (polynomials in
+    the base variables, one per fibre coordinate).  Returns (residuals,
+    hc_gap): hc_gap is the max first-family Hamilton-Cartan residual of s at
+    x, which is 0 when s is extremal there.
+    """
+    coef = _memoized(_GENERIC_MEMO, supplier, jet_of_section(s, x, 2),
+                     lambda p2: _generic_coefficients(supplier, p2))
+    return coef.residual(v_polys, x), coef.hc_gap
 
 
 # ---------------------------------------------------------------------------
 # Einstein-Hilbert specialization
 
 
-def eh_jacobi_residual(s: PolySection, v_polys: list, x, signature):
-    """The displayed second-order linear operator on vertical metric fields,
-    evaluated along a metric section at x (ring-generic: exact over
-    Fractions).  v_polys are the stored components V^{ab}, a <= b."""
-    n = s.n
-    p2 = jet_of_section(s, x, 2)
+def _eh_coefficients(p2: JetPoint, signature) -> JacobiCoefficients:
+    n, npairs = p2.n, p2.m
     mj = metric_from_jet_point(p2, signature)
     cdat = curvature(mj)
     gam = cdat.gamma
     g = cdat.ginv
     riem = cdat.riemann
-
-    def vval(a, b):
-        return v_polys[pair_index(n, a, b)]
-
-    v0 = {}
-    v1 = {}
-    v2 = {}
-    for a in range(n):
-        for b in range(n):
-            p = vval(a, b)
-            v0[(a, b)] = p.eval(x)
-            for i in range(n):
-                v1[(a, b, i)] = p.diff(i).eval(x)
-                for j in range(n):
-                    v2[(a, b, i, j)] = p.diff(i).diff(j).eval(x)
 
     def d(i, j):
         return 1 if i == j else 0
@@ -158,11 +183,30 @@ def eh_jacobi_residual(s: PolySection, v_polys: list, x, signature):
         t_vec.append(t1 - t2)
 
     half = Fraction(1, 2)
-    out = []
-    for mu, nu in sym_pairs(n):
-        acc = 0
+    c2 = [[[[0] * n for _ in range(n)] for _ in range(npairs)] for _ in range(npairs)]
+    c1 = [[[0] * n for _ in range(npairs)] for _ in range(npairs)]
+    c0 = [[0] * npairs for _ in range(npairs)]
+    for row, (mu, nu) in enumerate(sym_pairs(n)):
         for a in range(n):
+            # the zero-order bracket is sum_la g^{la b} inner[la]
+            inner = []
+            for la in range(n):
+                v = riem[a][mu][nu][la]
+                for r in range(n):
+                    for t in range(n):
+                        for sg in range(n):
+                            v = v + g[a][r] * mj.comp(t, sg) \
+                                * (gam[t][r][nu] * gam[sg][mu][la]
+                                   - gam[t][r][la] * gam[sg][mu][nu])
+                for sg in range(n):
+                    v = v + gam[a][nu][sg] * gam[sg][mu][la] \
+                        - gam[a][la][sg] * gam[sg][mu][nu] \
+                        - gam[sg][sg][la] * gam[a][mu][nu] \
+                        + gam[a][mu][sg] * gam[sg][nu][la]
+                inner.append(v)
             for b in range(n):
+                col = pair_index(n, a, b)
+                cc2, cc1 = c2[row][col], c1[row][col]
                 # second-order part
                 for i in range(n):
                     for j in range(n):
@@ -170,7 +214,7 @@ def eh_jacobi_residual(s: PolySection, v_polys: list, x, signature):
                               - g[i][j] * d(a, nu) * d(b, mu)
                               - g[a][b] * d(i, nu) * d(j, mu))
                         if co != 0:
-                            acc = acc + half * co * v2[(a, b, i, j)]
+                            cc2[i][j] = cc2[i][j] + half * co
                 # first-order part
                 for i in range(n):
                     br = half * g[a][b] * gam[i][mu][nu] - g[i][b] * gam[a][mu][nu]
@@ -186,28 +230,29 @@ def eh_jacobi_residual(s: PolySection, v_polys: list, x, signature):
                                                      - g[la][a] * gam[i][mu][la])
                         br = br + half * d(b, mu) * (g[la][i] * gam[a][nu][la]
                                                      - g[la][a] * gam[i][nu][la])
-                    if br != 0:
-                        acc = acc + br * v1[(a, b, i)]
+                    cc1[i] = cc1[i] + br
                 # zero-order part
                 br0 = 0
                 for la in range(n):
-                    inner = riem[a][mu][nu][la]
-                    for r in range(n):
-                        for t in range(n):
-                            for sg in range(n):
-                                inner = inner + g[a][r] * mj.comp(t, sg) \
-                                    * (gam[t][r][nu] * gam[sg][mu][la]
-                                       - gam[t][r][la] * gam[sg][mu][nu])
-                    for sg in range(n):
-                        inner = inner + gam[a][nu][sg] * gam[sg][mu][la] \
-                            - gam[a][la][sg] * gam[sg][mu][nu] \
-                            - gam[sg][sg][la] * gam[a][mu][nu] \
-                            + gam[a][mu][sg] * gam[sg][nu][la]
-                    br0 = br0 + g[la][b] * inner
-                if br0 != 0:
-                    acc = acc + br0 * v0[(a, b)]
-        out.append(acc)
-    return out
+                    br0 = br0 + g[la][b] * inner[la]
+                c0[row][col] = c0[row][col] + br0
+    return JacobiCoefficients(n, c2, c1, c0)
+
+
+def eh_jacobi_coefficients(s: PolySection, x, signature) -> JacobiCoefficients:
+    """Coefficient blocks of the displayed second-order linear operator on
+    vertical metric fields along a metric section at x (ring-generic: exact
+    over Fractions)."""
+    return _eh_coefficients(jet_of_section(s, x, 2), signature)
+
+
+def eh_jacobi_residual(s: PolySection, v_polys: list, x, signature):
+    """The displayed second-order linear operator on vertical metric fields,
+    evaluated along a metric section at x (ring-generic: exact over
+    Fractions).  v_polys are the stored components V^{ab}, a <= b."""
+    coef = _memoized(_EH_MEMO, tuple(signature), jet_of_section(s, x, 2),
+                     lambda p2: _eh_coefficients(p2, signature))
+    return coef.residual(v_polys, x)
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +296,25 @@ class DiffOpMatrix:
 
 def flat_operator_matrix(eps) -> DiffOpMatrix:
     """Derive the constant-coefficient operator at the metric diag(eps)
-    exactly, by applying the E-H Jacobi operator to monomial probes."""
+    exactly: the coefficient of D^a D^b in P^A_B is the symmetrized
+    second-order block C2[A][B] of the E-H Jacobi operator at x = 0 (the
+    first- and zero-order blocks vanish at a constant metric)."""
     n = len(eps)
     npairs = len(sym_pairs(n))
     npos = sum(1 for e in eps if e > 0)
     sig = (npos, n - npos)
     sec = PolySection(n, [Poly.constant(n, Fraction(eps[a]) if a == b else Fraction(0))
                           for a, b in sym_pairs(n)])
-    x0 = tuple(Fraction(0) for _ in range(n))
+    c2 = eh_jacobi_coefficients(sec, (Fraction(0),) * n, sig).c2
+    half = Fraction(1, 2)
     entries = [[{} for _ in range(npairs)] for _ in range(npairs)]
-    zero = [Poly.constant(n, 0) for _ in range(npairs)]
-    for brow in range(npairs):
-        for (a, b) in combinations_with_replacement(range(n), 2):
-            probe = list(zero)
-            probe[brow] = Poly.variable(n, a) * Poly.variable(n, b)
-            res = eh_jacobi_residual(sec, probe, x0, sig)
-            scale = Fraction(1, 1 if a != b else 2)
-            for arow in range(npairs):
-                c = res[arow] * scale
+    for arow in range(npairs):
+        for brow in range(npairs):
+            block = c2[arow][brow]
+            for (a, b) in combinations_with_replacement(range(n), 2):
+                c = block[a][b] + block[b][a]
+                if a == b:
+                    c = c * half
                 if c != 0:
                     entries[arow][brow][(a, b)] = Fraction(c)
     return DiffOpMatrix(n, npairs, entries)

@@ -158,20 +158,22 @@ class PolySection:
 
 
 def jet_of_section(s: PolySection, x, order: int) -> JetPoint:
-    """Jet coordinates y^a_I = (d^|I| s^a / dx^I)(x) for |I| <= order."""
+    """Jet coordinates y^a_I = (d^|I| s^a / dx^I)(x) for |I| <= order: all
+    floats when a coordinate of x is a float, as evaluated at exact x."""
     if order > 3:
         raise JetOrderError("jets only stored up to order 3")
     n = s.n
     x = tuple(x)
-    y = tuple(p.eval(x) for p in s.polys)
+    ev = float if any(isinstance(c, float) for c in x) else (lambda v: v)
+    y = tuple(ev(p.eval(x)) for p in s.polys)
     dy = d2y = d3y = ()
     if order >= 1:
-        dy = tuple(tuple(p.diff(i).eval(x) for i in range(n)) for p in s.polys)
+        dy = tuple(tuple(ev(p.diff(i).eval(x)) for i in range(n)) for p in s.polys)
     if order >= 2:
-        d2y = tuple(tuple(p.diff(i).diff(j).eval(x) for i, j in sym_pairs(n))
+        d2y = tuple(tuple(ev(p.diff(i).diff(j).eval(x)) for i, j in sym_pairs(n))
                     for p in s.polys)
     if order >= 3:
-        d3y = tuple(tuple(p.diff(i).diff(j).diff(k).eval(x)
+        d3y = tuple(tuple(ev(p.diff(i).diff(j).diff(k).eval(x))
                           for i, j, k in sym_triples(n)) for p in s.polys)
     return JetPoint(n, s.m, order, x, y, dy, d2y, d3y)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fwd import ring_abs, ring_sqrt, value_of
+from .fwd import ring_sqrt, value_of
 from .jets import JetPoint, pair_index, sym_pairs, sym_triples
 
 
@@ -138,9 +138,9 @@ def rho(mj: MetricJet):
     """
     n = mj.n
     det = mat_det(mj.matrix())
-    if value_of(ring_abs(det)) == 0:
+    if value_of(abs(det)) == 0:
         raise SingularMetricError("zero determinant")
-    val = ring_sqrt(ring_abs(det))
+    val = ring_sqrt(abs(det))
     ginv = mat_inverse(mj.matrix())
     # d det/d g_ab (full index) = det * g^{ab}; stored slot doubles off-diagonal
     grad = []

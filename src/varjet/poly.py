@@ -6,8 +6,7 @@ insists); evaluation is ring-generic, so a polynomial can be evaluated on
 floats, Fractions, or :class:`~varjet.fwd.Jet` scalars alike.
 
 A small ``ast``-based parser turns expression strings like
-``"2*x1^2*x2 - 1/3"`` into polynomials; it is reused by the problem-file
-front end for user Lagrangians, beta tables and sections.
+``"2*x1^2*x2 - 1/3"`` into polynomials.
 """
 
 from __future__ import annotations

@@ -137,9 +137,6 @@ class BasisField:
     mode: ModeVector
     amp: tuple
 
-    def conj_pair(self):
-        return self.amp
-
 
 def basis_field(h: int, k) -> BasisField:
     """The fields X_1..X_8; indices follow the stored-pair order

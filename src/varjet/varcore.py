@@ -352,15 +352,13 @@ def fibre_primitive_jets(supplier, x, y, dy, jv: JetVars, cap: int,
 
 
 def pipeline(supplier, q: JetPoint, cap: int = 1,
-             base_section=None, with_primitives: bool = True) -> PipelineData:
+             with_primitives: bool = True) -> PipelineData:
     """Assemble the first-order data (A, p, H, Lbar) at the order-1 jet q.
 
-    `cap` is the Taylor order retained for A/p/H/Lbar.  `base_section`
-    optionally replaces the zero section as the base point of the fibre
-    primitives: a callable (x, y) -> dy-matrix; L^i is then shifted so it
-    vanishes on that section.  With `with_primitives=False` the quadrature
-    is skipped and only L_0, the coefficient block and A are produced
-    (enough for Euler-Lagrange and Helmholtz work).
+    `cap` is the Taylor order retained for A/p/H/Lbar.  The fibre primitives
+    L^i are taken from the zero section.  With `with_primitives=False` the
+    quadrature is skipped and only L_0, the coefficient block and A are
+    produced (enough for Euler-Lagrange and Helmholtz work).
     """
     n, m = q.n, q.m
     jv = JetVars(n, m, 2)
@@ -378,11 +376,6 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
            for k, v in lij.items()}
     if with_primitives:
         li, quad_res = fibre_primitive_jets(supplier, x, y, dy, jv, cap + 1)
-        if base_section is not None:
-            dy0 = base_section(x, y)
-            li0, res0 = fibre_primitive_jets(supplier, x, y, dy0, jv, cap + 1)
-            li = [li[h] - li0[h] for h in range(n)]
-            quad_res = max(quad_res, res0)
     else:
         li, quad_res = None, 0.0
 
@@ -441,14 +434,15 @@ def momenta_hamiltonian(supplier, q: JetPoint, cap: int = 1):
     data = pipeline(supplier, q, cap=max(cap, 1))
     n, m = data.n, data.m
     p = [[data.p[(al, i)].value for i in range(n)] for al in range(m)]
-    dp = np.zeros((m * n, m * n))
-    for al in range(m):
-        for i in range(n):
-            for be in range(m):
-                for j in range(n):
-                    dp[al * n + i][be * n + j] = float(value_of(
-                        data.p[(al, i)].deriv(data.jv.id_of[("y1", be, j)])))
-    return p, data.h.value, dp, data
+    return p, data.h.value, _velocity_hessian(data), data
+
+
+def _velocity_hessian(data: PipelineData) -> np.ndarray:
+    """dp_a^i/dy'^b_j as a float matrix, rows (a, i) and columns (b, j)."""
+    n, m, jv = data.n, data.m, data.jv
+    return np.array([[float(value_of(data.p[(al, i)].deriv(jv.y1(be, j))))
+                      for be in range(m) for j in range(n)]
+                     for al in range(m) for i in range(n)])
 
 
 def bar_lagrangian(supplier, q: JetPoint):
@@ -486,10 +480,34 @@ def bilinear_form_b(supplier, q: JetPoint):
 
 @dataclass
 class HCResult:
+    """Hamilton-Cartan residuals at a point, with the Newton steps of the
+    velocity reconstruction and whether it met its step test (0 and False
+    when the second family is skipped)."""
+
     first: list
     second: list | None
     dp_condition: float
     skipped_second: bool
+    newton_iters: int = 0
+    converged: bool = False
+
+
+def hc_first_family(data: PipelineData, p2: JetPoint) -> list:
+    """First Hamilton-Cartan family D_i(p_a^i) - dH/dy^a along a section
+    with 2-jet p2, from pipeline data at p2.truncated(1), in the ring of the
+    data.  The y-partial of H is the momentum-space one (see `hc_residual`).
+    """
+    n, m, jv = data.n, data.m, data.jv
+    out = []
+    for al in range(m):
+        acc = -data.h.deriv(jv.y(al))
+        for be in range(m):
+            for i in range(n):
+                acc = acc - p2.y1(be, i) * data.p[(be, i)].deriv(jv.y(al))
+        for i in range(n):
+            acc = acc + total_derivative_j1(data.p[(al, i)], jv, p2, i)
+        out.append(acc)
+    return out
 
 
 def hc_residual(supplier, s: PolySection, x, cond_cap: float = 1e12) -> HCResult:
@@ -506,25 +524,10 @@ def hc_residual(supplier, s: PolySection, x, cond_cap: float = 1e12) -> HCResult
     n, m = s.n, s.m
     p2 = jet_of_section(s, x, 2)
     data = pipeline(supplier, p2.truncated(1), cap=1)
-    jv = data.jv
-    first = []
-    for al in range(m):
-        acc = -data.h.deriv(jv.id_of[("y", al)])
-        for be in range(m):
-            for i in range(n):
-                acc = acc - p2.y1(be, i) * data.p[(be, i)].deriv(jv.id_of[("y", al)])
-        for i in range(n):
-            acc = acc + total_derivative_j1(data.p[(al, i)], jv, p2, i)
-        first.append(float(value_of(acc)))
+    first = [float(v) for v in hc_first_family(data, p2)]
     pmat = np.array([[float(value_of(data.p[(al, i)].value)) for i in range(n)]
                      for al in range(m)])
-    dp = np.zeros((m * n, m * n))
-    for al in range(m):
-        for i in range(n):
-            for be in range(m):
-                for j in range(n):
-                    dp[al * n + i][be * n + j] = float(value_of(
-                        data.p[(al, i)].deriv(jv.id_of[("y1", be, j)])))
+    dp = _velocity_hessian(data)
     cond = float(np.linalg.cond(dp)) if np.isfinite(dp).all() else float("inf")
     if not np.isfinite(cond) or cond > cond_cap:
         return HCResult(first, None, cond, True)
@@ -533,23 +536,21 @@ def hc_residual(supplier, s: PolySection, x, cond_cap: float = 1e12) -> HCResult
     vel = np.zeros(m * n)
     xs = list(p2.x)
     ys = list(p2.y)
-    for _ in range(60):
+    converged = False
+    for it in range(1, 61):
         q_try = JetPoint(n, m, 1, tuple(xs), tuple(ys),
                          tuple(tuple(vel[a * n:(a + 1) * n]) for a in range(m)))
         d_try = pipeline(supplier, q_try, cap=1)
         p_try = np.array([float(value_of(d_try.p[(al, i)].value))
                           for al in range(m) for i in range(n)])
-        jac = np.array([[float(value_of(d_try.p[(al, i)].deriv(
-            jv.id_of[("y1", be, j)])))
-            for be in range(m) for j in range(n)]
-            for al in range(m) for i in range(n)])
-        step = np.linalg.solve(jac, target - p_try)
+        step = np.linalg.solve(_velocity_hessian(d_try), target - p_try)
         vel = vel + step
         if float(np.max(np.abs(step))) < 1e-13 * max(1.0, float(np.max(np.abs(vel)))):
+            converged = True
             break
     actual = np.array([p2.y1(al, i) for al in range(m) for i in range(n)])
     second = list(actual - vel)
-    return HCResult(first, second, cond, False)
+    return HCResult(first, second, cond, False, it, converged)
 
 
 def euler_lagrange(supplier, s: PolySection, x) -> list:

@@ -8,12 +8,15 @@ import pytest
 
 from varjet.einstein import EHLagrangian, affine_supplier
 from varjet.jacobi import (DiffOpMatrix, derivative_shift_check,
-                           eh_jacobi_residual, flat_operator_matrix,
+                           eh_jacobi_coefficients, eh_jacobi_residual,
+                           flat_operator_matrix, jacobi_coefficients,
                            jacobi_residual, polynomial_solution_space,
                            polynomial_solves)
-from varjet.jets import MultiIndex, PolySection, pair_index, sym_pairs
+from varjet.jets import (MultiIndex, PolySection, jet_of_section, pair_index,
+                         sym_pairs)
 from varjet.linalg import in_row_space
 from varjet.poly import Poly, parse_poly
+from varjet.varcore import TableAffineSupplier
 
 F = Fraction
 H = F(1, 2)
@@ -542,3 +545,76 @@ def test_linearity_of_residual():
     r12, _ = jacobi_residual(sup, sec, v12, x)
     for a, b, c in zip(r1, r2, r12):
         assert abs(float(a) + float(b) - float(c)) <= 1e-12
+
+
+def test_flat_operator_from_c2_equals_probe_loop():
+    """Reading the operator off the C2 block gives, entry by entry over
+    Fractions, the matrix derived by applying the E-H Jacobi operator to the
+    monomial probes x^a x^b at x = 0 (n = 3 Lorentzian)."""
+    n, npairs, eps = 3, 6, (-1, 1, 1)
+    sec = PolySection(n, [Poly.constant(n, F(eps[a]) if a == b else F(0))
+                          for a, b in sym_pairs(n)])
+    x0 = (F(0),) * n
+    entries = [[{} for _ in range(npairs)] for _ in range(npairs)]
+    for brow in range(npairs):
+        for a, b in sym_pairs(n):
+            probe = [Poly.constant(n, 0)] * npairs
+            probe[brow] = Poly.variable(n, a) * Poly.variable(n, b)
+            for arow, c in enumerate(eh_jacobi_residual(sec, probe, x0, (2, 1))):
+                c = c * (H if a == b else 1)
+                if c != 0:
+                    entries[arow][brow][(a, b)] = c
+    op = flat_operator_matrix(eps)
+    assert op.entries == entries
+    assert all(type(c) is F for row in op.entries for e in row for c in e.values())
+
+
+def _assert_memo_ring_safe(memo_call, cold_call, s, xf, xq):
+    """Alternate float and exact calls at points with equal 2-jets (dyadic
+    values, exact in floats): every result is in the ring of its point and
+    equals a cold build, hit or miss."""
+    assert jet_of_section(s, xf, 2) == jet_of_section(s, xq, 2)
+    got = {}
+    for x, ring in [(xf, float), (xq, F), (xq, F), (xf, float), (xf, float)]:
+        res = memo_call(x)
+        assert all(type(r) is ring for r in res)
+        assert res == cold_call(x)
+        got[ring] = res
+    assert any(r != 0 for r in got[F])
+    assert all(abs(float(q) - f) <= 1e-12 * max(1.0, abs(f))
+               for q, f in zip(got[F], got[float]))
+
+
+def test_generic_residual_memo_is_ring_safe():
+    # n = m = 1 would do; n = 2 with L^{ij} depending on (x, y) only, so the
+    # cross-derivative conditions hold trivially
+    def fn(x, y, dy):
+        l0 = dy[0][0] * dy[0][0] * H + dy[0][1] * dy[0][1] * F(1, 3) \
+            + x[0] * y[0] * dy[0][1]
+        return l0, {(0, 0, 0): y[0] * y[0] * F(1, 3), (0, 0, 1): x[1] * y[0],
+                    (0, 1, 1): H}
+
+    sup = TableAffineSupplier(2, 1, fn)
+    names = {"x1": 0, "x2": 1}
+    s = PolySection(2, [parse_poly("1 + x1^2/4 - x1*x2/8", names, 2)])
+    v = [parse_poly("x1^2*x2/2 - x2/3 + 1/4", names, 2)]
+    _assert_memo_ring_safe(
+        lambda x: jacobi_residual(sup, s, v, x)[0],
+        lambda x: jacobi_coefficients(sup, s, x).residual(v, x),
+        s, (0.5, -0.25), (F(1, 2), F(-1, 4)))
+
+
+def test_eh_residual_memo_is_ring_safe():
+    n, sig = 3, (3, 0)
+    names = {f"x{i+1}": i for i in range(n)}
+    phi = [parse_poly("x1 + x2^2/4", names, n),
+           parse_poly("x2 - x1^2/8 + x1*x3/8", names, n),
+           parse_poly("x3 + x1*x2/2", names, n)]
+    sec = PolySection(n, [sum((phi[c].diff(a) * phi[c].diff(b) for c in range(n)),
+                              Poly.constant(n, 0)) for a, b in sym_pairs(n)])
+    v = [parse_poly(t, names, n) for t in
+         ("x1^2/3", "x2*x3", "1/5", "x1 - x3^2/4", "x1*x2*x3", "x2^2/2 + 1")]
+    _assert_memo_ring_safe(
+        lambda x: eh_jacobi_residual(sec, v, x, sig),
+        lambda x: eh_jacobi_coefficients(sec, x, sig).residual(v, x),
+        sec, (0.5, -0.25, 0.125), (F(1, 2), F(-1, 4), F(1, 8)))

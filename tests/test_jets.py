@@ -31,6 +31,24 @@ def test_jet_of_constant_section():
     assert all(v == 0 for v in p.d3y[0])
 
 
+def test_jet_of_section_entries_follow_the_ring_of_x():
+    # exact coefficients: the second and third derivatives are constants,
+    # which evaluate to Fractions whatever the point
+    names = {"x1": 0, "x2": 1}
+    s = PolySection(2, [_poly("x1^3/3 + x1*x2/2 - 2", names, 2),
+                        _poly("x2^2/5", names, 2)])
+
+    def entries(p):
+        return list(p.y) + [v for t in (p.dy, p.d2y, p.d3y) for row in t for v in row]
+
+    pf = jet_of_section(s, (0.5, -0.25), 3)
+    pq = jet_of_section(s, (Fraction(1, 2), Fraction(-1, 4)), 3)
+    assert all(type(v) is float for v in entries(pf))
+    assert all(isinstance(v, (int, Fraction)) for v in entries(pq))
+    assert entries(pf) == [float(v) for v in entries(pq)]
+    assert pq.y2(0, 0, 0) == 1 and pq.y3(0, 0, 0, 0) == 2
+
+
 def test_jet_of_linear_section():
     names = {"x1": 0, "x2": 1}
     s = PolySection(2, [_poly("x1", names, 2)])

@@ -13,7 +13,8 @@ from varjet.jets import (JetFunction, JetPoint, PolySection, jet_of_section,
 from varjet.metric import metric_from_jet_point, random_metric_jet
 from varjet.poly import Poly, parse_poly
 from varjet.varcore import (GenericAffineSupplier, SecondOrderLagrangian,
-                            bar_lagrangian, bilinear_form_b, euler_lagrange,
+                            TableAffineSupplier, bar_lagrangian,
+                            bilinear_form_b, euler_lagrange,
                             euler_lagrange_first_order, hc_residual,
                             legendre_coefficients, momenta_hamiltonian,
                             pipeline, projectability_check,
@@ -308,6 +309,7 @@ def test_hc_first_family_vanishes_on_flat_metric():
     res = hc_residual(sup, s, (0.3, -0.7))
     assert max(abs(v) for v in res.first) == 0.0
     assert res.skipped_second
+    assert (res.newton_iters, res.converged) == (0, False)
     # n=3: dp is invertible and the reconstructed velocities match
     eh3, _ = eh_lagrangian(3, (3, 0))
     s3 = flat_metric_section(3, [1.0, 1.0, 1.0])
@@ -315,6 +317,25 @@ def test_hc_first_family_vanishes_on_flat_metric():
     assert max(abs(v) for v in res3.first) == 0.0
     assert not res3.skipped_second
     assert max(abs(v) for v in res3.second) <= 1e-10
+    assert res3.converged and 1 <= res3.newton_iters < 60
+
+
+def test_hc_newton_cycle_is_flagged():
+    # n = m = 1, L = y'^4/4 - y'^2: p = v^3 - 2v.  Newton from rest towards
+    # p(v0) = v0^3 - 2 v0 ~ -2 cycles 0 -> 1 -> 0 (the 2-cycle is
+    # superattracting: p'' vanishes at 0), so the reconstruction never meets
+    # its step test and must say so.
+    def fn(x, y, dy):
+        v = dy[0][0]
+        return v ** 4 * Fraction(1, 4) - v ** 2, {(0, 0, 0): 0}
+
+    v0 = Fraction(-23, 13)
+    assert abs(v0 ** 3 - 2 * v0 + 2) < Fraction(1, 1000)
+    s = PolySection(1, [v0 * Poly.variable(1, 0)])
+    res = hc_residual(TableAffineSupplier(1, 1, fn), s, (0.3,))
+    assert res.first == [0.0] and not res.skipped_second
+    assert (res.newton_iters, res.converged) == (60, False)
+    assert abs(res.second[0]) > 1       # velocity still near the cycle, not v0
 
 
 def test_hc_nonzero_on_non_extremal():
