@@ -4,9 +4,13 @@ A :class:`Jet` is a multivariate Taylor expansion truncated at a fixed total
 order.  Coefficients are stored sparsely in a dict keyed by packed integer
 monomials: bits 0..4 hold the total degree, and variable ``v`` occupies the
 3-bit field starting at bit ``5 + 3 v``.  Multiplying monomials is then a
-single integer addition, and the truncation test is ``(k1 + k2) & 31 <= order``.
-A 3-bit field holds exponents up to 7, so a Jet of order above 7 is refused
-(exponent 8 would carry into the next variable's field).
+single integer addition.  A product has the order of its left operand and
+keeps a pair of terms only when their degrees sum to at most that order, so
+it never scans the pairs it would drop: each term of the shorter operand, of
+degree d, visits only the longer operand's terms of degree <= order - d,
+listed once per product for each such bound.  A 3-bit field holds
+exponents up to 7, so a Jet of order above 7 is refused (exponent 8 would
+carry into the next variable's field).
 Coefficients are stored in the *normalized* (Taylor) convention — the
 coefficient on a monomial is the partial derivative divided by the monomial's
 multiplicity factorial — so multiplication is a plain convolution.
@@ -84,7 +88,10 @@ class Jet:
         """Partial derivative w.r.t. the listed variables (with repetition)."""
         if len(vars) > self.order:
             raise ValueError(f"jet truncated at order {self.order}, asked {vars}")
-        c = self.coef.get(key_from_vars(vars), 0)
+        key = len(vars)                     # key_from_vars(vars), inline
+        for v in vars:
+            key += 1 << (_VAR_SHIFT + _VAR_BITS * v)
+        c = self.coef.get(key, 0)
         if c == 0:
             return c
         return c * key_multiplicity(vars)
@@ -166,12 +173,18 @@ class Jet:
             a, b = b, a
         out: dict = {}
         get = out.get
-        bi = list(b.items())
+        # partners[r]: the terms of b of degree <= r, in b's order, built
+        # once per product for each r that some term of a needs
+        partners = [None] * (cap + 1)
         for k1, c1 in a.items():
             r = cap - (k1 & _DEG_MASK)
-            for k2, c2 in bi:
-                if (k2 & _DEG_MASK) > r:
-                    continue
+            if r < 0:
+                continue
+            part = partners[r]
+            if part is None:
+                part = partners[r] = [kc for kc in b.items()
+                                      if kc[0] & _DEG_MASK <= r]
+            for k2, c2 in part:
                 key = k1 + k2
                 p = c1 * c2
                 acc = get(key)

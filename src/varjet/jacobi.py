@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 
 from .jets import (JetPoint, MultiIndex, PolySection, jet_of_section,
-                   pair_index, sym_pairs)
+                   pair_index, point_ring, sym_pairs)
 from .linalg import nullspace, rank
 from .metric import curvature, metric_from_jet_point
 from .poly import Poly
@@ -54,10 +54,11 @@ class JacobiCoefficients:
         """The operator applied to the field with components `v_polys`
         (polynomials in the base variables) at x."""
         n = self.n
-        v0 = [p.eval(x) for p in v_polys]
+        ev = point_ring(x)
+        v0 = [ev(p.eval(x)) for p in v_polys]
         d1 = [[p.diff(i) for i in range(n)] for p in v_polys]
-        v1 = [[d.eval(x) for d in row] for row in d1]
-        v2 = [[[row[min(i, j)].diff(max(i, j)).eval(x) for j in range(n)]
+        v1 = [[ev(d.eval(x)) for d in row] for row in d1]
+        v2 = [[[ev(row[min(i, j)].diff(max(i, j)).eval(x)) for j in range(n)]
                for i in range(n)] for row in d1]
         out = []
         for c2, c1, c0 in zip(self.c2, self.c1, self.c0):

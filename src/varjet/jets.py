@@ -157,14 +157,26 @@ class PolySection:
         return [p.eval(x) for p in self.polys]
 
 
+def point_ring(x):
+    """The conversion for polynomial values at x: `float` when a coordinate
+    of x is a float, the identity at an exact x.  `Poly.eval` returns a
+    term's exact coefficient when the term does not depend on x, so without
+    it a float point would give some exact values."""
+    return float if any(isinstance(c, float) for c in x) else _identity
+
+
+def _identity(v):
+    return v
+
+
 def jet_of_section(s: PolySection, x, order: int) -> JetPoint:
-    """Jet coordinates y^a_I = (d^|I| s^a / dx^I)(x) for |I| <= order: all
-    floats when a coordinate of x is a float, as evaluated at exact x."""
+    """Jet coordinates y^a_I = (d^|I| s^a / dx^I)(x) for |I| <= order, in
+    the ring of x (see `point_ring`)."""
     if order > 3:
         raise JetOrderError("jets only stored up to order 3")
     n = s.n
     x = tuple(x)
-    ev = float if any(isinstance(c, float) for c in x) else (lambda v: v)
+    ev = point_ring(x)
     y = tuple(ev(p.eval(x)) for p in s.polys)
     dy = d2y = d3y = ()
     if order >= 1:

@@ -9,6 +9,7 @@ signature validation of float metrics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,11 +43,23 @@ def mat_det(a):
 
 
 def mat_inverse(a):
-    """Inverse by adjugate (dimensions here are <= 4)."""
+    """Inverse by adjugate (dimensions here are <= 4).
+
+    Raises SingularMetricError when the value part of det is zero or, for a
+    float, when |det| <= 1e-12 times the product of the row 2-norms of the
+    value matrix (Hadamard's bound on |det|): such a float matrix is singular
+    to working precision.  An exact det is refused only at zero.
+    """
     n = len(a)
     det = mat_det(a)
-    if value_of(det) == 0:
+    d0 = value_of(det)
+    if d0 == 0:
         raise SingularMetricError("zero determinant")
+    if isinstance(d0, float):
+        bound = math.prod(math.hypot(*map(value_of, row)) for row in a)
+        if abs(d0) <= 1e-12 * bound:
+            raise SingularMetricError(
+                f"|det| = {abs(d0):.3e} against the Hadamard bound {bound:.3e}")
     inv = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):

@@ -481,8 +481,9 @@ def bilinear_form_b(supplier, q: JetPoint):
 @dataclass
 class HCResult:
     """Hamilton-Cartan residuals at a point, with the Newton steps of the
-    velocity reconstruction and whether it met its step test (0 and False
-    when the second family is skipped)."""
+    velocity reconstruction, whether it met its step test and the max |step|
+    of its last iteration (0, False and 0.0 when the second family is
+    skipped)."""
 
     first: list
     second: list | None
@@ -490,6 +491,7 @@ class HCResult:
     skipped_second: bool
     newton_iters: int = 0
     converged: bool = False
+    final_step: float = 0.0
 
 
 def hc_first_family(data: PipelineData, p2: JetPoint) -> list:
@@ -545,12 +547,13 @@ def hc_residual(supplier, s: PolySection, x, cond_cap: float = 1e12) -> HCResult
                           for al in range(m) for i in range(n)])
         step = np.linalg.solve(_velocity_hessian(d_try), target - p_try)
         vel = vel + step
-        if float(np.max(np.abs(step))) < 1e-13 * max(1.0, float(np.max(np.abs(vel)))):
+        final_step = float(np.max(np.abs(step)))
+        if final_step < 1e-13 * max(1.0, float(np.max(np.abs(vel)))):
             converged = True
             break
     actual = np.array([p2.y1(al, i) for al in range(m) for i in range(n)])
     second = list(actual - vel)
-    return HCResult(first, second, cond, False, it, converged)
+    return HCResult(first, second, cond, False, it, converged, final_step)
 
 
 def euler_lagrange(supplier, s: PolySection, x) -> list:

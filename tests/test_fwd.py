@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from varjet.fwd import Jet, ring_sqrt
+from varjet.fwd import Jet, key_from_vars, key_multiplicity, ring_sqrt
 
 
 def test_product_rule_second_order():
@@ -89,3 +89,98 @@ def test_order_above_packed_key_limit_is_refused():
     assert f.deriv(*[0] * 7) == math.factorial(7)
     assert f.partial(1).coef == {}
     assert f.restricted([0]).coef == f.coef
+
+
+
+# -- the product kernel against an all-pairs reference -----------------------
+
+def _all_pairs_product(x, y, prune=True):
+    """Truncated convolution scanning every pair of terms: the result has
+    x's order, pairs whose degrees sum above it are dropped, and zeros are
+    pruned once the result outgrows twice the operands."""
+    cap = x.order
+    a, b = x.coef, y.coef
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            if (k1 & 31) + (k2 & 31) > cap:
+                continue
+            key = k1 + k2
+            out[key] = c1 * c2 if key not in out else out[key] + c1 * c2
+    if prune and len(out) > 2 * (len(a) + len(b)):
+        out = {k: c for k, c in out.items() if c != 0}
+    return out
+
+
+def _random_jet(rng, order, ring, nterms):
+    """Sparse jet over 4 variables with some terms above its own order and
+    small coefficients, so that products cancel now and then."""
+    coef = {}
+    for _ in range(nterms):
+        vars_ = [rng.randrange(4) for _ in range(rng.randrange(min(order + 2, 7) + 1))]
+        coef[key_from_vars(vars_)] = ring(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 4)))
+    return Jet(order, coef)
+
+
+def _dyadic(p, q):
+    return p / q
+
+
+@pytest.mark.parametrize("ring", [Fraction, _dyadic])
+def test_mul_matches_all_pairs_reference(ring):
+    rng = random.Random(11)
+    # (1 + x0 + ... + x6)(1 - x0 + x1 + ... + x6) cancels its x0 and x0 x_j
+    # terms and has more than twice as many terms as its factors: it is pruned
+    one = ring(1, 1)
+    plus = {0: one, **{key_from_vars([v]): one for v in range(7)}}
+    pairs = [(Jet(2, plus), Jet(3, {**plus, key_from_vars([0]): -one}))]
+    for _ in range(300):
+        pairs.append((_random_jet(rng, rng.randrange(5), ring, rng.randrange(25)),
+                      _random_jet(rng, rng.randrange(5), ring,
+                                  rng.choice((0, 1, rng.randrange(25))))))
+    orders = set()
+    pruned = 0
+    for x, y in pairs:
+        for left, right in ((x, y), (y, x)):
+            got = left * right
+            assert got.order == left.order
+            # same coefficients, and even the same key order
+            assert list(got.coef.items()) == list(_all_pairs_product(left, right).items())
+            orders.add((left.order > right.order, len(left.coef) > len(right.coef)))
+            pruned += len(got.coef) < len(_all_pairs_product(left, right, prune=False))
+    assert orders == {(False, False), (False, True), (True, False), (True, True)}
+    assert pruned
+    # scalar and empty operands
+    x = _random_jet(rng, 2, ring, 12)
+    c = ring(3, 2)
+    assert (x * c).coef == (c * x).coef == {k: v * c for k, v in x.coef.items()}
+    assert (x * Jet.constant(c, 2)).coef == _all_pairs_product(x, Jet.constant(c, 2))
+    for empty in (x * 0, x * Jet(5, {}), Jet(5, {}) * x):
+        assert empty.coef == {}
+    assert (x * Jet(5, {})).order == 2 and (Jet(5, {}) * x).order == 5
+
+
+def test_mul_over_jet_coefficients_matches_all_pairs_reference():
+    def inner(p, q):            # an order-1 jet in a variable of its own
+        return Jet(1, {0: Fraction(p, q), key_from_vars([0]): Fraction(q, p)})
+
+    rng = random.Random(7)
+    for _ in range(40):
+        x = _random_jet(rng, rng.randrange(4), inner, rng.randrange(12))
+        y = _random_jet(rng, rng.randrange(4), inner, rng.randrange(12))
+        got = [(k, c.coef) for k, c in (x * y).coef.items()]
+        assert got == [(k, c.coef) for k, c in _all_pairs_product(x, y).items()]
+
+
+def test_deriv_reads_the_packed_key_with_multiplicity():
+    rng = random.Random(5)
+    x = _random_jet(rng, 4, Fraction, 40)
+    for _ in range(200):
+        vars_ = [rng.randrange(4) for _ in range(rng.randrange(5))]
+        want = x.coef.get(key_from_vars(vars_), 0) * key_multiplicity(vars_)
+        assert x.deriv(*vars_) == want
+    f = (Jet.variable(0, 1.0, 4) + Jet.variable(2, 0.0, 4)) ** 4   # (1 + x0 + x2)^4
+    assert f.deriv(0, 2, 0, 2) == f.deriv(2, 2, 0, 0) == 24.0
+    assert f.deriv(0, 0, 2) == 24.0 and f.deriv(1) == 0

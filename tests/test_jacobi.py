@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from varjet.einstein import EHLagrangian, affine_supplier
-from varjet.jacobi import (DiffOpMatrix, derivative_shift_check,
+from varjet.jacobi import (DiffOpMatrix, JacobiCoefficients,
+                           derivative_shift_check,
                            eh_jacobi_coefficients, eh_jacobi_residual,
                            flat_operator_matrix, jacobi_coefficients,
                            jacobi_residual, polynomial_solution_space,
@@ -604,17 +605,48 @@ def test_generic_residual_memo_is_ring_safe():
         s, (0.5, -0.25), (F(1, 2), F(-1, 4)))
 
 
+NAMES3 = {"x1": 0, "x2": 1, "x3": 2}
+DYADIC3 = ((0.5, -0.25, 0.125), (F(1, 2), F(-1, 4), F(1, 8)))
+
+
+def _curved_euclidean_section():
+    """The flat Euclidean metric pulled back by a quadratic chart, n = 3."""
+    n = 3
+    phi = [parse_poly("x1 + x2^2/4", NAMES3, n),
+           parse_poly("x2 - x1^2/8 + x1*x3/8", NAMES3, n),
+           parse_poly("x3 + x1*x2/2", NAMES3, n)]
+    return PolySection(n, [sum((phi[c].diff(a) * phi[c].diff(b) for c in range(n)),
+                               Poly.constant(n, 0)) for a, b in sym_pairs(n)])
+
+
 def test_eh_residual_memo_is_ring_safe():
-    n, sig = 3, (3, 0)
-    names = {f"x{i+1}": i for i in range(n)}
-    phi = [parse_poly("x1 + x2^2/4", names, n),
-           parse_poly("x2 - x1^2/8 + x1*x3/8", names, n),
-           parse_poly("x3 + x1*x2/2", names, n)]
-    sec = PolySection(n, [sum((phi[c].diff(a) * phi[c].diff(b) for c in range(n)),
-                              Poly.constant(n, 0)) for a, b in sym_pairs(n)])
-    v = [parse_poly(t, names, n) for t in
+    sig = (3, 0)
+    sec = _curved_euclidean_section()
+    v = [parse_poly(t, NAMES3, 3) for t in
          ("x1^2/3", "x2*x3", "1/5", "x1 - x3^2/4", "x1*x2*x3", "x2^2/2 + 1")]
     _assert_memo_ring_safe(
         lambda x: eh_jacobi_residual(sec, v, x, sig),
         lambda x: eh_jacobi_coefficients(sec, x, sig).residual(v, x),
-        sec, (0.5, -0.25, 0.125), (F(1, 2), F(-1, 4), F(1, 8)))
+        sec, *DYADIC3)
+
+
+def test_field_jet_is_float_at_a_float_point():
+    # Fraction-coefficient fields with constant second derivatives, which
+    # Poly.eval returns as exact constants.  At a float x they are converted
+    # like the section's jet (`point_ring`): with exact blocks acting on
+    # d_i d_j V alone, the residual is a float.
+    xf, xq = DYADIC3
+    v = [parse_poly("x1^2/3 + x1*x3/7 - x2", NAMES3, 3)]
+    blocks = JacobiCoefficients(3, c2=[[[[1, H, 0], [H, 2, 0], [0, 0, F(1, 3)]]]],
+                                c1=[[[0, 0, 0]]], c0=[[0]])
+    res = blocks.residual(v, xf)
+    assert type(res[0]) is float
+    assert res == [float(r) for r in blocks.residual(v, xq)]
+    # on a curved background the float residual matches the exact-point one
+    sec, sig = _curved_euclidean_section(), (3, 0)
+    vs = [parse_poly(t, NAMES3, 3) for t in
+          ("x1^2/3", "x2*x3/5", "1/5", "x1 - x3^2/4", "x1*x2/7", "x2^2/2 + 1")]
+    rf = eh_jacobi_coefficients(sec, xf, sig).residual(vs, xf)
+    rq = eh_jacobi_coefficients(sec, xq, sig).residual(vs, xq)
+    assert all(type(r) is float for r in rf) and any(r != 0 for r in rq)
+    assert all(abs(float(q) - f) <= 1e-12 * max(1.0, abs(f)) for q, f in zip(rq, rf))

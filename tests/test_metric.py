@@ -1,6 +1,7 @@
 """Metric jets: volume factor, curvature, sigma-nabla section."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from varjet.jets import pair_index, sym_pairs
 from varjet.metric import (MetricJet, SingularMetricError, christoffel,
                            constant_metric_jet, covariant_derivative_residual,
-                           curvature, random_metric_jet, rho, sigma_nabla)
+                           curvature, mat_inverse, random_metric_jet, rho,
+                           sigma_nabla)
 from varjet.poly import Poly, parse_poly
 from varjet.jets import PolySection, jet_of_section
 from varjet.metric import metric_from_jet_point
@@ -39,6 +41,22 @@ def test_rho_rejects_singular():
     mj = MetricJet(2, (1, 1), (1.0, 1.0, 1.0))
     with pytest.raises(SingularMetricError):
         rho(mj)
+
+
+def test_mat_inverse_refuses_nearly_singular_float_matrices():
+    # det = -3e-10 against a Hadamard bound of about 457: singular to
+    # working precision as floats, yet exactly invertible over Fractions
+    eps = Fraction(1, 10**10)
+    exact = [[Fraction(1), 2, 3], [4, 5, 6], [7, 8, 9 + eps]]
+    with pytest.raises(SingularMetricError):
+        mat_inverse([[float(v) for v in row] for row in exact])
+    inv = mat_inverse(exact)
+    assert all(isinstance(v, Fraction) for row in inv for v in row)
+    assert [[sum(exact[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)] == [[int(i == j) for j in range(3)] for i in range(3)]
+    # a well-conditioned float matrix still inverts
+    inv = mat_inverse([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    assert abs(inv[0][0] - 11 / 18) < 1e-15
 
 
 def test_curvature_constant_metric_zero():

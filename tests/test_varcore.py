@@ -309,7 +309,7 @@ def test_hc_first_family_vanishes_on_flat_metric():
     res = hc_residual(sup, s, (0.3, -0.7))
     assert max(abs(v) for v in res.first) == 0.0
     assert res.skipped_second
-    assert (res.newton_iters, res.converged) == (0, False)
+    assert (res.newton_iters, res.converged, res.final_step) == (0, False, 0.0)
     # n=3: dp is invertible and the reconstructed velocities match
     eh3, _ = eh_lagrangian(3, (3, 0))
     s3 = flat_metric_section(3, [1.0, 1.0, 1.0])
@@ -318,6 +318,8 @@ def test_hc_first_family_vanishes_on_flat_metric():
     assert not res3.skipped_second
     assert max(abs(v) for v in res3.second) <= 1e-10
     assert res3.converged and 1 <= res3.newton_iters < 60
+    # the section's velocities are 0, so the reconstructed ones are -second
+    assert res3.final_step < 1e-13 * max(1.0, max(abs(v) for v in res3.second))
 
 
 def test_hc_newton_cycle_is_flagged():
@@ -335,6 +337,7 @@ def test_hc_newton_cycle_is_flagged():
     res = hc_residual(TableAffineSupplier(1, 1, fn), s, (0.3,))
     assert res.first == [0.0] and not res.skipped_second
     assert (res.newton_iters, res.converged) == (60, False)
+    assert res.final_step > 0.5         # the last step still jumps across the cycle
     assert abs(res.second[0]) > 1       # velocity still near the cycle, not v0
 
 
