@@ -13,17 +13,17 @@ Lagrangian is the special case beta = beta_EH.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from .fwd import Jet, ring_sqrt, value_of
-from .jets import (JetFunction, JetPoint, JetVars, jet_of_section, pair_index,
-                   seed_point, sym_pairs, total_derivative_j1)
-from .metric import (MetricJet, christoffel, curvature, mat_det, mat_inverse,
+from .fwd import Jet, value_of
+from .jets import (JetFunction, JetPoint, delta, jet_of_section, pair_index,
+                   seed_point, sign1, sym_pairs, total_derivative_j1)
+from .metric import (MetricJet, christoffel, curvature, ginv_rho, mat_inverse,
                      metric_from_jet_point)
-from .poly import Poly
+from .varcore import TableAffineSupplier
 
 
 class BetaConstraintError(ValueError):
@@ -94,13 +94,8 @@ def beta_eh(n: int, signature) -> BetaForm:
         # argument order of BetaForm.fn is (k, l, j, i) with j the covariant
         # slot and i the contravariant one; the display has sub i / sup j,
         # so translate: coefficient beta_{kl, cov}^{contra}.
-        gm = [[g_row[pair_index(n, a, b)] for b in range(n)] for a in range(n)]
-        ginv = mat_inverse(gm)
-        rho = ring_sqrt(abs(mat_det(gm)))
-        sign = -1 if (k + l) % 2 == 0 else 1   # (-1)^{k+l+1} with 0-based k,l
-        dik = 1 if j == k else 0
-        dil = 1 if j == l else 0
-        return sign * rho * (dik * ginv[i][l] - dil * ginv[i][k])
+        ginv, rho = ginv_rho(n, g_row)
+        return sign1(k + l) * rho * (delta(j, k) * ginv[i][l] - delta(j, l) * ginv[i][k])
 
     return BetaForm(n, fn, name="beta_EH")
 
@@ -151,9 +146,7 @@ def random_constrained_beta(rng, n: int, linear_in_g: bool = False) -> BetaForm:
 def _beta_aux(tab, l: int, t: int, j: int, k: int):
     """beta_{lt}^{jk} = (-1)^k beta_{kl,t}^j + (-1)^j beta_{jl,t}^k
     (0-based indices: the printed signs use 1-based positions)."""
-    sk = -1 if (k + 1) % 2 else 1
-    sj = -1 if (j + 1) % 2 else 1
-    return sk * tab[k][l][t][j] + sj * tab[j][l][t][k]
+    return sign1(k) * tab[k][l][t][j] + sign1(j) * tab[j][l][t][k]
 
 
 def l_beta_zero(beta: BetaForm, mj: MetricJet):
@@ -161,41 +154,34 @@ def l_beta_zero(beta: BetaForm, mj: MetricJet):
     n = beta.n
     gm = mj.matrix()
     ginv = mat_inverse(gm)
-    tab = beta.table(mj.g)
-
-    def aux(l, t, j, k):
-        return _beta_aux(tab, l, t, j, k)
-
-    def sgn(idx):   # (-1)^idx with 1-based printed index
-        return -1 if (idx + 1) % 2 else 1
-
+    aux = partial(_beta_aux, beta.table(mj.g))
     total = 0
     for k, l in sym_pairs(n):
-        wkl = Fraction(1, 1 + (1 if k == l else 0))
+        wkl = Fraction(1, 1 + delta(k, l))
         for r, s in sym_pairs(n):
-            wrs = Fraction(1, 1 + (1 if r == s else 0))
+            wrs = Fraction(1, 1 + delta(r, s))
             for i in range(n):
                 for j in range(n):
                     br = 0
                     for t in range(n):
-                        br = br + (sgn(s) * aux(s, t, k, l) * ginv[t][r]
-                                   + sgn(r) * aux(r, t, k, l) * ginv[t][s]) * ginv[i][j]
-                        br = br + (sgn(j) * aux(j, t, l, i) * ginv[t][r]
-                                   + sgn(r) * aux(r, t, l, i) * ginv[t][j]) * ginv[k][s]
-                        br = br + (sgn(j) * aux(j, t, k, i) * ginv[t][r]
-                                   + sgn(r) * aux(r, t, k, i) * ginv[t][j]) * ginv[l][s]
-                        br = br + (sgn(j) * aux(j, t, l, i) * ginv[t][s]
-                                   + sgn(s) * aux(s, t, l, i) * ginv[t][j]) * ginv[k][r]
-                        br = br + (sgn(j) * aux(j, t, k, i) * ginv[t][s]
-                                   + sgn(s) * aux(s, t, k, i) * ginv[t][j]) * ginv[l][r]
-                        br = br - (sgn(s) * aux(s, t, l, i) * ginv[t][r]
-                                   + sgn(r) * aux(r, t, l, i) * ginv[t][s]) * ginv[k][j]
-                        br = br - (sgn(s) * aux(s, t, k, i) * ginv[t][r]
-                                   + sgn(r) * aux(r, t, k, i) * ginv[t][s]) * ginv[l][j]
-                        br = br - (sgn(k) * aux(k, t, r, j) * ginv[t][l]
-                                   + sgn(l) * aux(l, t, r, j) * ginv[t][k]) * ginv[i][s]
-                        br = br - (sgn(k) * aux(k, t, s, j) * ginv[t][l]
-                                   + sgn(l) * aux(l, t, s, j) * ginv[t][k]) * ginv[i][r]
+                        br = br + (sign1(s) * aux(s, t, k, l) * ginv[t][r]
+                                   + sign1(r) * aux(r, t, k, l) * ginv[t][s]) * ginv[i][j]
+                        br = br + (sign1(j) * aux(j, t, l, i) * ginv[t][r]
+                                   + sign1(r) * aux(r, t, l, i) * ginv[t][j]) * ginv[k][s]
+                        br = br + (sign1(j) * aux(j, t, k, i) * ginv[t][r]
+                                   + sign1(r) * aux(r, t, k, i) * ginv[t][j]) * ginv[l][s]
+                        br = br + (sign1(j) * aux(j, t, l, i) * ginv[t][s]
+                                   + sign1(s) * aux(s, t, l, i) * ginv[t][j]) * ginv[k][r]
+                        br = br + (sign1(j) * aux(j, t, k, i) * ginv[t][s]
+                                   + sign1(s) * aux(s, t, k, i) * ginv[t][j]) * ginv[l][r]
+                        br = br - (sign1(s) * aux(s, t, l, i) * ginv[t][r]
+                                   + sign1(r) * aux(r, t, l, i) * ginv[t][s]) * ginv[k][j]
+                        br = br - (sign1(s) * aux(s, t, k, i) * ginv[t][r]
+                                   + sign1(r) * aux(r, t, k, i) * ginv[t][s]) * ginv[l][j]
+                        br = br - (sign1(k) * aux(k, t, r, j) * ginv[t][l]
+                                   + sign1(l) * aux(l, t, r, j) * ginv[t][k]) * ginv[i][s]
+                        br = br - (sign1(k) * aux(k, t, s, j) * ginv[t][l]
+                                   + sign1(l) * aux(l, t, s, j) * ginv[t][k]) * ginv[i][r]
                     total = total + wkl * wrs * Fraction(-1, 4) * br \
                         * mj.dcomp(k, l, i) * mj.dcomp(r, s, j)
     return total
@@ -221,7 +207,7 @@ def lij_block(beta: BetaForm, g_row, n: int):
         deriv_reals = ((c, d),) if c == d else ((c, d), (d, c))
         for (h, l) in fibre_reals:
             for (j, kk) in deriv_reals:
-                s = -1 if (kk + l) % 2 == 0 else 1    # (-1)^{k+l+1}, 1-based
+                s = sign1(kk + l)    # (-1)^{k+l+1}, 1-based
                 for i in range(n):
                     total = total + s * tab[kk][l][i][j] * ginv[i][h]
         return total
@@ -229,22 +215,25 @@ def lij_block(beta: BetaForm, g_row, n: int):
     out = {}
     for a, b in sym_pairs(n):
         for c, d in sym_pairs(n):
-            w = Fraction(1, 2 - (1 if c == d else 0))
+            w = Fraction(1, 2 - delta(c, d))
             out[(pair_index(n, a, b), c, d)] = full_coeff(a, b, c, d) * w
     return out
 
 
 def l_beta(beta: BetaForm, mj: MetricJet):
     """L_beta at an order-2 metric jet, from the affine coordinate form."""
-    n = beta.n
     beta.validate(mj.g)
+    return _l_beta_affine(beta, mj)
+
+
+def _l_beta_affine(beta: BetaForm, mj: MetricJet):
+    n = beta.n
     blk = lij_block(beta, mj.g, n)
     total = l_beta_zero(beta, mj)
     for a, b in sym_pairs(n):
         ai = pair_index(n, a, b)
         for c, d in sym_pairs(n):
-            w = 2 - (1 if c == d else 0)
-            total = total + w * blk[(ai, c, d)] * mj.d2comp(a, b, c, d)
+            total = total + (2 - delta(c, d)) * blk[(ai, c, d)] * mj.d2comp(a, b, c, d)
     return total
 
 
@@ -256,7 +245,7 @@ def l_beta_trace(beta: BetaForm, mj: MetricJet):
     total = 0
     for k in range(n):
         for l in range(k + 1, n):
-            s = -1 if (k + l + 3) % 2 else 1    # (-1)^{(k+1)+(l+1)+1}
+            s = sign1(k + l)    # (-1)^{(k+1)+(l+1)+1}
             for i in range(n):
                 for j in range(n):
                     total = total + s * tab[k][l][j][i] * cd.riemann[j][i][k][l]
@@ -267,40 +256,22 @@ def jet_function(beta: BetaForm, n: int, signature) -> JetFunction:
     """L_beta as a generic jet function (for the varcore pipeline)."""
 
     def fn(p: JetPoint):
-        mj = MetricJet(n, tuple(signature), tuple(p.y),
-                       tuple(tuple(r) for r in p.dy),
-                       tuple(tuple(r) for r in p.d2y) if p.order >= 2 else ())
-        blk = lij_block(beta, p.y, n)
-        total = l_beta_zero(beta, mj)
-        for a, b in sym_pairs(n):
-            ai = pair_index(n, a, b)
-            for c, d in sym_pairs(n):
-                w = 2 - (1 if c == d else 0)
-                total = total + w * blk[(ai, c, d)] * p.y2(ai, c, d)
-        return total
+        return _l_beta_affine(beta, metric_from_jet_point(p, signature))
 
     return JetFunction(2, fn, name=f"L_{beta.name}")
 
 
-def affine_supplier(beta: BetaForm, n: int, signature):
+def affine_supplier(beta: BetaForm, n: int, signature) -> TableAffineSupplier:
     """Closed-form affine data of L_beta for the varcore pipeline."""
-    from .varcore import TableAffineSupplier
 
-    m = len(sym_pairs(n))
+    def l0(x, y, dy):
+        return l_beta_zero(beta, MetricJet(n, tuple(signature), tuple(y),
+                                           tuple(tuple(r) for r in dy)))
 
-    def lij_dict(y):
-        blk = lij_block(beta, y, n)
-        return {(al, i, j): blk[(al, i, j)]
-                for al in range(m) for (i, j) in sym_pairs(n)}
+    def lij(x, y, dy):
+        return lij_block(beta, y, n)
 
-    def fn(x, y, dy):
-        mj = MetricJet(n, tuple(signature), tuple(y),
-                       tuple(tuple(r) for r in dy))
-        return l_beta_zero(beta, mj), lij_dict(y)
-
-    sup = TableAffineSupplier(n, m, fn)
-    sup.lij_only = lambda x, y, dy, jv, cap: lij_dict(y)
-    return sup
+    return TableAffineSupplier(n, len(sym_pairs(n)), l0, lij)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +318,7 @@ def el_residual_beta(beta: BetaForm, s, x, signature):
             for b in range(n):
                 tot = 0
                 for k in range(n):
-                    sk = -1 if (k + 1) % 2 else 1    # (-1)^k, 1-based
+                    sk = sign1(k)    # (-1)^k, 1-based
                     for i in range(n):
                         inner = -dbog(k, a, i, b, k)
                         for mm in range(n):
@@ -366,7 +337,7 @@ def el_residual_beta(beta: BetaForm, s, x, signature):
         w_ab = pair_index(n, a, b)
         for k in range(n):
             for l in range(n):
-                skl = -1 if (k + l + 3) % 2 else 1   # (-1)^{k+l+1}, 1-based
+                skl = sign1(k + l)   # (-1)^{k+l+1}, 1-based
                 for i in range(n):
                     for j in range(n):
                         v = tab[k][l][i][j]
@@ -374,16 +345,14 @@ def el_residual_beta(beta: BetaForm, s, x, signature):
                             first = first + skl * v.deriv(jv.y(w_ab)) \
                                 * cdat.riemann[i][j][k][l]
         second = 0
-        sa = -1 if (a + 1) % 2 else 1
-        sb = -1 if (b + 1) % 2 else 1
         for r in range(n):
-            second = second + sa * dphi(a, r, b) + sb * dphi(b, r, a)
+            second = second + sign1(a) * dphi(a, r, b) + sign1(b) * dphi(b, r, a)
         for l in range(n):
-            sl = -1 if (l + 1) % 2 else 1
+            sl = sign1(l)
             for r in range(n):
                 second = second + sl * (value_of(phi[l][r][b]) * gam[a][r][l]
                                         + value_of(phi[l][r][a]) * gam[b][r][l])
-        out[(a, b)] = float(first / 2 - second / (1 + (1 if a == b else 0)))
+        out[(a, b)] = float(first / 2 - second / (1 + delta(a, b)))
     return out
 
 
@@ -401,22 +370,14 @@ def bilinear_form_beta(beta: BetaForm, mj: MetricJet):
             for l in range(n)] for k in range(n)]
     giv = [[float(value_of(ginv[a][b])) for b in range(n)] for a in range(n)]
 
-    def aux(l, t, j, k):
-        sk = -1 if (k + 1) % 2 else 1
-        sj = -1 if (j + 1) % 2 else 1
-        return sk * tab[k][l][t][j] + sj * tab[j][l][t][k]
+    # d beta / d g_w, one table per stored slot w
+    dtabs = [[[[[float(v.deriv(w)) if isinstance(v, Jet) else 0.0 for v in row]
+                for row in plane] for plane in block] for block in tab_seeded]
+             for w in range(npairs)]
+    aux = partial(_beta_aux, tab)
 
     def daux(l, t, j, k, w):
-        sk = -1 if (k + 1) % 2 else 1
-        sj = -1 if (j + 1) % 2 else 1
-        v1 = tab_seeded[k][l][t][j]
-        v2 = tab_seeded[j][l][t][k]
-        d1 = float(v1.deriv(w)) if isinstance(v1, Jet) else 0.0
-        d2 = float(v2.deriv(w)) if isinstance(v2, Jet) else 0.0
-        return sk * d1 + sj * d2
-
-    def sgn(idx):
-        return -1 if (idx + 1) % 2 else 1
+        return _beta_aux(dtabs[w], l, t, j, k)
 
     mat = np.zeros((npairs * n, npairs * n))
     for rs_i, (r, s) in enumerate(pairs):
@@ -425,42 +386,42 @@ def bilinear_form_beta(beta: BetaForm, mj: MetricJet):
                 for j in range(n):
                     tot = 0.0
                     for t in range(n):
-                        tot += -(sgn(a) * aux(a, t, r, s) * giv[t][b]
-                                 + sgn(b) * aux(b, t, r, s) * giv[t][a]) * giv[i][j]
-                        tot += (sgn(j) * aux(j, t, r, s) * giv[t][b]
-                                + sgn(b) * aux(b, t, r, s) * giv[t][j]) * giv[i][a]
-                        tot += (sgn(a) * aux(a, t, r, s) * giv[t][j]
-                                + sgn(j) * aux(j, t, r, s) * giv[t][a]) * giv[i][b]
-                        tot += (sgn(i) * aux(i, t, a, b) * giv[t][s]
-                                + sgn(s) * aux(s, t, a, b) * giv[t][i]) * giv[r][j]
-                        tot += (sgn(i) * aux(i, t, a, b) * giv[t][r]
-                                + sgn(r) * aux(r, t, a, b) * giv[t][i]) * giv[s][j]
-                        tot -= (sgn(b) * aux(b, t, i, s) * giv[t][j]
-                                + sgn(j) * aux(j, t, i, s) * giv[t][b]) * giv[r][a]
-                        tot -= (sgn(b) * aux(b, t, i, r) * giv[t][j]
-                                + sgn(j) * aux(j, t, i, r) * giv[t][b]) * giv[s][a]
-                        tot -= (sgn(a) * aux(a, t, i, s) * giv[t][j]
-                                + sgn(j) * aux(j, t, i, s) * giv[t][a]) * giv[r][b]
-                        tot -= (sgn(a) * aux(a, t, i, r) * giv[t][j]
-                                + sgn(j) * aux(j, t, i, r) * giv[t][a]) * giv[s][b]
-                        tot -= sgn(a) * aux(a, t, i, j) \
+                        tot += -(sign1(a) * aux(a, t, r, s) * giv[t][b]
+                                 + sign1(b) * aux(b, t, r, s) * giv[t][a]) * giv[i][j]
+                        tot += (sign1(j) * aux(j, t, r, s) * giv[t][b]
+                                + sign1(b) * aux(b, t, r, s) * giv[t][j]) * giv[i][a]
+                        tot += (sign1(a) * aux(a, t, r, s) * giv[t][j]
+                                + sign1(j) * aux(j, t, r, s) * giv[t][a]) * giv[i][b]
+                        tot += (sign1(i) * aux(i, t, a, b) * giv[t][s]
+                                + sign1(s) * aux(s, t, a, b) * giv[t][i]) * giv[r][j]
+                        tot += (sign1(i) * aux(i, t, a, b) * giv[t][r]
+                                + sign1(r) * aux(r, t, a, b) * giv[t][i]) * giv[s][j]
+                        tot -= (sign1(b) * aux(b, t, i, s) * giv[t][j]
+                                + sign1(j) * aux(j, t, i, s) * giv[t][b]) * giv[r][a]
+                        tot -= (sign1(b) * aux(b, t, i, r) * giv[t][j]
+                                + sign1(j) * aux(j, t, i, r) * giv[t][b]) * giv[s][a]
+                        tot -= (sign1(a) * aux(a, t, i, s) * giv[t][j]
+                                + sign1(j) * aux(j, t, i, s) * giv[t][a]) * giv[r][b]
+                        tot -= (sign1(a) * aux(a, t, i, r) * giv[t][j]
+                                + sign1(j) * aux(j, t, i, r) * giv[t][a]) * giv[s][b]
+                        tot -= sign1(a) * aux(a, t, i, j) \
                             * (giv[t][r] * giv[b][s] + giv[t][s] * giv[b][r])
-                        tot -= sgn(b) * aux(b, t, i, j) \
+                        tot -= sign1(b) * aux(b, t, i, j) \
                             * (giv[t][r] * giv[a][s] + giv[t][s] * giv[a][r])
-                        tot -= sgn(r) * aux(r, t, i, j) \
+                        tot -= sign1(r) * aux(r, t, i, j) \
                             * (giv[t][a] * giv[b][s] + giv[t][b] * giv[a][s])
-                        tot -= sgn(s) * aux(s, t, i, j) \
+                        tot -= sign1(s) * aux(s, t, i, j) \
                             * (giv[t][a] * giv[b][r] + giv[t][b] * giv[a][r])
                     for t in range(n):
                         w_rs = pair_index(n, r, s)
                         w_ab = pair_index(n, a, b)
-                        tot += (1 + (1 if r == s else 0)) * (
-                            sgn(a) * daux(a, t, i, j, w_rs) * giv[t][b]
-                            + sgn(b) * daux(b, t, i, j, w_rs) * giv[t][a])
-                        tot += (1 + (1 if a == b else 0)) * (
-                            sgn(r) * daux(r, t, i, j, w_ab) * giv[t][s]
-                            + sgn(s) * daux(s, t, i, j, w_ab) * giv[t][r])
-                    w = 0.5 / ((1 + (1 if a == b else 0)) * (1 + (1 if r == s else 0)))
+                        tot += (1 + delta(r, s)) * (
+                            sign1(a) * daux(a, t, i, j, w_rs) * giv[t][b]
+                            + sign1(b) * daux(b, t, i, j, w_rs) * giv[t][a])
+                        tot += (1 + delta(a, b)) * (
+                            sign1(r) * daux(r, t, i, j, w_ab) * giv[t][s]
+                            + sign1(s) * daux(s, t, i, j, w_ab) * giv[t][r])
+                    w = 0.5 / ((1 + delta(a, b)) * (1 + delta(r, s)))
                     mat[rs_i * n + i][ab_i * n + j] = w * tot
     return mat
 
@@ -474,12 +435,11 @@ def flat_corollary_expression(beta: BetaForm, s, x, signature):
     g^{jt} (indices in slot order), with beta_{lt}^{jk} the antisymmetrized
     auxiliary; the result is R^{ki} = (nabla^2 S)_{uv}^{k u v i}.
     """
-    from .metric import _dginv
-
     n = beta.n
     p3 = jet_of_section(s, x, 3)
     mj = metric_from_jet_point(p3, signature)
-    gam, ginv = christoffel(mj)
+    cd = curvature(mj)
+    gam, dgam = cd.gamma, cd.dgamma
     npairs = len(sym_pairs(n))
 
     # S and its first/second x-derivatives along the section, via chain rule
@@ -489,9 +449,6 @@ def flat_corollary_expression(beta: BetaForm, s, x, signature):
     giv_seeded = mat_inverse([[seeds[pair_index(n, a, b)] for b in range(n)]
                               for a in range(n)])
 
-    def sgn(idx):
-        return -1 if (idx + 1) % 2 else 1
-
     s_seeded = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for k in range(n):
         for l in range(n):
@@ -499,11 +456,8 @@ def flat_corollary_expression(beta: BetaForm, s, x, signature):
                 for i in range(n):
                     acc = Jet.constant(0.0, 2)
                     for j in range(n):
-                        sk = -1 if (k + 1) % 2 else 1
-                        si = -1 if (i + 1) % 2 else 1
-                        auxv = sk * tab_seeded[k][l][j][i] \
-                            + si * tab_seeded[i][l][j][k]
-                        acc = acc + sgn(l) * auxv * giv_seeded[j][t]
+                        acc = acc + sign1(l) * _beta_aux(tab_seeded, l, j, i, k) \
+                            * giv_seeded[j][t]
                     s_seeded[k][l][t][i] = acc
 
     def schain(kk, ll, tt, ii, d1=None, d2=None):
@@ -523,21 +477,6 @@ def flat_corollary_expression(beta: BetaForm, s, x, signature):
                 tot += float(value_of(v.deriv(w, w2))) \
                     * mj.dcomp(aa, bb, d1) * mj.dcomp(cc, dd, d2)
         return tot
-
-    dginv = _dginv(mj, [list(r) for r in ginv])
-    dgam = [[[[0.0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for c in range(n):
-        for h in range(n):
-            for e in range(n):
-                for a in range(n):
-                    acc = 0.0
-                    for l in range(n):
-                        acc += dginv[c][l][a] * (mj.dcomp(l, h, e) + mj.dcomp(l, e, h)
-                                                 - mj.dcomp(h, e, l))
-                        acc += ginv[c][l] * (mj.d2comp(l, h, e, a)
-                                             + mj.d2comp(l, e, h, a)
-                                             - mj.d2comp(h, e, l, a))
-                    dgam[c][h][e][a] = acc / 2
 
     def sval(k, l, t, i):
         return schain(k, l, t, i)

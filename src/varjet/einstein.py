@@ -14,14 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fwd import Jet, ring_sqrt, value_of
-from .jets import JetFunction, JetPoint, pair_index, sym_pairs
-from .metric import MetricJet, christoffel, curvature, mat_det, mat_inverse
+from .fwd import Jet, value_of
+from .jets import JetFunction, JetPoint, delta, pair_index, sym_pairs
+from .metric import MetricJet, christoffel, curvature, ginv_rho
 from .poly import Poly
-
-
-def _delta(i, j):
-    return 1 if i == j else 0
+from .varcore import TableAffineSupplier
 
 
 class EHLagrangian:
@@ -34,27 +31,18 @@ class EHLagrangian:
         self.npairs = len(self.pairs)
         self.pair_pos = {p: k for k, p in enumerate(self.pairs)}
 
-    # -- scalars from a metric value row ------------------------------------
-
-    def _ginv_rho(self, g_row):
-        n = self.n
-        gm = [[g_row[pair_index(n, a, b)] for b in range(n)] for a in range(n)]
-        ginv = mat_inverse(gm)
-        rho = ring_sqrt(abs(mat_det(gm)))
-        return ginv, rho
-
     # -- second-derivative coefficient block --------------------------------
 
     def lij_rs(self, g_row):
         """Table (L_EH)^{ij}_{rs} = rho (y^{ir}y^{js} + y^{jr}y^{is}
         - 2 y^{rs}y^{ij}) / (1 + delta_rs), indexed [pair (ij)][pair (rs)]."""
-        ginv, rho = self._ginv_rho(g_row)
+        ginv, rho = ginv_rho(self.n, g_row)
         out = [[None] * self.npairs for _ in range(self.npairs)]
         for a, (i, j) in enumerate(self.pairs):
             for b, (r, s) in enumerate(self.pairs):
                 val = (ginv[i][r] * ginv[j][s] + ginv[j][r] * ginv[i][s]
                        - 2 * ginv[r][s] * ginv[i][j])
-                out[a][b] = rho * val * Fraction(1, 1 + _delta(r, s))
+                out[a][b] = rho * val * Fraction(1, 1 + delta(r, s))
         return out
 
     def l0(self, mj: MetricJet):
@@ -73,7 +61,7 @@ class EHLagrangian:
         Fractions against `l0_reference` in the tests.
         """
         n = self.n
-        ginv, rho = self._ginv_rho(mj.g)
+        ginv, rho = ginv_rho(n, mj.g)
         d = [[[mj.dcomp(k, l, i) for l in range(n)] for k in range(n)]
              for i in range(n)]
 
@@ -116,11 +104,11 @@ class EHLagrangian:
     def l0_reference(self, mj: MetricJet):
         """The zeroth-order part exactly as displayed (test oracle)."""
         n = self.n
-        ginv, rho = self._ginv_rho(mj.g)
+        ginv, rho = ginv_rho(n, mj.g)
         total = 0
         for r, s in self.pairs:
             for k, l in self.pairs:
-                w = Fraction(1, (1 + _delta(k, l)) * (1 + _delta(r, s)))
+                w = Fraction(1, (1 + delta(k, l)) * (1 + delta(r, s)))
                 for i in range(n):
                     for j in range(n):
                         br = (2 * ginv[r][s] * (ginv[k][i] * ginv[j][l]
@@ -147,12 +135,12 @@ class EHLagrangian:
         Returned as Y[pair (kl)][i][pair (rs)][j].
         """
         n = self.n
-        ginv, rho = self._ginv_rho(g_row)
+        ginv, rho = ginv_rho(n, g_row)
         out = [[[[None] * n for _ in range(self.npairs)] for _ in range(n)]
                for _ in range(self.npairs)]
         for a, (k, l) in enumerate(self.pairs):
             for b, (r, s) in enumerate(self.pairs):
-                w = Fraction(1, (1 + _delta(k, l)) * (1 + _delta(r, s)))
+                w = Fraction(1, (1 + delta(k, l)) * (1 + delta(r, s)))
                 for i in range(n):
                     for j in range(n):
                         br = (2 * ginv[r][s] * ginv[k][l] * ginv[i][j]
@@ -186,12 +174,12 @@ class EHLagrangian:
     def hamiltonian(self, mj: MetricJet):
         """H, quadratic in first derivatives (the displayed closed form)."""
         n = self.n
-        ginv, rho = self._ginv_rho(mj.g)
+        ginv, rho = ginv_rho(n, mj.g)
         half = Fraction(1, 2)
         total = 0
         for k, l in self.pairs:
             for r, s in self.pairs:
-                w = Fraction(1, (1 + _delta(r, s)) * (1 + _delta(k, l)))
+                w = Fraction(1, (1 + delta(r, s)) * (1 + delta(k, l)))
                 for i in range(n):
                     for j in range(n):
                         br = (-ginv[i][j] * ginv[k][l] * ginv[r][s]
@@ -210,7 +198,7 @@ class EHLagrangian:
         """H as rho g^{ij} (Gamma^r_ij Gamma^h_hr - Gamma^r_hi Gamma^h_jr)."""
         n = self.n
         gam, ginv = christoffel(mj)
-        _, rho = self._ginv_rho(mj.g)
+        _, rho = ginv_rho(n, mj.g)
         total = 0
         for i in range(n):
             for j in range(n):
@@ -244,7 +232,7 @@ class EHLagrangian:
         det = float(np.linalg.det(mat))
         gm = [[float(value_of(v)) for v in row] for row in mj.matrix()]
         sgn = 1.0 if np.linalg.det(np.array(gm)) > 0 else -1.0
-        _, rho_v = self._ginv_rho(mj.g)
+        _, rho_v = ginv_rho(self.n, mj.g)
         rho_f = float(value_of(rho_v))
         exp2 = (self.n + 1) * (self.n - 4)
         mag = (self.n - 1) * (rho_f ** (exp2 // 2) if exp2 % 2 == 0
@@ -265,7 +253,7 @@ class EHLagrangian:
                            tuple(tuple(r) for r in p.dy),
                            tuple(tuple(r) for r in p.d2y))
             cd = curvature(mj)
-            _, rho_v = self._ginv_rho(p.y)
+            _, rho_v = ginv_rho(n, p.y)
             return rho_v * cd.scalar
 
         return JetFunction(2, fn, name=f"L_EH(n={n})")
@@ -385,9 +373,8 @@ def covariant_noether_current(n: int, u_polys: list[Poly], mj: MetricJet, x):
     rho = 1; coordinate covariance of the current (checked in the tests)
     forces the rho factor.
     """
-    gam, ginv = christoffel(mj)
-    # dGamma from order-2 jet
     cd = curvature(mj)
+    gam, ginv, dgam = cd.gamma, cd.ginv, cd.dgamma
     u = [p.eval(x) for p in u_polys]
     du = [[u_polys[c].diff(h).eval(x) for h in range(n)] for c in range(n)]
     d2u = [[[u_polys[c].diff(h).diff(a).eval(x) for a in range(n)]
@@ -395,22 +382,6 @@ def covariant_noether_current(n: int, u_polys: list[Poly], mj: MetricJet, x):
     # nabla_h u^c
     nab = [[du[c][h] + sum(gam[c][h][e] * u[e] for e in range(n))
             for h in range(n)] for c in range(n)]
-    # d_a Gamma^c_{he}: recompute like metric.curvature does
-    from .metric import _dginv
-    dginv = _dginv(mj, [list(r) for r in ginv])
-    dgam = [[[[0.0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for c in range(n):
-        for h in range(n):
-            for e in range(n):
-                for a in range(n):
-                    s = 0
-                    for l in range(n):
-                        s = s + dginv[c][l][a] * (mj.dcomp(l, h, e) + mj.dcomp(l, e, h)
-                                                  - mj.dcomp(h, e, l))
-                        s = s + ginv[c][l] * (mj.d2comp(l, h, e, a)
-                                              + mj.d2comp(l, e, h, a)
-                                              - mj.d2comp(h, e, l, a))
-                    dgam[c][h][e][a] = s / 2
     # (nabla^2 u)_{a h}^c = d_a(nabla_h u^c) - Gamma^e_{ah} nabla_e u^c
     #                      + Gamma^c_{ae} nabla_h u^e
     nab2 = [[[0.0] * n for _ in range(n)] for _ in range(n)]  # [a][h][c]
@@ -422,7 +393,7 @@ def covariant_noether_current(n: int, u_polys: list[Poly], mj: MetricJet, x):
                     s = s + dgam[c][h][e][a] * u[e] + gam[c][h][e] * du[e][a]
                     s = s - gam[e][a][h] * nab[c][e] + gam[c][a][e] * nab[e][h]
                 nab2[a][h][c] = s
-    _, rho_v = EHLagrangian(n, mj.signature)._ginv_rho(mj.g)
+    _, rho_v = ginv_rho(n, mj.g)
     out = []
     for i in range(n):
         c12 = 0.0
@@ -437,26 +408,16 @@ def covariant_noether_current(n: int, u_polys: list[Poly], mj: MetricJet, x):
     return out
 
 
-def affine_supplier(eh: EHLagrangian):
+def affine_supplier(eh: EHLagrangian) -> TableAffineSupplier:
     """The closed-form tables as a varcore affine-data supplier."""
-    from .varcore import TableAffineSupplier
 
-    m = eh.npairs
+    def l0(x, y, dy):
+        return eh.l0(MetricJet(eh.n, eh.signature, tuple(y),
+                               tuple(tuple(r) for r in dy)))
 
-    def lij_dict(y):
+    def lij(x, y, dy):
         tab = eh.lij_rs(y)
-        lij = {}
-        for al in range(m):
-            for b, (i, j) in enumerate(eh.pairs):
-                lij[(al, i, j)] = tab[b][al]
-        return lij
+        return {(al, i, j): tab[b][al]
+                for al in range(eh.npairs) for b, (i, j) in enumerate(eh.pairs)}
 
-    def fn(x, y, dy):
-        mj = MetricJet(eh.n, eh.signature, tuple(y),
-                       tuple(tuple(r) for r in dy))
-        return eh.l0(mj), lij_dict(y)
-
-    sup = TableAffineSupplier(eh.n, m, fn)
-    sup.lij_only = lambda x, y, dy, jv, cap: lij_dict(y)
-    return sup
-
+    return TableAffineSupplier(eh.n, eh.npairs, l0, lij)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 
-from .jets import (JetPoint, MultiIndex, PolySection, jet_of_section,
+from .jets import (JetPoint, MultiIndex, PolySection, delta, jet_of_section,
                    pair_index, point_ring, sym_pairs)
 from .linalg import nullspace, rank
 from .metric import curvature, metric_from_jet_point
@@ -167,9 +167,6 @@ def _eh_coefficients(p2: JetPoint, signature) -> JacobiCoefficients:
     g = cdat.ginv
     riem = cdat.riemann
 
-    def d(i, j):
-        return 1 if i == j else 0
-
     # helpers for the first-order bracket: T[c] = g^{sc} Gamma^l_{ls}
     # - g^{ls} (d_l g_{sb}) g^{cb}
     tr_gam = [sum(gam[la][la][sg] for la in range(n)) for sg in range(n)]
@@ -211,25 +208,26 @@ def _eh_coefficients(p2: JetPoint, signature) -> JacobiCoefficients:
                 # second-order part
                 for i in range(n):
                     for j in range(n):
-                        co = ((d(a, nu) * d(j, mu) + d(a, mu) * d(nu, j)) * g[i][b]
-                              - g[i][j] * d(a, nu) * d(b, mu)
-                              - g[a][b] * d(i, nu) * d(j, mu))
+                        co = ((delta(a, nu) * delta(j, mu)
+                               + delta(a, mu) * delta(nu, j)) * g[i][b]
+                              - g[i][j] * delta(a, nu) * delta(b, mu)
+                              - g[a][b] * delta(i, nu) * delta(j, mu))
                         if co != 0:
                             cc2[i][j] = cc2[i][j] + half * co
                 # first-order part
                 for i in range(n):
                     br = half * g[a][b] * gam[i][mu][nu] - g[i][b] * gam[a][mu][nu]
-                    co = d(a, nu) * d(i, mu) + d(a, mu) * d(i, nu)
+                    co = delta(a, nu) * delta(i, mu) + delta(a, mu) * delta(i, nu)
                     if co:
                         br = br + half * co * t_vec[b]
-                    if d(a, mu) * d(b, nu):
+                    if delta(a, mu) * delta(b, nu):
                         br = br - half * t_vec[i]
                     for la in range(n):
-                        br = br + half * d(i, nu) * g[la][a] * gam[b][mu][la]
-                        br = br + half * d(i, mu) * g[la][a] * gam[b][la][nu]
-                        br = br + half * d(b, nu) * (g[la][i] * gam[a][mu][la]
+                        br = br + half * delta(i, nu) * g[la][a] * gam[b][mu][la]
+                        br = br + half * delta(i, mu) * g[la][a] * gam[b][la][nu]
+                        br = br + half * delta(b, nu) * (g[la][i] * gam[a][mu][la]
                                                      - g[la][a] * gam[i][mu][la])
-                        br = br + half * d(b, mu) * (g[la][i] * gam[a][nu][la]
+                        br = br + half * delta(b, mu) * (g[la][i] * gam[a][nu][la]
                                                      - g[la][a] * gam[i][nu][la])
                     cc1[i] = cc1[i] + br
                 # zero-order part
@@ -380,7 +378,7 @@ def polynomial_solution_space(op: DiffOpMatrix, degree: int) -> SolutionSpace:
                     J[a] += 1
                     J[b] += 1
                     J = tuple(J)
-                    factor = J[a] * (J[b] - (1 if a == b else 0))
+                    factor = J[a] * (J[b] - delta(a, b))
                     row[brow * nm + mons.index(J)] += c * factor
             if any(v != 0 for v in row):
                 rows.append(row)

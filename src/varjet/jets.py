@@ -40,6 +40,17 @@ def pair_index(n: int, i: int, j: int) -> int:
     return i * n - i * (i - 1) // 2 + (j - i)
 
 
+def delta(i: int, j: int) -> int:
+    """Kronecker delta."""
+    return 1 if i == j else 0
+
+
+def sign1(i: int) -> int:
+    """(-1)^(i+1) for a 0-based index i: the printed sign (-1)^k at the
+    1-based position k = i + 1."""
+    return -1 if (i + 1) % 2 else 1
+
+
 def triple_index(n: int, i: int, j: int, k: int) -> int:
     i, j, k = sorted((i, j, k))
     idx = 0
@@ -149,9 +160,6 @@ class PolySection:
     @property
     def m(self) -> int:
         return len(self.polys)
-
-    def jet_at(self, x, order: int) -> JetPoint:
-        return jet_of_section(self, x, order)
 
     def value(self, x) -> list:
         return [p.eval(x) for p in self.polys]

@@ -65,9 +65,6 @@ class QC:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def conj(self) -> "QC":
-        return QC(self.re, -self.im)
-
     def __repr__(self):
         if self.im == 0:
             return str(self.re)

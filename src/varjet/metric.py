@@ -4,7 +4,8 @@ Metric components double as the fibre coordinates of the bundle of metrics,
 so a :class:`MetricJet` of order r converts losslessly to a
 :class:`~varjet.jets.JetPoint` with m = n(n+1)/2 and back.  All tensor
 formulas are written over generic scalar rings; numpy enters only for the
-signature validation of float metrics.
+signature validation of float metrics and the sampling in
+`random_metric_jet`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fwd import ring_sqrt, value_of
-from .jets import JetPoint, pair_index, sym_pairs, sym_triples
+from .jets import JetPoint, delta, pair_index, sym_pairs, sym_triples
 
 
 class SingularMetricError(ValueError):
@@ -142,6 +143,13 @@ def metric_from_jet_point(p: JetPoint, signature) -> MetricJet:
                      tuple(tuple(r) for r in p.d3y))
 
 
+def ginv_rho(n: int, g_row):
+    """Inverse metric and volume factor sqrt|det g| from a stored metric row
+    (one value per sorted pair a <= b)."""
+    gm = [[g_row[pair_index(n, a, b)] for b in range(n)] for a in range(n)]
+    return mat_inverse(gm), ring_sqrt(abs(mat_det(gm)))
+
+
 def rho(mj: MetricJet):
     """Volume factor sqrt|det g| with its derivatives w.r.t. the g_ab slots.
 
@@ -149,18 +157,10 @@ def rho(mj: MetricJet):
     stored slot (a <= b); the off-diagonal slots carry the factor 2 that
     bumping both symmetric entries produces.
     """
-    n = mj.n
-    det = mat_det(mj.matrix())
-    if value_of(abs(det)) == 0:
-        raise SingularMetricError("zero determinant")
-    val = ring_sqrt(abs(det))
-    ginv = mat_inverse(mj.matrix())
+    ginv, val = ginv_rho(mj.n, mj.g)
     # d det/d g_ab (full index) = det * g^{ab}; stored slot doubles off-diagonal
-    grad = []
-    for a, b in sym_pairs(n):
-        w = 1 if a == b else 2
-        grad.append(val * ginv[a][b] * Fraction(w, 2))
-    return val, grad
+    return val, [val * ginv[a][b] * Fraction(2 - delta(a, b), 2)
+                 for a, b in sym_pairs(mj.n)]
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,9 @@ class CurvatureData:
         R^i_{jkl} = d Gamma^i_{jl}/dx^k - d Gamma^i_{jk}/dx^l
                     + Gamma^m_{jl} Gamma^i_{km} - Gamma^m_{jk} Gamma^i_{lm},
 
-    ricci[j][l] = R^k_{jkl} and scalar = g^{jl} ricci[j][l].
+    ricci[j][l] = R^k_{jkl} and scalar = g^{jl} ricci[j][l];
+    dgamma[i][j][k][r] = d Gamma^i_{jk}/dx^r, from the first and second
+    metric derivatives, symmetric in (j, k).
     """
 
     gamma: tuple
@@ -180,6 +182,7 @@ class CurvatureData:
     ricci: tuple
     scalar: object
     ginv: tuple
+    dgamma: tuple
 
 
 def christoffel(mj: MetricJet):
@@ -246,7 +249,7 @@ def curvature(mj: MetricJet) -> CurvatureData:
             scal = scal + ginv[j][l] * ricci[j][l]
     return CurvatureData(tuple(map(tuple, (tuple(map(tuple, g)) for g in gam))),
                          _freeze4(riem), tuple(map(tuple, ricci)), scal,
-                         tuple(map(tuple, ginv)))
+                         tuple(map(tuple, ginv)), _freeze4(dgam))
 
 
 def _dginv(mj: MetricJet, ginv):

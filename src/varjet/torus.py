@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .einstein import EHLagrangian
 from .jacobi import DiffOpMatrix, flat_operator_matrix
-from .jets import pair_index, sym_pairs
+from .jets import delta, pair_index, sym_pairs
 from .linalg import QC, QC_I, nullspace, rank, rref
 
 LORENTZ_EPS = (-1, 1, 1, 1)
@@ -319,7 +319,7 @@ def upsilon_natural_flat(eps=LORENTZ_EPS):
         for b in range(npairs):
             for (i, j) in sym_pairs(n):
                 v = (ytab[a][i][b][j] + ytab[a][j][b][i]) \
-                    * Fraction(1, 1 + (1 if i == j else 0))
+                    * Fraction(1, 1 + delta(i, j))
                 row.append(v)
         rows.append(row)
     return rows

@@ -26,7 +26,7 @@ import numpy as np
 
 from .fwd import Jet, ring_one, value_of
 from .jets import (JetFunction, JetOrderError, JetPoint, JetVars, PolySection,
-                   jet_of_section, pair_index, seed_point, sym_pairs,
+                   delta, jet_of_section, pair_index, seed_point, sym_pairs,
                    total_derivative_j1, total_derivative2_j1)
 from .poly import Poly
 
@@ -101,11 +101,11 @@ def projectability_check(lag: SecondOrderLagrangian, samples,
                             if ic < ib:
                                 continue
                             for i in range(n):
-                                r = (Fraction(1, 2 - _d(i, ib))
+                                r = (Fraction(1, 2 - delta(i, ib))
                                      * d2(("y2", be, _sp(ia, ic)), ("y2", al, _sp(i, ib)))
-                                     + Fraction(1, 2 - _d(i, ia))
+                                     + Fraction(1, 2 - delta(i, ia))
                                      * d2(("y2", be, _sp(ib, ic)), ("y2", al, _sp(i, ia)))
-                                     + Fraction(1, 2 - _d(i, ic))
+                                     + Fraction(1, 2 - delta(i, ic))
                                      * d2(("y2", be, _sp(ia, ib)), ("y2", al, _sp(i, ic))))
                                 worst_j2 = max(worst_j2, abs(float(r)))
         # first-order cross conditions dL_b^{ih}/dy^a_a' = dL_a^{ia'}/dy^b_h
@@ -116,10 +116,6 @@ def projectability_check(lag: SecondOrderLagrangian, samples,
     j1 = affine and worst_tris <= tol
     return ProjectabilityReport(affine, j2, j1, worst_aff, worst_j2,
                                 worst_tris, tol)
-
-
-def _d(i, j):
-    return 1 if i == j else 0
 
 
 def _sp(i, j):
@@ -138,9 +134,9 @@ def _first_cross_residuals(out: Jet, jv: JetVars, n: int, m: int):
             for i in range(n):
                 for h in range(n):
                     for a in range(n):
-                        lhs = Fraction(1, 2 - _d(i, h)) \
+                        lhs = Fraction(1, 2 - delta(i, h)) \
                             * d2(("y2", be, _sp(i, h)), ("y1", al, a))
-                        rhs = Fraction(1, 2 - _d(i, a)) \
+                        rhs = Fraction(1, 2 - delta(i, a)) \
                             * d2(("y2", al, _sp(i, a)), ("y1", be, h))
                         res.append(float(lhs - rhs))
     return res
@@ -173,7 +169,7 @@ def legendre_coefficients(lag: SecondOrderLagrangian, p: JetPoint) -> LegendreCo
     lij = {}
     for a in range(m):
         for (i, j) in sym_pairs(n):
-            lij[(a, i, j)] = d1(("y2", a, (i, j))) * Fraction(1, 2 - _d(i, j))
+            lij[(a, i, j)] = d1(("y2", a, (i, j))) * Fraction(1, 2 - delta(i, j))
     li0 = {}
     for a in range(m):
         for i in range(n):
@@ -188,7 +184,7 @@ def legendre_coefficients(lag: SecondOrderLagrangian, p: JetPoint) -> LegendreCo
                         dj = dj + p.y2(b, k, j) * g(("y1", b, k))
                     for (k, l) in sym_pairs(n):
                         dj = dj + p.y3(b, k, l, j) * g(("y2", b, (k, l)))
-                total = total - Fraction(1, 2 - _d(i, j)) * dj
+                total = total - Fraction(1, 2 - delta(i, j)) * dj
             li0[(a, i)] = total
     return LegendreCoefficients(lij, li0)
 
@@ -230,22 +226,26 @@ class GenericAffineSupplier:
                     raise NotProjectableError(
                         "Lagrangian is not affine in the second derivatives")
                 flat.order = cap
-                lij[(a, i, j)] = flat * Fraction(1, 2 - _d(i, j))
+                lij[(a, i, j)] = flat * Fraction(1, 2 - delta(i, j))
         l0 = out.restricted(j1_ids)
         l0.order = cap
         return l0, lij
 
 
 class TableAffineSupplier:
-    """Wrap closed-form callables (x, y, dy) -> (L_0, {(a,i,j): L^{ij}_a})."""
+    """Wrap closed-form callables l0(x, y, dy) -> L_0 and
+    lij(x, y, dy) -> {(a,i,j): L^{ij}_a}."""
 
     extra_cap = 0
 
-    def __init__(self, n: int, m: int, fn):
-        self.n, self.m, self.fn = n, m, fn
+    def __init__(self, n: int, m: int, l0, lij):
+        self.n, self.m, self.l0, self.lij = n, m, l0, lij
 
     def tables(self, x, y, dy, jv: JetVars, cap: int):
-        return self.fn(x, y, dy)
+        return self.l0(x, y, dy), self.lij(x, y, dy)
+
+    def lij_only(self, x, y, dy, jv: JetVars, cap: int):
+        return self.lij(x, y, dy)
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +420,6 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
                         float(quad_res))
 
 
-def pipeline_from_lagrangian(lag: SecondOrderLagrangian, q: JetPoint,
-                             cap: int = 1, **kw) -> PipelineData:
-    return pipeline(GenericAffineSupplier(lag), q, cap, **kw)
-
-
 # ---------------------------------------------------------------------------
 # derived objects
 
@@ -567,7 +562,7 @@ def euler_lagrange(supplier, s: PolySection, x) -> list:
         acc = data.l0.deriv(jv.id_of[("y", al)])
         for be in range(m):
             for (i, j) in sym_pairs(n):
-                acc = acc + (2 - _d(i, j)) * p2.y2(be, i, j) \
+                acc = acc + (2 - delta(i, j)) * p2.y2(be, i, j) \
                     * data.lij_get(be, i, j).deriv(jv.id_of[("y", al)])
         for i in range(n):
             acc = acc - total_derivative_j1(data.a[(al, i)], jv, p2, i)
@@ -657,7 +652,7 @@ def helmholtz_residuals(supplier, s: PolySection, x,
     for al in range(m):
         for si in range(m):
             for (k, l) in pairs:
-                terms = [(2 - _d(k, l), data.lij_get(si, k, l), (jv.y(al),)),
+                terms = [(2 - delta(k, l), data.lij_get(si, k, l), (jv.y(al),)),
                          (-1, data.a[(al, k)], (jv.y1(si, l),))]
                 if k < l:
                     terms.append((-1, data.a[(al, l)], (jv.y1(si, k),)))
@@ -669,7 +664,7 @@ def helmholtz_residuals(supplier, s: PolySection, x,
         terms = [(1, data.l0, ids)]
         for be in range(m):
             for (k, l) in pairs:
-                terms.append(((2 - _d(k, l)) * p3.y2(be, k, l),
+                terms.append(((2 - delta(k, l)) * p3.y2(be, k, l),
                               data.lij_get(be, k, l), ids))
         return _Partials(terms)
 
@@ -714,7 +709,7 @@ def helmholtz_residuals(supplier, s: PolySection, x,
             for i in range(n):
                 r = dedy1[(al, si, i)] + dedy1[(si, al, i)]
                 for j in range(n):
-                    r = r - (1 + _d(i, j)) * d1(g_fn[(si, al) + _sp(i, j)], j)
+                    r = r - (1 + delta(i, j)) * d1(g_fn[(si, al) + _sp(i, j)], j)
                 worst_b = max(worst_b, abs(r))
     # family (c): dE_al/dy^si - dE_si/dy^al + D_i(dE_si/dy'^al_i)
     #             - sum_{i<=j} D_iD_j G_si_al^(ij).
@@ -729,7 +724,7 @@ def helmholtz_residuals(supplier, s: PolySection, x,
                 r = r - d1(v_fn[(al, si, i)], i) + d1(tl1_fn[(si, al, i)], i)
                 for be in range(m):
                     for (k, l) in pairs:
-                        r = r + (2 - _d(k, l)) * p3.y3(be, k, l, i) \
+                        r = r + (2 - delta(k, l)) * p3.y3(be, k, l, i) \
                             * data.lij_get(be, k, l).deriv(*ids)
                 for j in range(n):
                     r = r - d2(w_fn[(si, al, j, i)], i, j)
@@ -755,75 +750,86 @@ class VectorField:
     u: list
     v: list
 
-    def u_val(self, x):
-        return [p.eval(x) for p in self.u]
-
-    def v_val(self, x, y):
-        pt = list(x) + list(y)
-        return [p.eval(pt) for p in self.v]
-
-    def divergence(self, x):
-        return sum(self.u[i].diff(i).eval(x) for i in range(self.n))
-
 
 @dataclass
 class Prolongation:
+    """pr X at a jet point: u[i], v[a], v1[a][i] and v2[a][pair_index] (None
+    for a first prolongation).  v^a_(ij) is affine in y'', with coefficients
+    dvy[a][b] = dv^a/dy^b and -du[h][i] = -du^h/dx^i."""
+
     v: list
-    v1: list          # v1[a][i]
-    v2: list | None   # v2[a][pair_index]
+    v1: list
+    v2: list | None
+    u: list
+    du: list
+    dvy: list
 
 
-def prolong(X: VectorField, p: JetPoint, order: int = 2) -> Prolongation:
-    """First and second prolongation components of a projectable field.
+def _prolongation(X: VectorField, x, y, dy, order: int, d2y=None) -> Prolongation:
+    """pr X at (x, y, y', y'') (Olver, GTM 107, Thm 2.36):
 
-    v^a_i = D_i(v^a - u^h y^a_h) + u^h y^a_(hi) and likewise for v^a_(ij);
-    after cancellation these need jet data of order 1 (resp. 2) only.
+        v^a_i    = D_i v^a - y^a_h D_i u^h,
+        v^a_(ij) = D_i D_j v^a - y^a_h D_i D_j u^h - y^a_(hi) D_j u^h
+                   - y^a_(hj) D_i u^h,
+
+    which is D_J(v^a - u^h y^a_h) + u^h y^a_(J,h) after cancellation.
+    The second derivatives of X are taken only for order >= 2; with d2y
+    None, v2 is the y''-free part of v^a_(ij).
     """
     n, m = X.n, X.m
-    if p.order < 1 or (order >= 2 and p.order < 2):
-        raise JetOrderError("prolongation needs jets of order >= its own order")
-    pt = list(p.x) + list(p.y)
-    v0 = [X.v[a].eval(pt) for a in range(m)]
-    du = [[X.u[h].diff(i).eval(p.x) for i in range(n)] for h in range(n)]
-    d2u = [[[X.u[h].diff(i).diff(j).eval(p.x) for j in range(n)]
-            for i in range(n)] for h in range(n)]
-    dvx = [[X.v[a].diff(i).eval(pt) for i in range(n)] for a in range(m)]
-    dvy = [[X.v[a].diff(n + b).eval(pt) for b in range(m)] for a in range(m)]
-    d2vxx = [[[X.v[a].diff(i).diff(j).eval(pt) for j in range(n)]
-              for i in range(n)] for a in range(m)]
-    d2vxy = [[[X.v[a].diff(i).diff(n + b).eval(pt) for b in range(m)]
-              for i in range(n)] for a in range(m)]
-    d2vyy = [[[X.v[a].diff(n + b).diff(n + c).eval(pt) for c in range(m)]
-              for b in range(m)] for a in range(m)]
+    pt = list(x) + list(y)
+    dxu = [[p.diff(i) for i in range(n)] for p in X.u]
+    dxv = [[p.diff(i) for i in range(n)] for p in X.v]
+    dyv = [[p.diff(n + b) for b in range(m)] for p in X.v]
+    u = [p.eval(x) for p in X.u]
+    du = [[q.eval(x) for q in row] for row in dxu]
+    v0 = [p.eval(pt) for p in X.v]
+    dvx = [[q.eval(pt) for q in row] for row in dxv]
+    dvy = [[q.eval(pt) for q in row] for row in dyv]
     v1 = []
     for a in range(m):
         row = []
         for i in range(n):
             acc = dvx[a][i]
             for b in range(m):
-                acc = acc + p.y1(b, i) * dvy[a][b]
+                acc = acc + dy[b][i] * dvy[a][b]
             for h in range(n):
-                acc = acc - du[h][i] * p.y1(a, h)
+                acc = acc - du[h][i] * dy[a][h]
             row.append(acc)
         v1.append(row)
     if order < 2:
-        return Prolongation(v0, v1, None)
+        return Prolongation(v0, v1, None, u, du, dvy)
+    d2u = [[[q.diff(j).eval(x) for j in range(n)] for q in row] for row in dxu]
+    d2vxx = [[[q.diff(j).eval(pt) for j in range(n)] for q in row] for row in dxv]
+    d2vxy = [[[q.diff(n + b).eval(pt) for b in range(m)] for q in row] for row in dxv]
+    d2vyy = [[[q.diff(n + c).eval(pt) for c in range(m)] for q in row] for row in dyv]
     v2 = []
     for a in range(m):
         row = []
         for (i, j) in sym_pairs(n):
             acc = d2vxx[a][i][j]
             for b in range(m):
-                acc = acc + p.y1(b, j) * d2vxy[a][i][b] + p.y1(b, i) * d2vxy[a][j][b]
-                acc = acc + p.y2(b, i, j) * dvy[a][b]
+                acc = acc + dy[b][j] * d2vxy[a][i][b] + dy[b][i] * d2vxy[a][j][b]
+                if d2y is not None:
+                    acc = acc + d2y[b][pair_index(n, i, j)] * dvy[a][b]
                 for c in range(m):
-                    acc = acc + p.y1(b, i) * p.y1(c, j) * d2vyy[a][b][c]
+                    acc = acc + dy[b][i] * dy[c][j] * d2vyy[a][b][c]
             for h in range(n):
-                acc = acc - d2u[h][i][j] * p.y1(a, h)
-                acc = acc - du[h][i] * p.y2(a, h, j) - du[h][j] * p.y2(a, h, i)
+                acc = acc - d2u[h][i][j] * dy[a][h]
+                if d2y is not None:
+                    acc = acc - du[h][i] * d2y[a][pair_index(n, h, j)] \
+                              - du[h][j] * d2y[a][pair_index(n, h, i)]
             row.append(acc)
         v2.append(row)
-    return Prolongation(v0, v1, v2)
+    return Prolongation(v0, v1, v2, u, du, dvy)
+
+
+def prolong(X: VectorField, p: JetPoint, order: int = 2) -> Prolongation:
+    """First (order 1) or first and second (order 2) prolongation of a
+    projectable field at p; these need jet data of order 1 (resp. 2) only."""
+    if p.order < 1 or (order >= 2 and p.order < 2):
+        raise JetOrderError("prolongation needs jets of order >= its own order")
+    return _prolongation(X, p.x, p.y, p.dy, order, p.d2y if order >= 2 else None)
 
 
 class TransformedSupplier:
@@ -850,41 +856,19 @@ class TransformedSupplier:
                 for i in range(n)] for a in range(m)]
         l0, lij = self.base.tables(ix, iy, idy, ijv, cap + 1)
 
-        pt = list(x) + list(y)
-        u = [p.eval(x) for p in self.X.u]
-        du = [[self.X.u[h].diff(r).eval(x) for r in range(n)] for h in range(n)]
-        d2u = [[[self.X.u[h].diff(r).diff(s_).eval(x) for s_ in range(n)]
-                for r in range(n)] for h in range(n)]
-        v0 = [p.eval(pt) for p in self.X.v]
-        dvx = [[self.X.v[a].diff(i).eval(pt) for i in range(n)] for a in range(m)]
-        dvy = [[self.X.v[a].diff(n + b).eval(pt) for b in range(m)] for a in range(m)]
-        d2vxx = [[[self.X.v[a].diff(i).diff(j).eval(pt) for j in range(n)]
-                  for i in range(n)] for a in range(m)]
-        d2vxy = [[[self.X.v[a].diff(i).diff(n + b).eval(pt) for b in range(m)]
-                  for i in range(n)] for a in range(m)]
-        d2vyy = [[[self.X.v[a].diff(n + b).diff(n + c).eval(pt) for c in range(m)]
-                  for b in range(m)] for a in range(m)]
+        # pr X at (x, y, y'); the y'' terms of v^a_(ij) go into the L' block
+        pro = _prolongation(self.X, x, y, dy, 2)
+        du = pro.du
         div = sum(du[i][i] for i in range(n))
-        v1 = []
-        for a in range(m):
-            row = []
-            for i in range(n):
-                acc = dvx[a][i]
-                for b in range(m):
-                    acc = acc + dy[b][i] * dvy[a][b]
-                for h in range(n):
-                    acc = acc - du[h][i] * dy[a][h]
-                row.append(acc)
-            v1.append(row)
 
         def x1_of(jet: Jet):
             acc = 0
             for i in range(n):
-                acc = acc + u[i] * jet.deriv(ijv.id_of[("x", i)])
+                acc = acc + pro.u[i] * jet.deriv(ijv.x(i))
             for a in range(m):
-                acc = acc + v0[a] * jet.deriv(ijv.id_of[("y", a)])
+                acc = acc + pro.v[a] * jet.deriv(ijv.y(a))
                 for i in range(n):
-                    acc = acc + v1[a][i] * jet.deriv(ijv.id_of[("y1", a, i)])
+                    acc = acc + pro.v1[a][i] * jet.deriv(ijv.y1(a, i))
             return acc
 
         lij_out = {}
@@ -892,24 +876,15 @@ class TransformedSupplier:
             for (i, j) in sym_pairs(n):
                 acc = x1_of(lij[(al, i, j)]) + div * lij[(al, i, j)].value
                 for be in range(m):
-                    acc = acc + dvy[be][al] * lij[(be, i, j)].value
+                    acc = acc + pro.dvy[be][al] * lij[(be, i, j)].value
                 for r in range(n):
                     acc = acc - du[i][r] * lij[(al,) + _sp(r, j)].value \
                               - du[j][r] * lij[(al,) + _sp(r, i)].value
                 lij_out[(al, i, j)] = acc
         l0_out = x1_of(l0) + div * l0.value
         for be in range(m):
-            for h in range(n):
-                for k in range(n):
-                    t = d2vxx[be][h][k]
-                    for ga in range(m):
-                        t = t + d2vxy[be][k][ga] * dy[ga][h] \
-                              + d2vxy[be][h][ga] * dy[ga][k]
-                        for sg in range(m):
-                            t = t + d2vyy[be][ga][sg] * dy[ga][h] * dy[sg][k]
-                    for r in range(n):
-                        t = t - d2u[r][h][k] * dy[be][r]
-                    l0_out = l0_out + t * lij[(be,) + _sp(h, k)].value
+            for k, (h, l) in enumerate(sym_pairs(n)):
+                l0_out = l0_out + (2 - delta(h, l)) * pro.v2[be][k] * lij[(be, h, l)].value
         return l0_out, lij_out
 
 
@@ -923,7 +898,7 @@ def symmetry_transform(supplier, X: VectorField, n: int, m: int):
         acc = l0
         for al in range(m):
             for (i, j) in sym_pairs(n):
-                acc = acc + (2 - _d(i, j)) * lij[(al, i, j)] * p.y2(al, i, j)
+                acc = acc + (2 - delta(i, j)) * lij[(al, i, j)] * p.y2(al, i, j)
         return acc
 
     return tsup, JetFunction(2, fn, name="transformed Lagrangian")
@@ -940,7 +915,7 @@ def lagrangian_value(supplier, p2: JetPoint, jv: JetVars | None = None):
         for (i, j) in sym_pairs(n):
             c = lij[(al, i, j)]
             c = c.value if isinstance(c, Jet) else c
-            acc = acc + (2 - _d(i, j)) * c * p2.y2(al, i, j)
+            acc = acc + (2 - delta(i, j)) * c * p2.y2(al, i, j)
     return acc
 
 
@@ -957,7 +932,7 @@ def noether_current(supplier, X: VectorField, s: PolySection, x) -> list:
     p2 = jet_of_section(s, x, 2)
     data = pipeline(supplier, p2.truncated(1), cap=1)
     pro = prolong(X, p2, order=1)
-    u = X.u_val(p2.x)
+    u = pro.u
     lval = float(value_of(lagrangian_value(supplier, p2)))
     out = []
     for i in range(n):
@@ -1027,7 +1002,7 @@ def random_projectable_lagrangian(rng, n: int, m: int) -> SecondOrderLagrangian:
                        + [p.y1(a, i) for a in range(m) for i in range(n)])
         for a in range(m):
             for (i, j) in sym_pairs(n):
-                acc = acc + (2 - _d(i, j)) * c[a] * phi_tt[i][j].eval(pt) \
+                acc = acc + (2 - delta(i, j)) * c[a] * phi_tt[i][j].eval(pt) \
                     * p.y2(a, i, j)
         return acc
 

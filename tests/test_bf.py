@@ -11,7 +11,7 @@ from varjet.bf import affine_supplier as bf_supplier
 from varjet.einstein import EHLagrangian
 from varjet.einstein import affine_supplier as eh_supplier
 from varjet.jets import PolySection, jet_of_section, pair_index, sym_pairs
-from varjet.metric import (constant_metric_jet, curvature,
+from varjet.metric import (constant_metric_jet, curvature, ginv_rho,
                            metric_from_jet_point, random_metric_jet)
 from varjet.poly import Poly
 from varjet.varcore import bilinear_form_b, euler_lagrange
@@ -60,7 +60,7 @@ def test_l_beta_eh_equals_l_eh():
             mj = random_metric_jet(rng, n, sig, order=2)
             lb = l_beta(b, mj)
             cd = curvature(mj)
-            _, rho = eh._ginv_rho(mj.g)
+            _, rho = ginv_rho(eh.n, mj.g)
             le = rho * cd.scalar
             assert abs(lb - le) <= 1e-9 * max(1.0, abs(le))
 

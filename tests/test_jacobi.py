@@ -589,13 +589,15 @@ def _assert_memo_ring_safe(memo_call, cold_call, s, xf, xq):
 def test_generic_residual_memo_is_ring_safe():
     # n = m = 1 would do; n = 2 with L^{ij} depending on (x, y) only, so the
     # cross-derivative conditions hold trivially
-    def fn(x, y, dy):
-        l0 = dy[0][0] * dy[0][0] * H + dy[0][1] * dy[0][1] * F(1, 3) \
+    def l0(x, y, dy):
+        return dy[0][0] * dy[0][0] * H + dy[0][1] * dy[0][1] * F(1, 3) \
             + x[0] * y[0] * dy[0][1]
-        return l0, {(0, 0, 0): y[0] * y[0] * F(1, 3), (0, 0, 1): x[1] * y[0],
-                    (0, 1, 1): H}
 
-    sup = TableAffineSupplier(2, 1, fn)
+    def lij(x, y, dy):
+        return {(0, 0, 0): y[0] * y[0] * F(1, 3), (0, 0, 1): x[1] * y[0],
+                (0, 1, 1): H}
+
+    sup = TableAffineSupplier(2, 1, l0, lij)
     names = {"x1": 0, "x2": 1}
     s = PolySection(2, [parse_poly("1 + x1^2/4 - x1*x2/8", names, 2)])
     v = [parse_poly("x1^2*x2/2 - x2/3 + 1/4", names, 2)]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from varjet.fwd import Jet
 from varjet.jets import pair_index, sym_pairs
 from varjet.metric import (MetricJet, SingularMetricError, christoffel,
                            constant_metric_jet, covariant_derivative_residual,
@@ -123,6 +124,37 @@ def test_flat_polynomial_pullback_metric_curvature_zero():
         worst = max(abs(cd.riemann[i][j][k][l]) for i in range(n)
                     for j in range(n) for k in range(n) for l in range(n))
         assert worst <= 1e-12
+
+
+def test_dgamma_is_the_x_derivative_of_christoffel_exactly():
+    # a non-constant Lorentzian metric section with Fraction coefficients:
+    # dgamma from the 2-jet must equal d/dx^r of the Christoffel symbols
+    # of the section's 1-jet, with x seeded as Jet variables
+    n, sig = 3, (2, 1)
+    names = {"x1": 0, "x2": 1, "x3": 2}
+    base = {(0, 0): "1", (1, 1): "1", (2, 2): "-1"}
+    extra = ["x1^2/3 - x2/5", "x3/4 + x1*x2/7", "x2^2/6 - x1*x3/2",
+             "x1/3 + x3^2/8", "x1*x2/5 - x3/9", "x2*x3/4 + x1^2/6"]
+    polys = [parse_poly(base.get(pr, "0"), names, n) + parse_poly(e, names, n)
+             for pr, e in zip(sym_pairs(n), extra)]
+    x0 = (Fraction(1, 3), Fraction(-1, 4), Fraction(2, 5))
+    sec = PolySection(n, polys)
+    cd = curvature(metric_from_jet_point(jet_of_section(sec, x0, 2), sig))
+    xs = [Jet.variable(i, x0[i], 1, Fraction(1)) for i in range(n)]
+    seeded = MetricJet(n, sig, tuple(p.eval(xs) for p in polys),
+                       tuple(tuple(p.diff(k).eval(xs) for k in range(n))
+                             for p in polys))
+    gam, _ = christoffel(seeded)
+    checked = 0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for r in range(n):
+                    want = gam[i][j][k].deriv(r)
+                    assert isinstance(want, Fraction)
+                    assert cd.dgamma[i][j][k][r] == want, (i, j, k, r)
+                    checked += want != 0
+    assert checked > 0
 
 
 def test_sigma_nabla_zero_connection():

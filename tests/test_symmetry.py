@@ -7,7 +7,7 @@ import numpy as np
 from varjet.einstein import (EHLagrangian, affine_supplier,
                              covariant_noether_current, natural_lift)
 from varjet.jets import (JetFunction, JetPoint, PolySection, jet_of_section,
-                         pair_index, sym_pairs)
+                         jet_partials, pair_index, sym_pairs)
 from varjet.metric import metric_from_jet_point, random_metric_jet
 from varjet.poly import Poly, parse_poly
 from varjet.varcore import (GenericAffineSupplier, SecondOrderLagrangian,
@@ -190,6 +190,71 @@ def test_symmetry_transform_preserves_projectability():
                             tuple(tuple(rng.uniform(-1, 1, 3)) for _ in range(m))))
     rep = projectability_check(lag_p, pts, tol=1e-7)
     assert rep.affine and rep.projects_to_J1, rep.summary()
+
+
+def _transformed_by_definition(F, X, p):
+    """u^i d_i L + v^a d_a L + v^a_i dL/dy^a_i + v^a_(ij) dL/dy^a_(ij)
+    + div(u) L at p, from pr X and the partials of L."""
+    n, m = X.n, X.m
+    pro = prolong(X, p, 2)
+    part = jet_partials(F, p, cap=1)
+    div = sum(X.u[i].diff(i).eval(p.x) for i in range(n))
+    acc = div * part.value
+    for i in range(n):
+        acc = acc + X.u[i].eval(p.x) * part.d(("x", i))
+    for a in range(m):
+        acc = acc + pro.v[a] * part.d(("y", a))
+        for i in range(n):
+            acc = acc + pro.v1[a][i] * part.d(("y1", a, i))
+        for k, pr in enumerate(sym_pairs(n)):
+            acc = acc + pro.v2[a][k] * part.d(("y2", a, pr))
+    return acc
+
+
+def test_symmetry_transform_is_the_prolonged_field_applied_to_l():
+    # a random projectable Lagrangian and a field that is not a symmetry
+    rng = np.random.default_rng(29)
+    n, m = 2, 2
+    lag = random_projectable_lagrangian(rng, n, m)
+    names = {"x1": 0, "x2": 1, "y1": 2, "y2": 3}
+    u = [parse_poly("x1^2/3 - x2", names, n), parse_poly("x1*x2/2 + 1", names, n)]
+    v = [parse_poly("y1*y2/4 + x1*y1 - x2^2/5", names, n + m),
+         parse_poly("y1^2/3 - x1*y2/2 + x2", names, n + m)]
+    X = VectorField(n, m, u, v)
+    _, Lp = symmetry_transform(GenericAffineSupplier(lag), X, n, m)
+    worst = 0.0
+    for _ in range(3):
+        p = JetPoint(n, m, 2, tuple(rng.uniform(-1, 1, n)), tuple(rng.uniform(-1, 1, m)),
+                     tuple(tuple(rng.uniform(-1, 1, n)) for _ in range(m)),
+                     tuple(tuple(rng.uniform(-1, 1, 3)) for _ in range(m)))
+        want = _transformed_by_definition(lag.L, X, p)
+        assert abs(want) > 0.1
+        worst = max(worst, abs(Lp(p) - want) / abs(want))
+    assert worst <= 1e-12, worst
+
+
+def test_symmetry_transform_eh_n2_is_the_prolonged_field_exactly():
+    # L_EH at n = 2 over Fractions (det g = 1, so rho is rational) and a
+    # natural lift plus a vertical part that breaks the symmetry
+    n = 2
+    names = {"x1": 0, "x2": 1}
+    u = [parse_poly("x1^2 - x2/3", names, n), parse_poly("x1*x2/2 + 1", names, n)]
+    m = len(sym_pairs(n))
+    lift = natural_lift(n, u)
+    ynames = {"x1": 0, "x2": 1, "y11": 2, "y12": 3, "y22": 4}
+    v = [lift[0] + parse_poly("x1*y12/3", ynames, n + m), lift[1],
+         lift[2] - parse_poly("y11*y22/5", ynames, n + m)]
+    X = VectorField(n, m, u, v)
+    eh = EHLagrangian(n, (2, 0))
+    _, Lp = symmetry_transform(affine_supplier(eh), X, n, m)
+    F = Fraction
+    p = JetPoint(n, m, 2, (F(1, 3), F(-1, 2)), (F(5, 4), F(1, 2), F(1)),
+                 ((F(1, 3), F(-2, 7)), (F(1, 5), F(1, 2)), (F(-1, 4), F(2, 3))),
+                 ((F(1, 2), F(-1, 3), F(1, 7)), (F(2, 5), F(1, 6), F(-1, 2)),
+                  (F(-1, 3), F(1, 4), F(3, 5))))
+    want = _transformed_by_definition(eh.jet_function(), X, p)
+    assert isinstance(want, Fraction) and want != 0
+    assert Lp(p) == want
 
 
 # ---------------------------------------------------------------------------
