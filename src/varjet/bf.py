@@ -20,7 +20,8 @@ import numpy as np
 
 from .fwd import Jet, value_of
 from .jets import (JetFunction, JetPoint, delta, jet_of_section, pair_index,
-                   seed_point, sign1, sym_pairs, total_derivative_j1)
+                   seed_point, sign1, sym_pairs, total_derivative,
+                   total_derivative2)
 from .metric import (MetricJet, christoffel, curvature, ginv_rho, mat_inverse,
                      metric_from_jet_point)
 from .varcore import TableAffineSupplier
@@ -63,12 +64,12 @@ class BetaForm:
                         out[l][k][j][i] = -v
         return out
 
-    def validate(self, g_row, ginv=None, tol: float = 1e-10) -> float:
-        """Max residual of the skew constraint at this metric value."""
+    def validate(self, g_row) -> float:
+        """Max residual of the skew constraint at this metric value; raises
+        BetaConstraintError above 1e-10."""
         n = self.n
-        if ginv is None:
-            gm = [[g_row[pair_index(n, a, b)] for b in range(n)] for a in range(n)]
-            ginv = mat_inverse(gm)
+        gm = [[g_row[pair_index(n, a, b)] for b in range(n)] for a in range(n)]
+        ginv = mat_inverse(gm)
         tab = self.table(g_row)
         worst = 0.0
         for a in range(n):
@@ -80,7 +81,7 @@ class BetaForm:
                             s = s + tab[a][c][i][d] * ginv[i][b] \
                                   + tab[a][c][i][b] * ginv[i][d]
                         worst = max(worst, abs(float(value_of(s))))
-        if worst > tol:
+        if worst > 1e-10:
             raise BetaConstraintError(
                 f"skew constraint violated (residual {worst:.3e})")
         return worst
@@ -329,7 +330,7 @@ def el_residual_beta(beta: BetaForm, s, x, signature):
 
     def dphi(a, r, b):   # D_r Phi_a^{rb}
         v = phi[a][r][b]
-        return total_derivative_j1(v, jv, p3, r) if isinstance(v, Jet) else 0
+        return total_derivative(v, jv, p3, r) if isinstance(v, Jet) else 0
 
     out = {}
     for a, b in sym_pairs(n):
@@ -433,56 +434,38 @@ def flat_corollary_expression(beta: BetaForm, s, x, signature):
 
     sym_14(beta~^sharp) has components S^{k l t i} = (-1)^l beta_{lj}^{ik}
     g^{jt} (indices in slot order), with beta_{lt}^{jk} the antisymmetrized
-    auxiliary; the result is R^{ki} = (nabla^2 S)_{uv}^{k u v i}.
+    auxiliary; the result is R^{ki} = (nabla^2 S)_{uv}^{k u v i}, in the
+    ring of x.
     """
     n = beta.n
     p3 = jet_of_section(s, x, 3)
-    mj = metric_from_jet_point(p3, signature)
-    cd = curvature(mj)
+    cd = curvature(metric_from_jet_point(p3, signature))
     gam, dgam = cd.gamma, cd.dgamma
-    npairs = len(sym_pairs(n))
 
-    # S and its first/second x-derivatives along the section, via chain rule
-    # through metric-slot seeding (order 2)
-    seeds = [Jet.variable(w, mj.g[w], 2, 1.0) for w in range(npairs)]
-    tab_seeded = beta.table(seeds)
-    giv_seeded = mat_inverse([[seeds[pair_index(n, a, b)] for b in range(n)]
-                              for a in range(n)])
-
-    s_seeded = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    # S as functions on J^0 (of the metric value); its x-derivatives along
+    # the section are the total derivatives D_u S and D_uD_v S
+    seeded, jv = seed_point(p3.truncated(0), cap=2)
+    smj = metric_from_jet_point(seeded, signature)
+    tab = beta.table(smj.g)
+    giv = mat_inverse(smj.matrix())
+    s_fn = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for k in range(n):
         for l in range(n):
             for t in range(n):
                 for i in range(n):
-                    acc = Jet.constant(0.0, 2)
+                    acc = 0
                     for j in range(n):
-                        acc = acc + sign1(l) * _beta_aux(tab_seeded, l, j, i, k) \
-                            * giv_seeded[j][t]
-                    s_seeded[k][l][t][i] = acc
-
-    def schain(kk, ll, tt, ii, d1=None, d2=None):
-        """S, dS/dx^d1, d2S/dx^d1 dx^d2 via the metric-slot chain rule."""
-        v = s_seeded[kk][ll][tt][ii]
-        if d1 is None:
-            return float(value_of(v.value))
-        if d2 is None:
-            tot = 0.0
-            for w, (aa, bb) in enumerate(sym_pairs(n)):
-                tot += float(value_of(v.deriv(w))) * mj.dcomp(aa, bb, d1)
-            return tot
-        tot = 0.0
-        for w, (aa, bb) in enumerate(sym_pairs(n)):
-            tot += float(value_of(v.deriv(w))) * mj.d2comp(aa, bb, d1, d2)
-            for w2, (cc, dd) in enumerate(sym_pairs(n)):
-                tot += float(value_of(v.deriv(w, w2))) \
-                    * mj.dcomp(aa, bb, d1) * mj.dcomp(cc, dd, d2)
-        return tot
+                        acc = acc + sign1(l) * _beta_aux(tab, l, j, i, k) * giv[j][t]
+                    s_fn[k][l][t][i] = acc
 
     def sval(k, l, t, i):
-        return schain(k, l, t, i)
+        return s_fn[k][l][t][i].value
+
+    def ds(u, k, l, t, i):
+        return total_derivative(s_fn[k][l][t][i], jv, p3, u)
 
     def nabla1(v, k, l, t, i):
-        acc = schain(k, l, t, i, d1=v)
+        acc = ds(v, k, l, t, i)
         for m_ in range(n):
             acc += gam[k][v][m_] * sval(m_, l, t, i) \
                 + gam[l][v][m_] * sval(k, m_, t, i) \
@@ -492,16 +475,16 @@ def flat_corollary_expression(beta: BetaForm, s, x, signature):
 
     def nabla2(u, v, k, l, t, i):
         # d_u (nabla_v S) with Gamma corrections on the four slots and -Gamma^e_{uv} nabla_e
-        acc = schain(k, l, t, i, d1=v, d2=u)
+        acc = total_derivative2(s_fn[k][l][t][i], jv, p3, v, u)
         for m_ in range(n):
             acc += dgam[k][v][m_][u] * sval(m_, l, t, i) \
                 + dgam[l][v][m_][u] * sval(k, m_, t, i) \
                 + dgam[t][v][m_][u] * sval(k, l, m_, i) \
                 + dgam[i][v][m_][u] * sval(k, l, t, m_)
-            acc += gam[k][v][m_] * schain(m_, l, t, i, d1=u) \
-                + gam[l][v][m_] * schain(k, m_, t, i, d1=u) \
-                + gam[t][v][m_] * schain(k, l, m_, i, d1=u) \
-                + gam[i][v][m_] * schain(k, l, t, m_, d1=u)
+            acc += gam[k][v][m_] * ds(u, m_, l, t, i) \
+                + gam[l][v][m_] * ds(u, k, m_, t, i) \
+                + gam[t][v][m_] * ds(u, k, l, m_, i) \
+                + gam[i][v][m_] * ds(u, k, l, t, m_)
         for m_ in range(n):
             acc += gam[k][u][m_] * nabla1(v, m_, l, t, i) \
                 + gam[l][u][m_] * nabla1(v, k, m_, t, i) \
@@ -512,7 +495,7 @@ def flat_corollary_expression(beta: BetaForm, s, x, signature):
 
     out = {}
     for a, b in sym_pairs(n):
-        tot = 0.0
+        tot = 0
         for u in range(n):
             for v in range(n):
                 tot += nabla2(u, v, a, u, v, b)

@@ -260,9 +260,10 @@ class EHLagrangian:
 
     # -- symmetry uniqueness matrices ---------------------------------------
 
-    def lij_rs_with_partials(self, g_row, cap: int = 2):
-        """The (L_EH)^{ij}_{rs} table as Jets over the metric slots."""
-        seeds = [Jet.variable(k, g_row[k], cap, Fraction(1))
+    def lij_rs_with_partials(self, g_row):
+        """The (L_EH)^{ij}_{rs} table as Jets of order 2 over the metric
+        slots."""
+        seeds = [Jet.variable(k, g_row[k], 2, Fraction(1))
                  for k in range(self.npairs)]
         return self.lij_rs(seeds)
 
@@ -274,7 +275,7 @@ class EHLagrangian:
         st_i = self.pair_pos[tuple(sorted(st))]
         uv_i = self.pair_pos[tuple(sorted(uv))]
         if _cache is None:
-            table = self.lij_rs_with_partials(mj.g, cap=2)
+            table = self.lij_rs_with_partials(mj.g)
             lam = np.linalg.inv(np.array([[float(v.value) for v in row]
                                           for row in table]))
         else:
@@ -317,7 +318,7 @@ class EHLagrangian:
         """Rank of the integrability system stacked over every pair of
         fibre-coordinate pairs; full rank n(n+1)/2 forces the vertical
         symmetry components V^{cd} to vanish."""
-        table = self.lij_rs_with_partials(mj.g, cap=2)
+        table = self.lij_rs_with_partials(mj.g)
         lam = np.linalg.inv(np.array([[float(v.value) for v in row]
                                       for row in table]))
         rows = []

@@ -255,7 +255,10 @@ class Jet:
         return acc
 
     def __abs__(self):
+        # the sign of a nested Jet is that of its innermost scalar value
         v = self.value
+        while isinstance(v, Jet):
+            v = v.value
         return self if v >= 0 else -self
 
     def __repr__(self):

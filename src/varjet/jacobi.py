@@ -32,7 +32,7 @@ from itertools import chain, combinations_with_replacement
 
 from .jets import (JetPoint, MultiIndex, PolySection, delta, jet_of_section,
                    pair_index, point_ring, sym_pairs)
-from .linalg import nullspace, rank
+from .linalg import nullspace
 from .metric import curvature, metric_from_jet_point
 from .poly import Poly
 from .varcore import hc_first_family, pipeline
@@ -383,8 +383,8 @@ def polynomial_solution_space(op: DiffOpMatrix, degree: int) -> SolutionSpace:
             if any(v != 0 for v in row):
                 rows.append(row)
     basis = nullspace(rows, ncols=cols)
-    return SolutionSpace(degree, len(basis), mons, basis,
-                         rank(rows) if rows else 0)
+    # rank-nullity: the rows have rank cols - dim ker
+    return SolutionSpace(degree, len(basis), mons, basis, cols - len(basis))
 
 
 def polynomial_solves(op: DiffOpMatrix, v_polys: list) -> bool:

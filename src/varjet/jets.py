@@ -3,18 +3,24 @@
 Jets of sections of a fibred manifold R^n x R^m -> R^n are stored up to
 order 3 in the coordinates (x^i, y^a, y^a_i, y^a_(ij), y^a_(ijk)).
 Symmetric slots are stored once per sorted index tuple; every accessor
-accepts indices in any order.  Total derivatives implement
+accepts indices in any order.
 
-    D_j = d/dx^j + sum_I  y^a_{I+(j)} d/dy^a_I
+The total derivative (Olver, Applications of Lie Groups to Differential
+Equations, GTM 107)
 
-over the stored coordinates, which makes the chain rule
-``D_j F (j^{r+1} s) = d/dx^j [F(j^r s)]`` hold exactly.
+    D_j = d/dx^j + sum_{|I| <= r}  y^a_{I+(j)} d/dy^a_I
+
+is written once, in `total_derivative`, and D_iD_j in `total_derivative2`.
+Both act on a function G given by its partials (a `Jet`, or anything with
+its `deriv`) over the coordinates of a `JetVars`; the order r of that
+`JetVars` is the domain J^r of G.  At a jet of order >= r + 1 (r + 2 for
+D_iD_j) the chain rule ``D_j G (j^{r+1} s) = d/dx^j [G(j^r s)]`` holds
+exactly, over any ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .fwd import Jet, ring_one
@@ -225,7 +231,10 @@ class JetVars:
     """Enumeration of the jet coordinates of J^order(R^n x R^m) as AD ids.
 
     Labels are tuples: ('x', i), ('y', a), ('y1', a, i), ('y2', a, (i, j)),
-    ('y3', a, (i, j, k)) with sorted index tuples.
+    ('y3', a, (i, j, k)) with sorted index tuples.  The ids of a lower order
+    are a prefix of those of a higher one.  A function written as a Jet over
+    these ids is a function on J^order: `order` is the domain that
+    `total_derivative` and `total_derivative2` read.
     """
 
     def __init__(self, n: int, m: int, order: int):
@@ -260,15 +269,13 @@ class JetVars:
         return self.id_of[("y3", a, tuple(sorted((i, j, k))))]
 
 
-def seed_point(p: JetPoint, cap: int, upto: int | None = None) -> tuple[JetPoint, JetVars]:
-    """Replace the coordinates of `p` (up to jet order `upto`) by Jet seeds.
+def seed_point(p: JetPoint, cap: int) -> tuple[JetPoint, JetVars]:
+    """Replace every coordinate of `p` by a Jet seed.
 
-    Every seeded coordinate becomes an independent AD variable truncated at
-    total order `cap`; coordinates above `upto` are left as plain numbers.
+    Each coordinate becomes an independent AD variable truncated at total
+    order `cap`, numbered by the returned JetVars of order `p.order`.
     """
-    if upto is None:
-        upto = p.order
-    jv = JetVars(p.n, p.m, upto)
+    jv = JetVars(p.n, p.m, p.order)
     one = ring_one(p.x[0] if p.n else 1)
 
     def seed(lab, val):
@@ -277,23 +284,17 @@ def seed_point(p: JetPoint, cap: int, upto: int | None = None) -> tuple[JetPoint
     x = tuple(seed(("x", i), p.x[i]) for i in range(p.n))
     y = tuple(seed(("y", a), p.y[a]) for a in range(p.m))
     dy = d2y = d3y = ()
-    if upto >= 1 and p.order >= 1:
+    if p.order >= 1:
         dy = tuple(tuple(seed(("y1", a, i), p.dy[a][i]) for i in range(p.n))
                    for a in range(p.m))
-    elif p.order >= 1:
-        dy = p.dy
-    if upto >= 2 and p.order >= 2:
+    if p.order >= 2:
         d2y = tuple(tuple(seed(("y2", a, pr), p.d2y[a][k])
                           for k, pr in enumerate(sym_pairs(p.n)))
                     for a in range(p.m))
-    elif p.order >= 2:
-        d2y = p.d2y
-    if upto >= 3 and p.order >= 3:
+    if p.order >= 3:
         d3y = tuple(tuple(seed(("y3", a, tr), p.d3y[a][k])
                           for k, tr in enumerate(sym_triples(p.n)))
                     for a in range(p.m))
-    elif p.order >= 3:
-        d3y = p.d3y
     return JetPoint(p.n, p.m, p.order, x, y, dy, d2y, d3y), jv
 
 
@@ -323,49 +324,40 @@ def jet_partials(F: JetFunction, p: JetPoint, cap: int = 2) -> PartialTable:
     return PartialTable(F(seeded), jv)
 
 
-def total_derivative(F: JetFunction, j: int, p: JetPoint):
-    """Total derivative D_j F evaluated at a jet of order >= F.order + 1."""
-    if p.order < F.order + 1:
-        raise JetOrderError("total derivative needs one more jet order than F")
-    seeded, jv = seed_point(p.truncated(F.order), cap=1)
-    out = F(seeded)
-
-    def g(lab):
-        return out.deriv(jv.id_of[lab])
-
-    total = g(("x", j))
-    for a in range(p.m):
-        total = total + p.y1(a, j) * g(("y", a))
-        if F.order >= 1:
-            for i in range(p.n):
-                total = total + p.y2(a, i, j) * g(("y1", a, i))
-        if F.order >= 2:
-            for (i, k) in sym_pairs(p.n):
-                total = total + p.y3(a, i, k, j) * g(("y2", a, (i, k)))
-    return total
-
-
 # ---------------------------------------------------------------------------
-# total derivatives of first-order data given as Jets
+# total derivatives
 #
-# The varcore pipeline extracts first-order functions (L_0, the L^ij block,
-# momenta...) as Jets over the J^1 coordinates.  D_j and D_iD_j of those
-# functions are then plain contractions of their stored partials with the
-# higher jet coordinates.
+# G is a function on J^r, r = jv.order, given by its partials: a Jet over the
+# ids of jv (the varcore pipeline's L_0, L^ij block and momenta, or a seeded
+# evaluation), or anything else with `deriv`.  D_j G and D_iD_j G at a jet
+# point are then contractions of those partials with the jet coordinates of
+# the next orders.
 
 
-def total_derivative_j1(G: Jet, jv: JetVars, p: JetPoint, j: int):
-    """D_j G for G a function on J^1 (as a Jet over jv), at p of order >= 2."""
+def total_derivative(G, jv: JetVars, p: JetPoint, j: int):
+    """D_j G for G on J^r (r = jv.order), at p of order >= r + 1."""
+    r = jv.order
+    if p.order < r + 1:
+        raise JetOrderError(f"D_j of a function on J^{r} needs a jet of order "
+                            f"{r + 1}, got {p.order}")
     total = G.deriv(jv.x(j))
     for a in range(p.m):
         total = total + p.y1(a, j) * G.deriv(jv.y(a))
-        for i in range(p.n):
-            total = total + p.y2(a, i, j) * G.deriv(jv.y1(a, i))
+        if r >= 1:
+            for i in range(p.n):
+                total = total + p.y2(a, i, j) * G.deriv(jv.y1(a, i))
+        if r >= 2:
+            for (i, k) in sym_pairs(p.n):
+                total = total + p.y3(a, i, k, j) * G.deriv(jv.y2(a, i, k))
     return total
 
 
-def total_derivative2_j1(G: Jet, jv: JetVars, p: JetPoint, i: int, j: int):
-    """D_i D_j G for G a function on J^1, at a jet point of order >= 3."""
+def total_derivative2(G, jv: JetVars, p: JetPoint, i: int, j: int):
+    """D_i D_j G for G on J^r (r = jv.order <= 1), at p of order >= r + 2."""
+    r = jv.order
+    if r > 1 or p.order < r + 2:
+        raise JetOrderError(f"D_iD_j of a function on J^{r} needs r <= 1 and a "
+                            f"jet of order {r + 2}, got {p.order}")
     n, m = p.n, p.m
     d = G.deriv
     total = d(jv.x(i), jv.x(j))
@@ -375,6 +367,8 @@ def total_derivative2_j1(G: Jet, jv: JetVars, p: JetPoint, i: int, j: int):
         total = total + p.y2(a, i, j) * d(jv.y(a))
         for b in range(m):
             total = total + ya_i * p.y1(b, j) * d(jv.y(a), jv.y(b))
+        if r == 0:
+            continue
         for k in range(n):
             total = total + p.y2(a, j, k) * d(jv.x(i), jv.y1(a, k)) \
                           + p.y2(a, i, k) * d(jv.x(j), jv.y1(a, k))

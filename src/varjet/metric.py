@@ -112,11 +112,12 @@ class MetricJet:
         n = self.n
         return [[self.comp(a, b) for b in range(n)] for a in range(n)]
 
-    def validate(self, tol: float = 1e-12) -> None:
-        """Nondegeneracy and declared signature (float metrics only)."""
+    def validate(self) -> None:
+        """Nondegeneracy (|det g| > 1e-12) and declared signature (float
+        metrics only)."""
         gm = np.array([[float(value_of(v)) for v in row] for row in self.matrix()])
         det = np.linalg.det(gm)
-        if abs(det) <= tol:
+        if abs(det) <= 1e-12:
             raise SingularMetricError(f"|det g| = {abs(det):.3e}")
         eig = np.linalg.eigvalsh(0.5 * (gm + gm.T))
         npos = int(np.sum(eig > 0))
@@ -323,7 +324,7 @@ def signature_diagonal(n: int, signature) -> list[int]:
 
 
 def random_metric_jet(rng: np.random.Generator, n: int, signature,
-                      order: int = 2, deriv_scale: float = 1.0) -> MetricJet:
+                      order: int = 2) -> MetricJet:
     """g = A D A^T with |det A| in [1/2, 2]; derivative slots uniform in [-1,1]."""
     d = np.diag(signature_diagonal(n, signature)).astype(float)
     while True:
@@ -333,15 +334,13 @@ def random_metric_jet(rng: np.random.Generator, n: int, signature,
     gm = a @ d @ a.T
     npairs = len(sym_pairs(n))
     g = tuple(gm[i, j] for i, j in sym_pairs(n))
-    dg = tuple(tuple(rng.uniform(-1, 1, n) * deriv_scale) for _ in range(npairs))
+    dg = tuple(tuple(rng.uniform(-1, 1, n)) for _ in range(npairs))
     d2g = d3g = ()
     if order >= 2:
-        d2g = tuple(tuple(rng.uniform(-1, 1, npairs) * deriv_scale)
-                    for _ in range(npairs))
+        d2g = tuple(tuple(rng.uniform(-1, 1, npairs)) for _ in range(npairs))
     if order >= 3:
         ntrip = len(sym_triples(n))
-        d3g = tuple(tuple(rng.uniform(-1, 1, ntrip) * deriv_scale)
-                    for _ in range(npairs))
+        d3g = tuple(tuple(rng.uniform(-1, 1, ntrip)) for _ in range(npairs))
     mj = MetricJet(n, tuple(signature), g, dg if order >= 1 else (), d2g, d3g)
     mj.validate()
     return mj

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .einstein import EHLagrangian
 from .jacobi import DiffOpMatrix, flat_operator_matrix
 from .jets import delta, pair_index, sym_pairs
-from .linalg import QC, QC_I, nullspace, rank, rref
+from .linalg import QC, QC_I, in_row_space, nullspace, rank
 
 LORENTZ_EPS = (-1, 1, 1, 1)
 
@@ -49,14 +50,9 @@ class SideConditionError(ValueError):
     """Basis field requested outside its printed validity domain."""
 
 
-_OPERATOR_CACHE: dict = {}
-
-
-def lorentz_operator(eps=LORENTZ_EPS) -> DiffOpMatrix:
-    key = tuple(eps)
-    if key not in _OPERATOR_CACHE:
-        _OPERATOR_CACHE[key] = flat_operator_matrix(list(eps))
-    return _OPERATOR_CACHE[key]
+@cache
+def lorentz_operator() -> DiffOpMatrix:
+    return flat_operator_matrix(list(LORENTZ_EPS))
 
 
 def gauge_mode_amplitudes(k, n: int = 4) -> list:
@@ -89,8 +85,7 @@ class ModeSolveResult:
     is_null: bool
 
     def contains(self, vec) -> bool:
-        rows = [list(b) for b in self.basis]
-        return rank(rows) == rank(rows + [list(vec)])
+        return in_row_space([list(b) for b in self.basis], vec)
 
 
 def classify_mode(k) -> tuple:
@@ -110,14 +105,13 @@ def mode_solve(k, op: DiffOpMatrix | None = None) -> ModeSolveResult:
     kv = ModeVector(tuple(int(v) for v in k))
     mat = op.mode_matrix(kv.k)
     rows = [r for r in mat if any(v != 0 for v in r)]
-    basis = nullspace(rows, ncols=op.npairs) if rows else \
-        nullspace([], ncols=op.npairs)
+    basis = nullspace(rows, ncols=op.npairs)
     cls, pdim = classify_mode(kv.k)
     gauge = [g for g in gauge_mode_amplitudes(kv.k, op.n)
              if any(v != 0 for v in g)]
-    gdim = rank(gauge) if gauge else 0
-    kernel_rows = [list(b) for b in basis]
-    gauge_in = all(rank(kernel_rows) == rank(kernel_rows + [g]) for g in gauge)
+    gdim = rank(gauge)
+    # the basis spans the exact kernel, so g lies in it iff M g = 0
+    gauge_in = all(sum(a * b for a, b in zip(r, g)) == 0 for r in rows for g in gauge)
     kernel_is_gauge = gauge_in and len(basis) == gdim
     return ModeSolveResult(kv, len(basis), basis, cls, pdim, gdim,
                            kernel_is_gauge, kv.is_null())
@@ -230,40 +224,30 @@ class PresymplecticValue:
         return acc
 
 
-_Y_FLAT_CACHE: dict = {}
+@cache
+def y_table_flat():
+    """The momentum-coefficient table Y at the flat metric diag(LORENTZ_EPS)."""
+    g_row = tuple(Fraction(LORENTZ_EPS[a]) if a == b else Fraction(0)
+                  for a, b in sym_pairs(4))
+    return EHLagrangian(4, (3, 1)).y_table(g_row)
 
 
-def y_table_flat(eps=LORENTZ_EPS):
-    key = tuple(eps)
-    if key not in _Y_FLAT_CACHE:
-        n = len(eps)
-        npos = sum(1 for e in eps if e > 0)
-        eh = EHLagrangian(n, (npos, n - npos))
-        g_row = tuple(Fraction(eps[a]) if a == b else Fraction(0)
-                      for a, b in sym_pairs(n))
-        _Y_FLAT_CACHE[key] = eh.y_table(g_row)
-    return _Y_FLAT_CACHE[key]
-
-
-def presymplectic_pair(x_field: BasisField, y_field: BasisField,
-                       eps=LORENTZ_EPS) -> PresymplecticValue:
+def presymplectic_pair(x_field: BasisField, y_field: BasisField) -> PresymplecticValue:
     """omega_2^i(X, Y) from the momentum-coefficient contraction
 
         sum_{kl<=, ab<=} Y_{ab}^{i;kl,j} (dV^{kl}/dx^j W^{ab}
                                           - V^{ab} dW^{kl}/dx^j),
 
     exact in Gaussian rationals; the result is a single Fourier mode."""
-    ytab = y_table_flat(eps)
-    n = len(eps)
+    ytab = y_table_flat()
     kv, lv = x_field.mode, y_field.mode
     a_amp, b_amp = x_field.amp, y_field.amp
-    npairs = len(sym_pairs(n))
     coeff = []
-    for i in range(n):
+    for i in range(4):
         acc = Fraction(0)
-        for klp in range(npairs):
-            for abp in range(npairs):
-                for j in range(n):
+        for klp in range(10):
+            for abp in range(10):
+                for j in range(4):
                     y = ytab[abp][i][klp][j]
                     if y == 0:
                         continue
@@ -293,31 +277,26 @@ def cohomology_class(w: PresymplecticValue) -> tuple:
 # radical probe
 
 
-def upsilon_matrix_flat(eps=LORENTZ_EPS):
+def upsilon_matrix_flat():
     """The mn x mn matrix (dp_a^i/dy'^b_j) at the flat metric (the Y table
     reshaped); its nonsingularity is the regularity hypothesis."""
-    ytab = y_table_flat(eps)
-    n = len(eps)
-    npairs = len(sym_pairs(n))
+    ytab = y_table_flat()
     rows = []
-    for a in range(npairs):
-        for i in range(n):
-            rows.append([ytab[a][i][b][j] for b in range(npairs)
-                         for j in range(n)])
+    for a in range(10):
+        for i in range(4):
+            rows.append([ytab[a][i][b][j] for b in range(10) for j in range(4)])
     return rows
 
 
-def upsilon_natural_flat(eps=LORENTZ_EPS):
+def upsilon_natural_flat():
     """The symmetrized map of the Hessian criterion: rows indexed by the
     fibre pair, columns by (pair, i <= j)."""
-    ytab = y_table_flat(eps)
-    n = len(eps)
-    npairs = len(sym_pairs(n))
+    ytab = y_table_flat()
     rows = []
-    for a in range(npairs):
+    for a in range(10):
         row = []
-        for b in range(npairs):
-            for (i, j) in sym_pairs(n):
+        for b in range(10):
+            for (i, j) in sym_pairs(4):
                 v = (ytab[a][i][b][j] + ytab[a][j][b][i]) \
                     * Fraction(1, 1 + delta(i, j))
                 row.append(v)
@@ -337,14 +316,14 @@ class RadicalProbeReport:
     criterion_surjective: bool
 
 
-def radical_probe(modes: dict, eps=LORENTZ_EPS) -> RadicalProbeReport:
+def radical_probe(modes: dict) -> RadicalProbeReport:
     """Kernel of the truncated pairing over the eight basis fields at the
     given mode labels (dict h -> k), plus the regularity checks.
 
     The full radical vanishes by the theory; the truncation only reports
     the kernel of the available block, it does not assert zero."""
     fields = [basis_field(h, modes.get(h, modes.get("default"))) for h in range(1, 9)]
-    mat = [[presymplectic_pair(fa, fb, eps) for fb in fields] for fa in fields]
+    mat = [[presymplectic_pair(fa, fb) for fb in fields] for fa in fields]
     # pointwise value at x = 0: the coefficient vector itself
     rows = []
     for a in range(8):
@@ -352,9 +331,9 @@ def radical_probe(modes: dict, eps=LORENTZ_EPS) -> RadicalProbeReport:
         for i in range(4):
             rows.append([mat[a][b].coeff[i] for b in range(8)])
     kern = nullspace(rows, ncols=8)
-    ups = upsilon_matrix_flat(eps)
+    ups = upsilon_matrix_flat()
     ur = rank(ups)
-    unat = upsilon_natural_flat(eps)
+    unat = upsilon_natural_flat()
     unr = rank(unat)
     return RadicalProbeReport(
         fields=fields,

@@ -27,7 +27,7 @@ import numpy as np
 from .fwd import Jet, ring_one, value_of
 from .jets import (JetFunction, JetOrderError, JetPoint, JetVars, PolySection,
                    delta, jet_of_section, pair_index, seed_point, sym_pairs,
-                   total_derivative_j1, total_derivative2_j1)
+                   total_derivative, total_derivative2)
 from .poly import Poly
 
 
@@ -163,9 +163,6 @@ def legendre_coefficients(lag: SecondOrderLagrangian, p: JetPoint) -> LegendreCo
     def d1(lab):
         return out.deriv(jv.id_of[lab])
 
-    def d2(lab1, lab2):
-        return out.deriv(jv.id_of[lab1], jv.id_of[lab2])
-
     lij = {}
     for a in range(m):
         for (i, j) in sym_pairs(n):
@@ -175,15 +172,7 @@ def legendre_coefficients(lag: SecondOrderLagrangian, p: JetPoint) -> LegendreCo
         for i in range(n):
             total = d1(("y1", a, i))
             for j in range(n):
-                # D_j of dL/dy_(ij), via the chain rule over stored coords
-                g = lambda lab: d2(("y2", a, _sp(i, j)), lab)
-                dj = g(("x", j))
-                for b in range(m):
-                    dj = dj + p.y1(b, j) * g(("y", b))
-                    for k in range(n):
-                        dj = dj + p.y2(b, k, j) * g(("y1", b, k))
-                    for (k, l) in sym_pairs(n):
-                        dj = dj + p.y3(b, k, l, j) * g(("y2", b, (k, l)))
+                dj = total_derivative(out.partial(jv.y2(a, i, j)), jv, p, j)
                 total = total - Fraction(1, 2 - delta(i, j)) * dj
             li0[(a, i)] = total
     return LegendreCoefficients(lij, li0)
@@ -206,9 +195,10 @@ class GenericAffineSupplier:
 
     def __init__(self, lag: SecondOrderLagrangian):
         self.lag = lag
+        self.jv = JetVars(lag.n, lag.m, 2)
 
-    def tables(self, x, y, dy, jv: JetVars, cap: int):
-        n, m = self.lag.n, self.lag.m
+    def tables(self, x, y, dy, cap: int):
+        n, m, jv = self.lag.n, self.lag.m, self.jv
         one = ring_one(value_of(y[0]))
         d2y = tuple(
             tuple(Jet.variable(jv.id_of[("y2", a, pr)], 0, cap + 1, one)
@@ -241,10 +231,10 @@ class TableAffineSupplier:
     def __init__(self, n: int, m: int, l0, lij):
         self.n, self.m, self.l0, self.lij = n, m, l0, lij
 
-    def tables(self, x, y, dy, jv: JetVars, cap: int):
+    def tables(self, x, y, dy, cap: int):
         return self.l0(x, y, dy), self.lij(x, y, dy)
 
-    def lij_only(self, x, y, dy, jv: JetVars, cap: int):
+    def lij_only(self, x, y, dy):
         return self.lij(x, y, dy)
 
 
@@ -256,8 +246,9 @@ class TableAffineSupplier:
 class PipelineData:
     """Taylor data of the first-order objects at one jet point.
 
-    All entries are Jets over the J^1 coordinate variables enumerated by
-    `jv`; `cap` is the guaranteed truncation order of A, p, H, Lbar.
+    All entries are Jets over the coordinates of J^1, numbered by `jv`, a
+    JetVars of order 1: `total_derivative` reads them as functions on J^1.
+    `cap` is the guaranteed truncation order of A, p, H, Lbar.
     """
 
     n: int
@@ -295,26 +286,26 @@ def _jet_dist(a: Jet, b: Jet) -> float:
     return worst
 
 
-def fibre_primitive_jets(supplier, x, y, dy, jv: JetVars, cap: int,
-                         tol: float = 1e-10):
+def fibre_primitive_jets(supplier, x, y, dy, cap: int):
     """L^h = int_0^1 y^a_i L_a^{hi}(x, y, t y') dt as Jets, plus a residual.
 
     The radial primitive from the zero section.  If the integrand is
     t-independent (coefficients not depending on the first derivatives, as
     for every closed-form instantiation here) the integral is exact; else
     16-node Gauss-Legendre with panel doubling until the change is below
-    `tol` (up to 4 doublings, then a QuadratureError carries the residual).
+    1e-10 relative (up to 4 doublings, then a QuadratureError carries the
+    residual).
     """
-    n, m = jv.n, jv.m
+    n, m = len(x), len(y)
 
     lij_of = getattr(supplier, "lij_only", None)
 
     def integrand(t):
         dyt = [[t * v for v in row] for row in dy]
         if lij_of is not None:
-            lij = lij_of(x, y, dyt, jv, cap)
+            lij = lij_of(x, y, dyt)
         else:
-            _, lij = supplier.tables(x, y, dyt, jv, cap)
+            _, lij = supplier.tables(x, y, dyt, cap)
         out = []
         for h in range(n):
             s = Jet(cap, {})
@@ -345,7 +336,7 @@ def fibre_primitive_jets(supplier, x, y, dy, jv: JetVars, cap: int,
         cur = panels(k)
         change = max(_jet_dist(prev[h], cur[h]) for h in range(n))
         scale = max(1.0, max(abs(float(value_of(cur[h].value))) for h in range(n)))
-        if change <= tol * scale:
+        if change <= 1e-10 * scale:
             return cur, change
         prev = cur
     raise QuadratureError(f"fibre primitive quadrature stalled at residual {change:.3e}")
@@ -361,7 +352,7 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
     produced (enough for Euler-Lagrange and Helmholtz work).
     """
     n, m = q.n, q.m
-    jv = JetVars(n, m, 2)
+    jv = JetVars(n, m, 1)
     seed_cap = cap + 1 + supplier.extra_cap
     one = ring_one(q.y[0])
     x = [Jet.variable(jv.id_of[("x", i)], q.x[i], seed_cap, one) for i in range(n)]
@@ -369,13 +360,13 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
     dy = [[Jet.variable(jv.id_of[("y1", a, i)], q.dy[a][i], seed_cap, one)
            for i in range(n)] for a in range(m)]
 
-    l0, lij = supplier.tables(x, y, dy, jv, cap + 1)
+    l0, lij = supplier.tables(x, y, dy, cap + 1)
     if not isinstance(l0, Jet):
         l0 = Jet.constant(l0, cap + 1)
     lij = {k: (v if isinstance(v, Jet) else Jet.constant(v, cap + 1))
            for k, v in lij.items()}
     if with_primitives:
-        li, quad_res = fibre_primitive_jets(supplier, x, y, dy, jv, cap + 1)
+        li, quad_res = fibre_primitive_jets(supplier, x, y, dy, cap + 1)
     else:
         li, quad_res = None, 0.0
 
@@ -502,12 +493,12 @@ def hc_first_family(data: PipelineData, p2: JetPoint) -> list:
             for i in range(n):
                 acc = acc - p2.y1(be, i) * data.p[(be, i)].deriv(jv.y(al))
         for i in range(n):
-            acc = acc + total_derivative_j1(data.p[(al, i)], jv, p2, i)
+            acc = acc + total_derivative(data.p[(al, i)], jv, p2, i)
         out.append(acc)
     return out
 
 
-def hc_residual(supplier, s: PolySection, x, cond_cap: float = 1e12) -> HCResult:
+def hc_residual(supplier, s: PolySection, x) -> HCResult:
     """Hamilton-Cartan residuals along a section at a base point.
 
     First family: d(p_a^i o j1 s)/dx^i - dH/dy^a, where the y-partial of H
@@ -516,7 +507,7 @@ def hc_residual(supplier, s: PolySection, x, cond_cap: float = 1e12) -> HCResult
     plus y'^b_i dp_b^i/dy^a, which needs no momentum inversion.  Second
     family: the velocities reconstructed from the momenta by Newton
     inversion of p(x, y, .) minus the actual ds/dx; skipped with a flag
-    when dp is ill-conditioned.
+    when the condition number of dp exceeds 1e12.
     """
     n, m = s.n, s.m
     p2 = jet_of_section(s, x, 2)
@@ -526,7 +517,7 @@ def hc_residual(supplier, s: PolySection, x, cond_cap: float = 1e12) -> HCResult
                      for al in range(m)])
     dp = _velocity_hessian(data)
     cond = float(np.linalg.cond(dp)) if np.isfinite(dp).all() else float("inf")
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > 1e12:
         return HCResult(first, None, cond, True)
     # Newton reconstruction of velocities from momenta, starting at rest
     target = pmat.reshape(-1)
@@ -565,7 +556,7 @@ def euler_lagrange(supplier, s: PolySection, x) -> list:
                 acc = acc + (2 - delta(i, j)) * p2.y2(be, i, j) \
                     * data.lij_get(be, i, j).deriv(jv.id_of[("y", al)])
         for i in range(n):
-            acc = acc - total_derivative_j1(data.a[(al, i)], jv, p2, i)
+            acc = acc - total_derivative(data.a[(al, i)], jv, p2, i)
         out.append(float(value_of(acc)))
     return out
 
@@ -581,7 +572,7 @@ def euler_lagrange_first_order(supplier, s: PolySection, x) -> list:
         acc = data.lbar.deriv(jv.id_of[("y", al)])
         for i in range(n):
             g = data.lbar.partial(jv.id_of[("y1", al, i)])
-            acc = acc - total_derivative_j1(g, jv, p2, i)
+            acc = acc - total_derivative(g, jv, p2, i)
         out.append(float(value_of(acc)))
     return out
 
@@ -601,9 +592,10 @@ def euler_lagrange_first_order(supplier, s: PolySection, x) -> list:
 class _Partials:
     """sum_t c_t * (d^|ids_t| jet_t / d ids_t) as a function on J^1.
 
-    Exposes `deriv` like a Jet, which is all `total_derivative_j1` and
-    `total_derivative2_j1` read, and reads every partial through the parent
-    Jets instead of building the partial Jets."""
+    Exposes `deriv` like a Jet, which is all `jets.total_derivative` and
+    `jets.total_derivative2` read (with the pipeline's order-1 JetVars as the
+    domain), and reads every partial through the parent Jets instead of
+    building the partial Jets."""
 
     __slots__ = ("terms",)
 
@@ -686,10 +678,10 @@ def helmholtz_residuals(supplier, s: PolySection, x,
         t0 = perturb(t0, x)
 
     def d1(f, j):
-        return total_derivative_j1(f, jv, p3, j)
+        return total_derivative(f, jv, p3, j)
 
     def d2(f, i, j):
-        return total_derivative2_j1(f, jv, p3, i, j)
+        return total_derivative2(f, jv, p3, i, j)
 
     worst_a = worst_b = worst_c = 0
     for al in range(m):
@@ -844,17 +836,17 @@ class TransformedSupplier:
         self.base = base
         self.X = X
         self.extra_cap = base.extra_cap + 1
+        self.jv = JetVars(X.n, X.m, 1)
 
-    def tables(self, x, y, dy, jv: JetVars, cap: int):
-        n, m = self.X.n, self.X.m
-        ijv = JetVars(n, m, 2)
+    def tables(self, x, y, dy, cap: int):
+        n, m, ijv = self.X.n, self.X.m, self.jv
         one = ring_one(value_of(y[0]))
         icap = cap + 1 + self.base.extra_cap
         ix = [Jet.variable(ijv.id_of[("x", i)], x[i], icap, one) for i in range(n)]
         iy = [Jet.variable(ijv.id_of[("y", a)], y[a], icap, one) for a in range(m)]
         idy = [[Jet.variable(ijv.id_of[("y1", a, i)], dy[a][i], icap, one)
                 for i in range(n)] for a in range(m)]
-        l0, lij = self.base.tables(ix, iy, idy, ijv, cap + 1)
+        l0, lij = self.base.tables(ix, iy, idy, cap + 1)
 
         # pr X at (x, y, y'); the y'' terms of v^a_(ij) go into the L' block
         pro = _prolongation(self.X, x, y, dy, 2)
@@ -893,8 +885,7 @@ def symmetry_transform(supplier, X: VectorField, n: int, m: int):
     tsup = TransformedSupplier(supplier, X)
 
     def fn(p: JetPoint):
-        jv = JetVars(n, m, 2)
-        l0, lij = tsup.tables(p.x, p.y, p.dy, jv, 0)
+        l0, lij = tsup.tables(p.x, p.y, p.dy, 0)
         acc = l0
         for al in range(m):
             for (i, j) in sym_pairs(n):
@@ -904,12 +895,10 @@ def symmetry_transform(supplier, X: VectorField, n: int, m: int):
     return tsup, JetFunction(2, fn, name="transformed Lagrangian")
 
 
-def lagrangian_value(supplier, p2: JetPoint, jv: JetVars | None = None):
+def lagrangian_value(supplier, p2: JetPoint):
     """L at an order-2 point, reconstructed from the affine data."""
     n, m = p2.n, p2.m
-    if jv is None:
-        jv = JetVars(n, m, 2)
-    l0, lij = supplier.tables(p2.x, p2.y, p2.dy, jv, 0)
+    l0, lij = supplier.tables(p2.x, p2.y, p2.dy, 0)
     acc = l0 if not isinstance(l0, Jet) else l0.value
     for al in range(m):
         for (i, j) in sym_pairs(n):

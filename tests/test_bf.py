@@ -1,19 +1,22 @@
 """Generalized BF Lagrangians: beta forms, the trace identity, E-L residuals
 and the closed-form regularity matrix."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from varjet.bf import (BetaConstraintError, BetaForm, beta_eh,
-                       bilinear_form_beta, el_residual_beta, jet_function,
-                       l_beta, l_beta_trace, random_constrained_beta)
+from varjet.bf import (BetaConstraintError, BetaForm, beta_eh, beta_from_antisym,
+                       bilinear_form_beta, el_residual_beta,
+                       flat_corollary_expression, jet_function, l_beta,
+                       l_beta_trace, random_constrained_beta)
 from varjet.bf import affine_supplier as bf_supplier
 from varjet.einstein import EHLagrangian
 from varjet.einstein import affine_supplier as eh_supplier
 from varjet.jets import PolySection, jet_of_section, pair_index, sym_pairs
 from varjet.metric import (constant_metric_jet, curvature, ginv_rho,
                            metric_from_jet_point, random_metric_jet)
-from varjet.poly import Poly
+from varjet.poly import Poly, parse_poly
 from varjet.varcore import bilinear_form_b, euler_lagrange
 
 
@@ -240,3 +243,43 @@ def test_flat_corollary_detects_non_solutions():
     cor = flat_corollary_expression(b, s, x, sig)
     assert max(abs(v) for v in el.values()) > 1e-4
     assert max(abs(v) for v in cor.values()) > 1e-4
+
+
+def _rational_beta(rng, n):
+    """beta_from_antisym with constant Fraction entries."""
+    a_entries = {}
+    for k in range(n):
+        for l in range(k + 1, n):
+            mat = [[Fraction(0)] * n for _ in range(n)]
+            for d in range(n):
+                for b in range(d + 1, n):
+                    c = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                    mat[d][b], mat[b][d] = c, -c
+            a_entries[(k, l)] = mat
+    return beta_from_antisym(n, a_entries)
+
+
+def test_flat_corollary_expression_exact():
+    """Over Fractions the corollary contraction is exact: on the curved flat
+    pullback every entry is a Fraction that the float call reproduces, and
+    in a constant chart it is exactly 0."""
+    rng = np.random.default_rng(46)
+    n, sig = 3, (3, 0)
+    F = Fraction
+    names = {f"x{i+1}": i for i in range(n)}
+    phi = [parse_poly("x1 + x2^2/9", names, n),
+           parse_poly("x2 + x1*x3/8", names, n),
+           parse_poly("x3 - x1^2/7", names, n)]
+    s = flat_pullback_section(n, [F(1), F(1), F(1)], phi)
+    b = _rational_beta(rng, n)
+    x = (F(1, 8), F(-1, 4), F(3, 16))
+    exact = flat_corollary_expression(b, s, x, sig)
+    approx = flat_corollary_expression(b, s, tuple(map(float, x)), sig)
+    assert all(isinstance(v, Fraction) for v in exact.values())
+    assert max(abs(v) for v in exact.values()) > 1e-4
+    for k, v in exact.items():
+        assert abs(float(v) - approx[k]) <= 1e-12 * abs(float(v))
+    const = PolySection(n, [Poly.constant(n, F(a + 1) if a == c else F(0))
+                            for a, c in sym_pairs(n)])
+    cor = flat_corollary_expression(b, const, x, sig)
+    assert all(isinstance(v, Fraction) and v == 0 for v in cor.values())

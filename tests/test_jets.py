@@ -8,12 +8,19 @@ import pytest
 from varjet.fwd import Jet
 from varjet.jets import (JetFunction, JetOrderError, JetPoint, MultiIndex,
                          PolySection, jet_of_section, jet_partials,
-                         pair_index, seed_point, sym_pairs, total_derivative)
+                         pair_index, seed_point, sym_pairs, total_derivative,
+                         total_derivative2)
 from varjet.poly import Poly, parse_poly
 
 
 def _poly(text, names, nvars):
     return parse_poly(text, names, nvars)
+
+
+def _total_derivative(F, j, p):
+    """D_j F at p for a JetFunction F, from F at p seeded at F's order."""
+    seeded, jv = seed_point(p.truncated(F.order), cap=1)
+    return total_derivative(F(seeded), jv, p, j)
 
 
 def _section_x1sq_x2():
@@ -85,11 +92,11 @@ def test_total_derivative_coordinate_functions():
     p = JetPoint(2, 1, 1, (0.2, 0.4), (1.5,), ((2.0, 3.0),))
     Fy = JetFunction(0, lambda q: q.y[0])
     # D_j y = y_j  needs order >= 1; here F has order 0 so p order 1 suffices
-    assert total_derivative(Fy, 0, p) == 2.0
-    assert total_derivative(Fy, 1, p) == 3.0
+    assert _total_derivative(Fy, 0, p) == 2.0
+    assert _total_derivative(Fy, 1, p) == 3.0
     Fx = JetFunction(0, lambda q: q.x[1])
-    assert total_derivative(Fx, 1, p) == 1.0
-    assert total_derivative(Fx, 0, p) == 0.0
+    assert _total_derivative(Fx, 1, p) == 1.0
+    assert _total_derivative(Fx, 0, p) == 0.0
 
 
 def test_total_derivative_product_rule_hand_case():
@@ -100,7 +107,7 @@ def test_total_derivative_product_rule_hand_case():
     d2[pair_index(n, 0, 1)] = 7.0
     p = JetPoint(n, m, 2, (0.0, 0.0), (0.0,), ((2.0, 3.0),), (tuple(d2),))
     F = JetFunction(1, lambda q: q.y1(0, 0) * q.y1(0, 1))
-    assert total_derivative(F, 0, p) == 29.0
+    assert _total_derivative(F, 0, p) == 29.0
 
 
 def test_jet_partials_quadratic_monomial():
@@ -138,13 +145,58 @@ def test_chain_rule_consistency_random_sections():
         s = PolySection(2, [rand_poly() for _ in range(m)])
         x = [rng.uniform(-1, 1), rng.uniform(-1, 1)]
         for j in range(n):
-            lhs = total_derivative(F, j, jet_of_section(s, x, 2))
+            lhs = _total_derivative(F, j, jet_of_section(s, x, 2))
             h = 1e-6
             xp, xm = list(x), list(x)
             xp[j] += h
             xm[j] -= h
             fd = (F(jet_of_section(s, xp, 1)) - F(jet_of_section(s, xm, 1))) / (2 * h)
             assert abs(lhs - fd) <= 1e-6 * max(1.0, abs(lhs))
+
+
+def test_total_derivatives_chain_rule_exact():
+    """D_j G (j^{r+1} s) = d/dx^j [G(j^r s)] for G on J^r, r = 0, 1, 2, and
+    D_iD_j G (j^{r+2} s) = d^2/dx^i dx^j [G(j^r s)] for r = 0, 1, exactly
+    over Fractions.  The right sides are read off G evaluated along the
+    section at a Jet-seeded base point."""
+    rng = random.Random(7)
+    n, m = 2, 2
+    names = {"x1": 0, "x2": 1}
+    mono = ["1", "x1", "x2", "x1*x2", "x1^2", "x2^2", "x1^2*x2", "x1*x2^2",
+            "x1^3", "x2^3", "x1^3*x2", "x1^2*x2^2"]
+
+    def rand_poly():
+        return sum((Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * _poly(t, names, 2)
+                    for t in mono), Poly.constant(2, 0))
+
+    def g_fn(q, r):
+        # a polynomial in every coordinate group of J^r
+        acc = q.x[0] * q.y[1] ** 2 + q.y[0] * q.x[1] + q.y[0] * q.y[1]
+        if r >= 1:
+            acc = acc + q.y[0] * q.y1(1, 0) + q.x[0] * q.y1(0, 1) ** 2
+        if r >= 2:
+            acc = acc + q.y2(0, 0, 1) * q.y1(1, 1) + q.y[1] * q.y2(1, 0, 0) ** 2
+        return acc
+
+    for _ in range(4):
+        s = PolySection(n, [rand_poly() for _ in range(m)])
+        x = (Fraction(rng.randint(-8, 8), 8), Fraction(rng.randint(-8, 8), 8))
+        xs = [Jet.variable(i, x[i], 2, Fraction(1)) for i in range(n)]
+        for r in (0, 1, 2):
+            seeded, jv = seed_point(jet_of_section(s, x, r), cap=2)
+            G = g_fn(seeded, r)
+            along = g_fn(jet_of_section(s, xs, r), r)
+            for j in range(n):
+                lhs = total_derivative(G, jv, jet_of_section(s, x, r + 1), j)
+                assert isinstance(lhs, Fraction) and lhs == along.deriv(j)
+                if r <= 1:
+                    for i in range(n):
+                        lhs2 = total_derivative2(G, jv, jet_of_section(s, x, r + 2), i, j)
+                        assert isinstance(lhs2, Fraction) and lhs2 == along.deriv(i, j)
+            with pytest.raises(JetOrderError):
+                total_derivative(G, jv, jet_of_section(s, x, r), 0)
+            with pytest.raises(JetOrderError):
+                total_derivative2(G, jv, jet_of_section(s, x, min(r + 1, 3)), 0, 1)
 
 
 def test_seed_point_partial_symmetry():

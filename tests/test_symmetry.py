@@ -12,8 +12,9 @@ from varjet.metric import metric_from_jet_point, random_metric_jet
 from varjet.poly import Poly, parse_poly
 from varjet.varcore import (GenericAffineSupplier, SecondOrderLagrangian,
                             VectorField, helmholtz_residuals, noether_current,
-                            noether_divergence, projectability_check, prolong,
-                            random_projectable_lagrangian, symmetry_transform)
+                            noether_divergence, pipeline, projectability_check,
+                            prolong, random_projectable_lagrangian,
+                            symmetry_transform)
 
 
 def random_metric_section(rng, n, base_diag, scale=0.15):
@@ -350,3 +351,27 @@ def test_noether_minkowski_hand_component():
     p3 = jet_of_section(s, x, 3)
     cov = covariant_noether_current(n, u, metric_from_jet_point(p3, (1, 3)), x)
     assert abs(cov[0] + 2.0) <= 1e-12
+
+
+def test_transformed_eh_supplier_runs_through_the_pipeline():
+    # the pipeline seeds Jets whose coefficients are the transformed
+    # supplier's inner Jets, and L_EH takes abs(det g) of them; its value
+    # parts must equal the tables at plain numbers, exactly
+    n = 2
+    names = {"x1": 0, "x2": 1}
+    u = [parse_poly("x1^2 - x2/3", names, n), parse_poly("x1*x2/2 + 1", names, n)]
+    m = len(sym_pairs(n))
+    lift = natural_lift(n, u)
+    ynames = {"x1": 0, "x2": 1, "y11": 2, "y12": 3, "y22": 4}
+    v = [lift[0] + parse_poly("x1*y12/3", ynames, n + m), lift[1],
+         lift[2] - parse_poly("y11*y22/5", ynames, n + m)]
+    X = VectorField(n, m, u, v)
+    tsup, _ = symmetry_transform(affine_supplier(EHLagrangian(n, (2, 0))), X, n, m)
+    F = Fraction
+    q = JetPoint(n, m, 1, (F(1, 3), F(-1, 2)), (F(5, 4), F(1, 2), F(1)),
+                 ((F(1, 3), F(-2, 7)), (F(1, 5), F(1, 2)), (F(-1, 4), F(2, 3))))
+    data = pipeline(tsup, q, cap=0, with_primitives=False)
+    l0, lij = tsup.tables(q.x, q.y, q.dy, 0)
+    assert isinstance(l0, Fraction) and l0 != 0 and data.l0.value == l0
+    assert lij.keys() == data.lij.keys()
+    assert all(data.lij[k].value == c for k, c in lij.items())
