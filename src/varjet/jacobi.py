@@ -28,7 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations_with_replacement
+from math import lcm
 
 from .jets import (JetPoint, MultiIndex, PolySection, delta, jet_of_section,
                    pair_index, point_ring, sym_pairs)
@@ -279,18 +281,22 @@ class DiffOpMatrix:
             out.append(acc)
         return out
 
+    @cached_property
+    def _integer_terms(self) -> list:
+        """terms[A][B]: (a, b, d c) for each term c D^a D^b of P^A_B, with d
+        the lcm of every coefficient's denominator."""
+        d = lcm(*(c.denominator for row in self.entries for e in row
+                  for c in e.values()))
+        return [[[(a, b, int(c * d)) for (a, b), c in e.items()] for e in row]
+                for row in self.entries]
+
     def mode_matrix(self, k) -> list:
-        """P(D -> i k): D^a D^b maps to -k_a k_b; real rational output."""
-        out = []
-        for arow in range(self.npairs):
-            row = []
-            for brow in range(self.npairs):
-                acc = Fraction(0)
-                for (a, b), c in self.entries[arow][brow].items():
-                    acc -= c * k[a] * k[b]
-                row.append(acc)
-            out.append(row)
-        return out
+        """d P(D -> i k): D^a D^b maps to -k_a k_b, and d (the lcm of the
+        coefficient denominators, 2 for the Lorentz operator) makes it an
+        integer matrix for an integer k.  d does not change the kernel."""
+        kk = [[ka * kb for kb in k] for ka in k]
+        return [[-sum(c * kk[a][b] for a, b, c in e) for e in row]
+                for row in self._integer_terms]
 
 
 def flat_operator_matrix(eps) -> DiffOpMatrix:

@@ -1,9 +1,10 @@
 """Global linearized solutions on the flat Lorentzian 4-torus.
 
-Fourier modes turn the constant-coefficient linearized operator into a
-rational 10x10 matrix per integer mode vector; kernels are exact nullspace
-computations.  For every nonzero mode the kernel contains the four
-diffeomorphism (gauge) modes V_ab = k_a xi_b + k_b xi_a; off the null cone
+Fourier modes turn the constant-coefficient linearized operator into an
+integer 10x10 matrix per integer mode vector (the symbol scaled by the lcm
+of its coefficient denominators); kernels are exact nullspace computations.
+For every nonzero mode the kernel contains the four diffeomorphism (gauge)
+modes V_ab = k_a xi_b + k_b xi_a; off the null cone
 k_1^2 = k_2^2 + k_3^2 + k_4^2 these exhaust it (dimension 4), on the null
 cone two wave polarizations join (dimension 6).  The literature's mode-3
 basis fields are particular gauge directions and are validated against the
@@ -58,19 +59,12 @@ def lorentz_operator() -> DiffOpMatrix:
 def gauge_mode_amplitudes(k, n: int = 4) -> list:
     """The n amplitude vectors of the diffeomorphism modes
     V_ab = k_a xi_b + k_b xi_a (up to the overall i factor)."""
-    out = []
-    pairs = sym_pairs(n)
-    for direction in range(n):
-        amp = [Fraction(0)] * len(pairs)
-        for pos, (a, b) in enumerate(pairs):
-            v = 0
-            if b == direction:
-                v += k[a]
-            if a == direction:
-                v += k[b]
-            amp[pos] = Fraction(v)
-        out.append(amp)
-    return out
+    return [[Fraction(v) for v in g] for g in _gauge_rows(k, n)]
+
+
+def _gauge_rows(k, n: int) -> list:
+    return [[(k[a] if b == direction else 0) + (k[b] if a == direction else 0)
+             for a, b in sym_pairs(n)] for direction in range(n)]
 
 
 @dataclass
@@ -107,8 +101,7 @@ def mode_solve(k, op: DiffOpMatrix | None = None) -> ModeSolveResult:
     rows = [r for r in mat if any(v != 0 for v in r)]
     basis = nullspace(rows, ncols=op.npairs)
     cls, pdim = classify_mode(kv.k)
-    gauge = [g for g in gauge_mode_amplitudes(kv.k, op.n)
-             if any(v != 0 for v in g)]
+    gauge = [g for g in _gauge_rows(kv.k, op.n) if any(g)]
     gdim = rank(gauge)
     # the basis spans the exact kernel, so g lies in it iff M g = 0
     gauge_in = all(sum(a * b for a, b in zip(r, g)) == 0 for r in rows for g in gauge)
@@ -238,21 +231,21 @@ def presymplectic_pair(x_field: BasisField, y_field: BasisField) -> Presymplecti
         sum_{kl<=, ab<=} Y_{ab}^{i;kl,j} (dV^{kl}/dx^j W^{ab}
                                           - V^{ab} dW^{kl}/dx^j),
 
-    exact in Gaussian rationals; the result is a single Fourier mode."""
+    exact in Gaussian rationals; the result is a single Fourier mode.  Only
+    pairs of nonzero amplitudes of X and Y are visited."""
     ytab = y_table_flat()
     kv, lv = x_field.mode, y_field.mode
-    a_amp, b_amp = x_field.amp, y_field.amp
+    a_nz = [(p, v) for p, v in enumerate(x_field.amp) if v != 0]
+    b_nz = [(q, v) for q, v in enumerate(y_field.amp) if v != 0]
     coeff = []
     for i in range(4):
         acc = Fraction(0)
-        for klp in range(10):
-            for abp in range(10):
-                for j in range(4):
-                    y = ytab[abp][i][klp][j]
-                    if y == 0:
-                        continue
-                    acc += y * (kv[j] * a_amp[klp] * b_amp[abp]
-                                - lv[j] * a_amp[abp] * b_amp[klp])
+        # with V^p W^q: the first term at (kl, ab) = (p, q), the second at
+        # (ab, kl) = (p, q)
+        for p, av in a_nz:
+            for q, bv in b_nz:
+                acc += av * bv * sum(ytab[q][i][p][j] * kv[j] - ytab[p][i][q][j] * lv[j]
+                                     for j in range(4))
         coeff.append(QC_I * acc)
     return PresymplecticValue(kv + lv, tuple(coeff))
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from .fwd import Jet, ring_one, value_of
 from .jets import (JetFunction, JetOrderError, JetPoint, JetVars, PolySection,
-                   delta, jet_of_section, pair_index, seed_point, sym_pairs,
-                   total_derivative, total_derivative2)
+                   delta, jet_of_section, pair_index, point_ring, seed_point,
+                   sym_pairs, total_derivative, total_derivative2)
 from .poly import Poly
 
 
@@ -543,8 +543,10 @@ def hc_residual(supplier, s: PolySection, x) -> HCResult:
 
 
 def euler_lagrange(supplier, s: PolySection, x) -> list:
-    """E_a(L) = dL/dy^a - D_i(A_a^i) along a section (projectable case)."""
+    """E_a(L) = dL/dy^a - D_i(A_a^i) along a section (projectable case),
+    in the ring of x (see `jets.point_ring`)."""
     n, m = s.n, s.m
+    ev = point_ring(x)
     p2 = jet_of_section(s, x, 2)
     data = pipeline(supplier, p2.truncated(1), cap=1, with_primitives=False)
     jv = data.jv
@@ -557,13 +559,15 @@ def euler_lagrange(supplier, s: PolySection, x) -> list:
                     * data.lij_get(be, i, j).deriv(jv.id_of[("y", al)])
         for i in range(n):
             acc = acc - total_derivative(data.a[(al, i)], jv, p2, i)
-        out.append(float(value_of(acc)))
+        out.append(ev(value_of(acc)))
     return out
 
 
 def euler_lagrange_first_order(supplier, s: PolySection, x) -> list:
-    """E_a(Lbar) = dLbar/dy^a - D_i(dLbar/dy^a_i) along a section."""
+    """E_a(Lbar) = dLbar/dy^a - D_i(dLbar/dy^a_i) along a section, in the
+    ring of x."""
     n, m = s.n, s.m
+    ev = point_ring(x)
     p2 = jet_of_section(s, x, 2)
     data = pipeline(supplier, p2.truncated(1), cap=2)
     jv = data.jv
@@ -573,7 +577,7 @@ def euler_lagrange_first_order(supplier, s: PolySection, x) -> list:
         for i in range(n):
             g = data.lbar.partial(jv.id_of[("y1", al, i)])
             acc = acc - total_derivative(g, jv, p2, i)
-        out.append(float(value_of(acc)))
+        out.append(ev(value_of(acc)))
     return out
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ from varjet.jets import (JetFunction, JetPoint, PolySection, jet_of_section,
 from varjet.metric import metric_from_jet_point, random_metric_jet
 from varjet.poly import Poly, parse_poly
 from varjet.varcore import (GenericAffineSupplier, SecondOrderLagrangian,
-                            VectorField, helmholtz_residuals, noether_current,
-                            noether_divergence, pipeline, projectability_check,
-                            prolong, random_projectable_lagrangian,
-                            symmetry_transform)
+                            VectorField, euler_lagrange,
+                            euler_lagrange_first_order, helmholtz_residuals,
+                            noether_current, noether_divergence, pipeline,
+                            projectability_check, prolong,
+                            random_projectable_lagrangian, symmetry_transform)
 
 
 def random_metric_section(rng, n, base_diag, scale=0.15):
@@ -46,9 +47,9 @@ def test_helmholtz_eh_small_dims():
             assert res.max_all <= 1e-12, (n, res)
 
 
-def test_helmholtz_eh_exact_over_fractions():
-    # the total derivatives are exact, so over Fractions a variational
-    # operator satisfies all three families with no residual at all
+def _eh_flat_pullback_n2():
+    """The n = 2 Euclidean metric pulled back by a polynomial chart map,
+    with Fraction coefficients: a solution of the EH equations."""
     n = 2
     names = {"x1": 0, "x2": 1}
     phi = [parse_poly("x1 + x2^2/9 - x1^3/5", names, n),
@@ -56,10 +57,25 @@ def test_helmholtz_eh_exact_over_fractions():
     polys = []
     for a, b in sym_pairs(n):
         polys.append(phi[0].diff(a) * phi[0].diff(b) + phi[1].diff(a) * phi[1].diff(b))
-    s = PolySection(n, polys)
-    sup = affine_supplier(EHLagrangian(n, (2, 0)))
+    return PolySection(n, polys)
+
+
+def test_helmholtz_eh_exact_over_fractions():
+    # the total derivatives are exact, so over Fractions a variational
+    # operator satisfies all three families with no residual at all
+    s = _eh_flat_pullback_n2()
+    sup = affine_supplier(EHLagrangian(2, (2, 0)))
     res = helmholtz_residuals(sup, s, [Fraction(1, 10), Fraction(-1, 5)])
     assert res.max_all == 0, res
+
+
+def test_euler_lagrange_eh_exact_over_fractions():
+    # both Euler-Lagrange forms stay in the ring of x: exactly 0 here
+    s = _eh_flat_pullback_n2()
+    sup = affine_supplier(EHLagrangian(2, (2, 0)))
+    x = [Fraction(1, 10), Fraction(-1, 5)]
+    for el in (euler_lagrange(sup, s, x), euler_lagrange_first_order(sup, s, x)):
+        assert el == [0, 0, 0] and all(type(v) is Fraction for v in el), el
 
 
 def test_helmholtz_first_order_toy():

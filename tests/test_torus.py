@@ -1,10 +1,13 @@
 """Torus Fourier modes, the presymplectic pairing tables, cohomology classes
 and the radical probe."""
 
+import random
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
+from test_linalg import field_nullspace, field_rref, typed
 
 from varjet.jets import pair_index
 from varjet.linalg import QC, QC_I, rank
@@ -13,7 +16,7 @@ from varjet.torus import (BasisField, ModeVector, SideConditionError,
                           cohomology_class, gauge_mode_amplitudes,
                           lorentz_operator, mode_solve, presymplectic_pair,
                           radical_probe, upsilon_matrix_flat,
-                          upsilon_natural_flat)
+                          upsilon_natural_flat, y_table_flat)
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +91,28 @@ def test_gauge_modes_solve_exactly():
         for g in gauge_mode_amplitudes(k):
             for row in mat:
                 assert sum(c * v for c, v in zip(row, g)) == 0
+
+
+def test_mode_sweep_matches_rational_reference():
+    """Every mode with entries in -2..2: `mode_matrix` is the int matrix
+    2 P(ik), and `mode_solve` equals field elimination of P(ik) built from
+    the operator's entries."""
+    op = lorentz_operator()
+    for k in product(range(-2, 3), repeat=4):
+        p = [[-sum((c * k[a] * k[b] for (a, b), c in e.items()), F(0)) for e in row]
+             for row in op.entries]
+        mat = op.mode_matrix(k)
+        assert all(type(v) is int for row in mat for v in row)
+        assert mat == [[2 * v for v in row] for row in p]
+        basis = field_nullspace(p)
+        gauge = [g for g in gauge_mode_amplitudes(k) if any(g)]
+        gdim = len(field_rref(gauge)[1])
+        gauge_in = all(sum(a * b for a, b in zip(r, g)) == 0 for r in p for g in gauge)
+        res = mode_solve(k)
+        assert res.dimension == len(basis), k
+        assert typed(res.basis) == typed(basis), k
+        assert res.gauge_dimension == gdim, k
+        assert res.kernel_is_gauge == (gauge_in and len(basis) == gdim), k
 
 
 def test_spec_example_mode_3_0_2_0():
@@ -263,6 +288,36 @@ def test_all_printed_pairing_families_reproduced_exactly():
             else:
                 expected = QC_I * val if val != 0 else QC.of(0)
                 assert w.coeff[comp - 1] == expected, (a, b, comp, k, l)
+
+
+def _dense_pair(x_field, y_field):
+    """The pairing coefficients by the full 10x10x4x4 contraction."""
+    ytab = y_table_flat()
+    kv, lv, a_amp, b_amp = x_field.mode, y_field.mode, x_field.amp, y_field.amp
+    coeff = []
+    for i in range(4):
+        acc = F(0)
+        for klp, abp, j in product(range(10), range(10), range(4)):
+            y = ytab[abp][i][klp][j]
+            if y != 0:
+                acc += y * (kv[j] * a_amp[klp] * b_amp[abp]
+                            - lv[j] * a_amp[abp] * b_amp[klp])
+        coeff.append(QC_I * acc)
+    return coeff
+
+
+def test_pairing_matches_dense_contraction():
+    rng = random.Random(65)
+    labels = {h: tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(4))
+              for h in range(1, 9)}
+    fields = [basis_field(h, labels[h]) for h in range(1, 9)]
+    fields += [basis_field_as_tabulated(h, labels[h]) for h in (1, 6)]
+    for x_field, y_field in product(fields, repeat=2):
+        w = presymplectic_pair(x_field, y_field)
+        want = _dense_pair(x_field, y_field)
+        assert w.mode == x_field.mode + y_field.mode
+        assert [(c, type(c.re), type(c.im)) for c in w.coeff] == \
+            [(c, type(c.re), type(c.im)) for c in want]
 
 
 def test_pairing_mode_is_sum_of_modes():
