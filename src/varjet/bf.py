@@ -7,21 +7,24 @@ associated second-order Lagrangian is
     L_beta = (-1)^{k+l+1} beta_{kl,i}^j y^{ih} y_{hl,jk} + L_beta^0,
 
 whose value along metric jets equals the curvature trace
-sum_{k<l} (-1)^{k+l+1} beta_{kl,j}^i (R^g)^j_{ikl}.  The Einstein-Hilbert
-Lagrangian is the special case beta = beta_EH.
+sum_{k<l} (-1)^{k+l+1} beta_{kl,j}^i (R^g)^j_{ikl} when beta satisfies the
+skew constraint.  L_beta is affine in y'', so for such a beta
+L_beta^0(y, y') = L_beta(y, y', y'' = 0) is the same trace with every second
+derivative set to 0, which is how `l_beta_zero` computes it.  The
+Einstein-Hilbert Lagrangian is the special case beta = beta_EH.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from .fwd import Jet, value_of
-from .jets import (JetFunction, JetPoint, delta, jet_of_section, pair_index,
-                   seed_point, sign1, sym_pairs, total_derivative,
-                   total_derivative2)
+from .jets import (JetFunction, delta, jet_of_section, pair_index, seed_point,
+                   sign1, sym_pairs, total_derivative, total_derivative2)
 from .metric import (MetricJet, christoffel, curvature, ginv_rho, mat_inverse,
                      metric_from_jet_point)
 from .varcore import TableAffineSupplier
@@ -32,10 +35,12 @@ class BetaConstraintError(ValueError):
 
 
 class BetaForm:
-    """Coefficients beta_{kl,j}^i(g) for k < l as callables of the metric row.
+    """Coefficients beta_{kl,j}^i(g) for k < l, read one metric row at a time.
 
-    `fn(k, l, j, i, g_row)` must be ring-generic; values for k >= l follow by
-    antisymmetry.  The skew constraint
+    `fn(g_row)` must be ring-generic and return the callable
+    `(k, l, j, i) -> beta_{kl,j}^i` (k < l) at that row, so that what the
+    coefficients share (g^{-1}, rho) is formed once per row; values for
+    k >= l follow by antisymmetry.  The skew constraint
     beta_{ac,i}^d y^{ib} + beta_{ac,i}^b y^{id} = 0 is validated pointwise.
     """
 
@@ -44,22 +49,16 @@ class BetaForm:
         self.fn = fn
         self.name = name
 
-    def coeff(self, k: int, l: int, j: int, i: int, g_row):
-        if k == l:
-            return 0
-        if k < l:
-            return self.fn(k, l, j, i, g_row)
-        return -self.fn(l, k, j, i, g_row)
-
     def table(self, g_row):
         """beta[k][l][j][i] with the antisymmetric extension filled in."""
         n = self.n
+        coeff = self.fn(g_row)
         out = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
         for k in range(n):
             for l in range(k + 1, n):
                 for j in range(n):
                     for i in range(n):
-                        v = self.fn(k, l, j, i, g_row)
+                        v = coeff(k, l, j, i)
                         out[k][l][j][i] = v
                         out[l][k][j][i] = -v
         return out
@@ -91,12 +90,14 @@ def beta_eh(n: int, signature) -> BetaForm:
     """(beta_EH)_{kl,i}^j = (-1)^{k+l+1} rho (delta^{ik} y^{jl}
     - delta^{il} y^{jk}); reproduces the E-H Lagrangian."""
 
-    def fn(k, l, j, i, g_row):
-        # argument order of BetaForm.fn is (k, l, j, i) with j the covariant
-        # slot and i the contravariant one; the display has sub i / sup j,
-        # so translate: coefficient beta_{kl, cov}^{contra}.
+    def fn(g_row):
         ginv, rho = ginv_rho(n, g_row)
-        return sign1(k + l) * rho * (delta(j, k) * ginv[i][l] - delta(j, l) * ginv[i][k])
+
+        # (k, l, j, i): j the covariant slot and i the contravariant one (the
+        # display has sub i / sup j), so this is beta_{kl, cov}^{contra}
+        def coeff(k, l, j, i):
+            return sign1(k + l) * rho * (delta(j, k) * ginv[i][l] - delta(j, l) * ginv[i][k])
+        return coeff
 
     return BetaForm(n, fn, name="beta_EH")
 
@@ -109,14 +110,11 @@ def beta_from_antisym(n: int, a_entries):
     metric row (or plain constants).
     """
 
-    def fn(k, l, j, i, g_row):
-        amat = a_entries[(k, l)]
-        s = 0
-        for b in range(n):
-            entry = amat[i][b]
-            aval = entry(g_row) if callable(entry) else entry
-            s = s + aval * g_row[pair_index(n, b, j)]
-        return s
+    def fn(g_row):
+        def coeff(k, l, j, i):
+            arow = [e(g_row) if callable(e) else e for e in a_entries[(k, l)][i]]
+            return sum(arow[b] * g_row[pair_index(n, b, j)] for b in range(n))
+        return coeff
 
     return BetaForm(n, fn, name="beta_from_antisym")
 
@@ -151,10 +149,21 @@ def _beta_aux(tab, l: int, t: int, j: int, k: int):
 
 
 def l_beta_zero(beta: BetaForm, mj: MetricJet):
-    """The zero-order part L_beta^0 (quadratic in first metric derivatives)."""
+    """L_beta^0, quadratic in first metric derivatives: the curvature trace
+    `l_beta_trace` at this metric jet with y'' = 0, as L_beta is affine in
+    y''.  The identity needs the skew constraint, so beta is validated at the
+    scalar value of the metric row.  The printed sum is the oracle
+    `l_beta_zero_reference`."""
+    beta.validate(tuple(map(value_of, mj.g)))
+    zero_d2 = ((0,) * len(mj.g),) * len(mj.g)
+    return l_beta_trace(beta, replace(mj, d2g=zero_d2))
+
+
+def l_beta_zero_reference(beta: BetaForm, mj: MetricJet):
+    """L_beta^0 exactly as displayed, a double sum of nine brackets (test
+    oracle, any beta)."""
     n = beta.n
-    gm = mj.matrix()
-    ginv = mat_inverse(gm)
+    ginv = mat_inverse(mj.matrix())
     aux = partial(_beta_aux, beta.table(mj.g))
     total = 0
     for k, l in sym_pairs(n):
@@ -222,19 +231,12 @@ def lij_block(beta: BetaForm, g_row, n: int):
 
 
 def l_beta(beta: BetaForm, mj: MetricJet):
-    """L_beta at an order-2 metric jet, from the affine coordinate form."""
-    beta.validate(mj.g)
-    return _l_beta_affine(beta, mj)
-
-
-def _l_beta_affine(beta: BetaForm, mj: MetricJet):
+    """L_beta at an order-2 metric jet, from the affine coordinate form;
+    `l_beta_zero` validates beta."""
     n = beta.n
-    blk = lij_block(beta, mj.g, n)
     total = l_beta_zero(beta, mj)
-    for a, b in sym_pairs(n):
-        ai = pair_index(n, a, b)
-        for c, d in sym_pairs(n):
-            total = total + (2 - delta(c, d)) * blk[(ai, c, d)] * mj.d2comp(a, b, c, d)
+    for (ai, c, d), coef in lij_block(beta, mj.g, n).items():
+        total = total + (2 - delta(c, d)) * coef * mj.d2g[ai][pair_index(n, c, d)]
     return total
 
 
@@ -255,11 +257,8 @@ def l_beta_trace(beta: BetaForm, mj: MetricJet):
 
 def jet_function(beta: BetaForm, n: int, signature) -> JetFunction:
     """L_beta as a generic jet function (for the varcore pipeline)."""
-
-    def fn(p: JetPoint):
-        return _l_beta_affine(beta, metric_from_jet_point(p, signature))
-
-    return JetFunction(2, fn, name=f"L_{beta.name}")
+    return JetFunction(2, lambda p: l_beta(beta, metric_from_jet_point(p, signature)),
+                       name=f"L_{beta.name}")
 
 
 def affine_supplier(beta: BetaForm, n: int, signature) -> TableAffineSupplier:
@@ -269,10 +268,8 @@ def affine_supplier(beta: BetaForm, n: int, signature) -> TableAffineSupplier:
         return l_beta_zero(beta, MetricJet(n, tuple(signature), tuple(y),
                                            tuple(tuple(r) for r in dy)))
 
-    def lij(x, y, dy):
-        return lij_block(beta, y, n)
-
-    return TableAffineSupplier(n, len(sym_pairs(n)), l0, lij)
+    return TableAffineSupplier(n, len(sym_pairs(n)), l0,
+                               lambda x, y, dy: lij_block(beta, y, n))
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +373,7 @@ def bilinear_form_beta(beta: BetaForm, mj: MetricJet):
                 for row in plane] for plane in block] for block in tab_seeded]
              for w in range(npairs)]
     aux = partial(_beta_aux, tab)
-
-    def daux(l, t, j, k, w):
-        return _beta_aux(dtabs[w], l, t, j, k)
+    daux = [partial(_beta_aux, dt) for dt in dtabs]
 
     mat = np.zeros((npairs * n, npairs * n))
     for rs_i, (r, s) in enumerate(pairs):
@@ -417,11 +412,11 @@ def bilinear_form_beta(beta: BetaForm, mj: MetricJet):
                         w_rs = pair_index(n, r, s)
                         w_ab = pair_index(n, a, b)
                         tot += (1 + delta(r, s)) * (
-                            sign1(a) * daux(a, t, i, j, w_rs) * giv[t][b]
-                            + sign1(b) * daux(b, t, i, j, w_rs) * giv[t][a])
+                            sign1(a) * daux[w_rs](a, t, i, j) * giv[t][b]
+                            + sign1(b) * daux[w_rs](b, t, i, j) * giv[t][a])
                         tot += (1 + delta(a, b)) * (
-                            sign1(r) * daux(r, t, i, j, w_ab) * giv[t][s]
-                            + sign1(s) * daux(s, t, i, j, w_ab) * giv[t][r])
+                            sign1(r) * daux[w_ab](r, t, i, j) * giv[t][s]
+                            + sign1(s) * daux[w_ab](s, t, i, j) * giv[t][r])
                     w = 0.5 / ((1 + delta(a, b)) * (1 + delta(r, s)))
                     mat[rs_i * n + i][ab_i * n + j] = w * tot
     return mat

@@ -917,25 +917,27 @@ def noether_current(supplier, X: VectorField, s: PolySection, x) -> list:
     in the basis (-1)^{i-1} v_i:
 
         J^i = A_a^i (v^a - u^k y^a_k) + L_a^{ih} (v^a_h - u^k y^a_(hk))
-              + u^i L.
+              + u^i L,
 
-    The form is closed along extremals when X is an infinitesimal symmetry.
+    in the ring of x.  The form is closed along extremals when X is an
+    infinitesimal symmetry.
     """
     n, m = s.n, s.m
+    ev = point_ring(x)
     p2 = jet_of_section(s, x, 2)
     data = pipeline(supplier, p2.truncated(1), cap=1)
     pro = prolong(X, p2, order=1)
     u = pro.u
-    lval = float(value_of(lagrangian_value(supplier, p2)))
+    lval = ev(value_of(lagrangian_value(supplier, p2)))
     out = []
     for i in range(n):
         acc = u[i] * lval
         for al in range(m):
             vert = pro.v[al] - sum(u[k] * p2.y1(al, k) for k in range(n))
-            acc = acc + float(value_of(data.a[(al, i)].value)) * vert
+            acc = acc + ev(value_of(data.a[(al, i)].value)) * vert
             for h in range(n):
                 vert1 = pro.v1[al][h] - sum(u[k] * p2.y2(al, h, k) for k in range(n))
-                acc = acc + float(value_of(data.lij_get(al, i, h).value)) * vert1
+                acc = acc + ev(value_of(data.lij_get(al, i, h).value)) * vert1
         out.append(acc)
     return out
 

@@ -9,13 +9,15 @@ import pytest
 from varjet.bf import (BetaConstraintError, BetaForm, beta_eh, beta_from_antisym,
                        bilinear_form_beta, el_residual_beta,
                        flat_corollary_expression, jet_function, l_beta,
-                       l_beta_trace, random_constrained_beta)
+                       l_beta_trace, l_beta_zero, l_beta_zero_reference,
+                       random_constrained_beta)
 from varjet.bf import affine_supplier as bf_supplier
 from varjet.einstein import EHLagrangian
 from varjet.einstein import affine_supplier as eh_supplier
 from varjet.jets import PolySection, jet_of_section, pair_index, sym_pairs
-from varjet.metric import (constant_metric_jet, curvature, ginv_rho,
-                           metric_from_jet_point, random_metric_jet)
+from varjet.metric import (MetricJet, constant_metric_jet, curvature, ginv_rho,
+                           metric_from_jet_point, random_metric_jet,
+                           signature_diagonal)
 from varjet.poly import Poly, parse_poly
 from varjet.varcore import bilinear_form_b, euler_lagrange
 
@@ -40,7 +42,7 @@ def test_beta_eh_skew_constraint_random():
 
 def test_constraint_validator_rejects():
     n = 3
-    bad = BetaForm(n, lambda k, l, j, i, g: 1.0)
+    bad = BetaForm(n, lambda g: lambda k, l, j, i: 1.0)
     mj = constant_metric_jet([1, 1, 1], order=0)
     with pytest.raises(BetaConstraintError):
         bad.validate(mj.g)
@@ -49,7 +51,7 @@ def test_constraint_validator_rejects():
 def test_zero_beta_gives_zero_lagrangian():
     rng = np.random.default_rng(32)
     n = 3
-    zero = BetaForm(n, lambda k, l, j, i, g: 0.0)
+    zero = BetaForm(n, lambda g: lambda k, l, j, i: 0.0)
     mj = random_metric_jet(rng, n, (3, 0), order=2)
     assert l_beta(zero, mj) == 0
 
@@ -176,7 +178,7 @@ def test_bilinear_form_beta_eh_is_y_table():
 def test_bilinear_form_beta_zero_and_symmetry():
     rng = np.random.default_rng(38)
     n, sig = 3, (3, 0)
-    zero = BetaForm(n, lambda k, l, j, i, g: 0.0)
+    zero = BetaForm(n, lambda g: lambda k, l, j, i: 0.0)
     mj = random_metric_jet(rng, n, sig, order=1)
     assert np.max(np.abs(bilinear_form_beta(zero, mj))) == 0.0
     for linear in (False, True):
@@ -245,8 +247,9 @@ def test_flat_corollary_detects_non_solutions():
     assert max(abs(v) for v in cor.values()) > 1e-4
 
 
-def _rational_beta(rng, n):
-    """beta_from_antisym with constant Fraction entries."""
+def _rational_beta(rng, n, linear_in_g=False):
+    """beta_from_antisym with Fraction entries: constants, or a Fraction
+    times one stored metric slot."""
     a_entries = {}
     for k in range(n):
         for l in range(k + 1, n):
@@ -254,9 +257,146 @@ def _rational_beta(rng, n):
             for d in range(n):
                 for b in range(d + 1, n):
                     c = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
-                    mat[d][b], mat[b][d] = c, -c
+                    if linear_in_g:
+                        w = int(rng.integers(0, len(sym_pairs(n))))
+                        mat[d][b] = lambda g, c=c, w=w: c * g[w]
+                        mat[b][d] = lambda g, c=c, w=w: -c * g[w]
+                    else:
+                        mat[d][b], mat[b][d] = c, -c
             a_entries[(k, l)] = mat
     return beta_from_antisym(n, a_entries)
+
+
+def _rational_metric_jet(rng, n, sig):
+    """An order-1 metric jet over Fractions: g = A^T diag(eps) A with A
+    upper triangular and rational, so rho = |det A| is rational too."""
+    eps = signature_diagonal(n, sig)
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        for j in range(i + 1, n):
+            a[i][j] = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5)))
+    g = tuple(sum(a[c][p] * eps[c] * a[c][q] for c in range(n))
+              for p, q in sym_pairs(n))
+    dg = tuple(tuple(Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 6)))
+                     for _ in range(n)) for _ in sym_pairs(n))
+    return MetricJet(n, tuple(sig), g, dg)
+
+
+def _zero_second_jet(mj):
+    m = len(mj.g)
+    return MetricJet(mj.n, mj.signature, mj.g, mj.dg, ((0,) * m,) * m)
+
+
+@pytest.mark.parametrize("n, sig", [(3, (2, 1)), (4, (1, 3))])
+def test_l_beta_zero_equals_display_exactly(n, sig):
+    """L_beta^0, computed as the curvature trace at y'' = 0, equals the
+    printed double sum exactly over Fractions for beta_EH and for rational
+    A g forms, constant and linear in g."""
+    rng = np.random.default_rng(60 + n)
+    mj = _rational_metric_jet(rng, n, sig)
+    for b in (beta_eh(n, sig), _rational_beta(rng, n),
+              _rational_beta(rng, n, linear_in_g=True)):
+        v = l_beta_zero(b, mj)
+        assert isinstance(v, Fraction) and v != 0
+        assert v == l_beta_zero_reference(b, mj)
+
+
+@pytest.mark.parametrize("n, sig", [(3, (2, 1)), (4, (1, 3))])
+def test_l_eh_zero_is_scalar_curvature_at_zero_second_jet(n, sig):
+    """The same identity for Einstein-Hilbert: (L_EH)_0 = rho R at y'' = 0,
+    exactly over Fractions."""
+    rng = np.random.default_rng(62 + n)
+    mj = _rational_metric_jet(rng, n, sig)
+    _, rho = ginv_rho(n, mj.g)
+    l0 = EHLagrangian(n, sig).l0(mj)
+    assert isinstance(l0, Fraction) and l0 != 0
+    assert l0 == rho * curvature(_zero_second_jet(mj)).scalar
+
+
+def test_l_beta_zero_refuses_unconstrained_beta():
+    """The trace at y'' = 0 is L_beta^0 only under the skew constraint: for a
+    rational beta that fails it the two differ, and the BF supplier's
+    Euler-Lagrange operator raises instead of returning a value."""
+    rng = np.random.default_rng(64)
+    n, sig = 3, (2, 1)
+    vals = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+            for _ in range(n ** 4)]
+    bad = BetaForm(n, lambda g: lambda k, l, j, i: vals[((k * n + l) * n + j) * n + i])
+    mj = _rational_metric_jet(rng, n, sig)
+    assert l_beta_trace(bad, _zero_second_jet(mj)) != l_beta_zero_reference(bad, mj)
+    with pytest.raises(BetaConstraintError):
+        l_beta_zero(bad, mj)
+    names = {f"x{i+1}": i for i in range(n)}
+    phi = [parse_poly("x1 + x2^2/9", names, n),
+           parse_poly("x2 + x1*x3/8", names, n),
+           parse_poly("x3 - x1^2/7", names, n)]
+    s = flat_pullback_section(n, [-1.0, 1.0, 1.0], phi)
+    with pytest.raises(BetaConstraintError):
+        euler_lagrange(bf_supplier(bad, n, sig), s, (0.1, -0.2, 0.15))
+
+
+def _lorentz_flat_pullback(rng, n):
+    """g = phi^* eta for phi = x + a seeded quadratic, eta = diag(-1, 1, ...)."""
+    phi = []
+    for c in range(n):
+        p = Poly.variable(n, c)
+        for i, j in sym_pairs(n):
+            p = p + round(float(rng.uniform(-0.15, 0.15)), 3) \
+                * Poly.variable(n, i) * Poly.variable(n, j)
+        phi.append(p)
+    return flat_pullback_section(n, [-1.0] + [1.0] * (n - 1), phi)
+
+
+def test_el_bf_beta_eh_matches_eh_n4():
+    """At n = 4 the BF supplier of beta_EH gives the Euler-Lagrange operator
+    of the E-H supplier, on a Lorentzian flat pullback (both vanish) and on
+    a non-flat perturbation of it."""
+    rng = np.random.default_rng(47)
+    n, sig = 4, (1, 3)
+    s = _lorentz_flat_pullback(rng, n)
+    x = tuple(float(v) for v in rng.uniform(-0.2, 0.2, n))
+    bump = round(float(rng.uniform(-0.1, 0.1)), 3) * Poly.variable(n, 0) * Poly.variable(n, 1)
+    bent = PolySection(n, [p + bump for p in s.polys])
+    bf_sup = bf_supplier(beta_eh(n, sig), n, sig)
+    eh_sup = eh_supplier(EHLagrangian(n, sig))
+    for sec in (s, bent):
+        el_bf = euler_lagrange(bf_sup, sec, x)
+        el_eh = euler_lagrange(eh_sup, sec, x)
+        for a, b in zip(el_bf, el_eh):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+    assert max(map(abs, el_eh)) > 1e-3
+
+
+def test_el_beta_matches_generic_euler_lagrange_n4():
+    """At n = 4 the generic Euler-Lagrange operator through the BF supplier
+    of a random constrained beta equals the displayed covariant form, on a
+    Lorentzian flat pullback where beta fails the field equations."""
+    rng = np.random.default_rng(48)
+    n, sig = 4, (1, 3)
+    s = _lorentz_flat_pullback(rng, n)
+    x = tuple(float(v) for v in rng.uniform(-0.2, 0.2, n))
+    b = random_constrained_beta(rng, n, linear_in_g=True)
+    el_gen = euler_lagrange(bf_supplier(b, n, sig), s, x)
+    el_cov = el_residual_beta(b, s, x, sig)
+    for k, ab in enumerate(sym_pairs(n)):
+        assert abs(el_gen[k] - el_cov[ab]) <= 1e-9 * max(1.0, abs(el_cov[ab]))
+    assert max(map(abs, el_gen)) > 1e-3
+
+
+def test_el_bf_beta_eh_exact_zero_on_flat_pullback():
+    """Over Fractions the BF supplier of beta_EH gives exactly 0 on a flat
+    Lorentzian pullback at n = 3."""
+    n, sig = 3, (1, 2)
+    names = {f"x{i+1}": i for i in range(n)}
+    phi = [parse_poly("x1 + x2^2/9", names, n),
+           parse_poly("x2 + x1*x3/8", names, n),
+           parse_poly("x3 - x1^2/7", names, n)]
+    s = flat_pullback_section(n, [Fraction(-1), Fraction(1), Fraction(1)], phi)
+    x = (Fraction(1, 8), Fraction(-1, 4), Fraction(3, 16))
+    el = euler_lagrange(bf_supplier(beta_eh(n, sig), n, sig), s, x)
+    assert el == [0] * 6
+    assert all(isinstance(v, Fraction) for v in el)
 
 
 def test_flat_corollary_expression_exact():

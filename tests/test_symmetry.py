@@ -347,6 +347,36 @@ def test_noether_jet_vs_covariant_flat_backgrounds():
                 assert abs(a - b) <= 1e-7 * max(1.0, abs(a))
 
 
+def test_noether_current_in_the_ring_of_x():
+    """At a Fraction point on an exact flat pullback the jet-coefficient
+    current of the natural lift is a list of Fractions, and the float call
+    at the same point agrees to 1e-15."""
+    n = 3
+    sup = affine_supplier(EHLagrangian(n, (1, 2)))
+    names = {f"x{i+1}": i for i in range(n)}
+    u = [parse_poly("x2^2", names, n), parse_poly("x1*x3 + x2", names, n),
+         parse_poly("x3^2 - x1^2", names, n)]
+    X = VectorField(n, len(sym_pairs(n)), u, natural_lift(n, u))
+    eta = [Fraction(-1), Fraction(1), Fraction(1)]
+    phi = [parse_poly("x1 + x2^2/8 + x1*x3/9", names, n),
+           parse_poly("x2 - x1^2/7", names, n),
+           parse_poly("x3 + x1*x2/6", names, n)]
+    polys = []
+    for a, b in sym_pairs(n):
+        acc = Poly.constant(n, 0)
+        for c in range(n):
+            acc = acc + eta[c] * phi[c].diff(a) * phi[c].diff(b)
+        polys.append(acc)
+    s = PolySection(n, polys)
+    x = (Fraction(1, 8), Fraction(-1, 4), Fraction(3, 16))
+    exact = noether_current(sup, X, s, x)
+    approx = noether_current(sup, X, s, tuple(map(float, x)))
+    assert all(isinstance(v, Fraction) for v in exact)
+    assert all(isinstance(v, float) for v in approx)
+    for a, b in zip(exact, approx):
+        assert abs(float(a) - b) <= 1e-15 * max(1.0, abs(b))
+
+
 def test_noether_minkowski_hand_component():
     # u = (x^2)^2 d/dx^1, flat Minkowski: the covariant formula reduces to
     # second partials of u; component 1 = eps_1 sum_c u^c_{,1c}
