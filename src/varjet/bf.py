@@ -23,8 +23,9 @@ from functools import partial
 import numpy as np
 
 from .fwd import Jet, value_of
-from .jets import (JetFunction, delta, jet_of_section, pair_index, seed_point,
-                   sign1, sym_pairs, total_derivative, total_derivative2)
+from .jets import (JetFunction, contract, delta, jet_of_section, pair_index,
+                   point_ring, ring_unit, seed_point, sign1, sym_pairs,
+                   total_derivative2_stencil, total_derivative_stencil)
 from .metric import (MetricJet, christoffel, curvature, ginv_rho, mat_inverse,
                      metric_from_jet_point)
 from .varcore import TableAffineSupplier
@@ -222,11 +223,12 @@ def lij_block(beta: BetaForm, g_row, n: int):
                     total = total + s * tab[kk][l][i][j] * ginv[i][h]
         return total
 
+    half = ring_unit(ginv[0][0]) / 2
     out = {}
     for a, b in sym_pairs(n):
         for c, d in sym_pairs(n):
-            w = Fraction(1, 2 - delta(c, d))
-            out[(pair_index(n, a, b), c, d)] = full_coeff(a, b, c, d) * w
+            coef = full_coeff(a, b, c, d)
+            out[(pair_index(n, a, b), c, d)] = coef if c == d else coef * half
     return out
 
 
@@ -269,7 +271,7 @@ def affine_supplier(beta: BetaForm, n: int, signature) -> TableAffineSupplier:
                                            tuple(tuple(r) for r in dy)))
 
     return TableAffineSupplier(n, len(sym_pairs(n)), l0,
-                               lambda x, y, dy: lij_block(beta, y, n))
+                               lambda x, y: lij_block(beta, y, n))
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +288,11 @@ def el_residual_beta(beta: BetaForm, s, x, signature):
     with Phi_a^{rb} the covariant-divergence auxiliary of beta o g.  Phi is
     a function on J^1, evaluated once as Jets over the J^1 coordinates; its
     x-derivatives are the exact total derivatives D_r Phi along the order-3
-    jet of the section.
+    jet of the section.  Values are in the ring of x (see
+    `jets.point_ring`).
     """
     n = beta.n
+    ev = point_ring(x)
     p3 = jet_of_section(s, x, 3)
     cdat = curvature(metric_from_jet_point(p3, signature))
     gam = cdat.gamma
@@ -325,9 +329,11 @@ def el_residual_beta(beta: BetaForm, s, x, signature):
                         tot = tot + sk * inner * ginv1[r][i]
                 phi[a][r][b] = tot
 
+    st = [total_derivative_stencil(jv, p3, r) for r in range(n)]
+
     def dphi(a, r, b):   # D_r Phi_a^{rb}
         v = phi[a][r][b]
-        return total_derivative(v, jv, p3, r) if isinstance(v, Jet) else 0
+        return contract(v, st[r]) if isinstance(v, Jet) else 0
 
     out = {}
     for a, b in sym_pairs(n):
@@ -350,7 +356,7 @@ def el_residual_beta(beta: BetaForm, s, x, signature):
             for r in range(n):
                 second = second + sl * (value_of(phi[l][r][b]) * gam[a][r][l]
                                         + value_of(phi[l][r][a]) * gam[b][r][l])
-        out[(a, b)] = float(first / 2 - second / (1 + delta(a, b)))
+        out[(a, b)] = ev(first / 2 - second / (1 + delta(a, b)))
     return out
 
 
@@ -453,11 +459,15 @@ def flat_corollary_expression(beta: BetaForm, s, x, signature):
                         acc = acc + sign1(l) * _beta_aux(tab, l, j, i, k) * giv[j][t]
                     s_fn[k][l][t][i] = acc
 
+    st1 = [total_derivative_stencil(jv, p3, u) for u in range(n)]
+    st2 = [[total_derivative2_stencil(jv, p3, v, u) for u in range(n)]
+           for v in range(n)]
+
     def sval(k, l, t, i):
         return s_fn[k][l][t][i].value
 
     def ds(u, k, l, t, i):
-        return total_derivative(s_fn[k][l][t][i], jv, p3, u)
+        return contract(s_fn[k][l][t][i], st1[u])
 
     def nabla1(v, k, l, t, i):
         acc = ds(v, k, l, t, i)
@@ -470,7 +480,7 @@ def flat_corollary_expression(beta: BetaForm, s, x, signature):
 
     def nabla2(u, v, k, l, t, i):
         # d_u (nabla_v S) with Gamma corrections on the four slots and -Gamma^e_{uv} nabla_e
-        acc = total_derivative2(s_fn[k][l][t][i], jv, p3, v, u)
+        acc = contract(s_fn[k][l][t][i], st2[v][u])
         for m_ in range(n):
             acc += dgam[k][v][m_][u] * sval(m_, l, t, i) \
                 + dgam[l][v][m_][u] * sval(k, m_, t, i) \

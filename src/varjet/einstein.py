@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fwd import Jet, value_of
-from .jets import JetFunction, JetPoint, delta, pair_index, sym_pairs
+from .jets import JetFunction, JetPoint, delta, pair_index, ring_unit, sym_pairs
 from .metric import MetricJet, christoffel, curvature, ginv_rho
 from .poly import Poly
 from .varcore import TableAffineSupplier
@@ -37,12 +37,13 @@ class EHLagrangian:
         """Table (L_EH)^{ij}_{rs} = rho (y^{ir}y^{js} + y^{jr}y^{is}
         - 2 y^{rs}y^{ij}) / (1 + delta_rs), indexed [pair (ij)][pair (rs)]."""
         ginv, rho = ginv_rho(self.n, g_row)
+        half = ring_unit(rho) / 2
         out = [[None] * self.npairs for _ in range(self.npairs)]
         for a, (i, j) in enumerate(self.pairs):
             for b, (r, s) in enumerate(self.pairs):
                 val = (ginv[i][r] * ginv[j][s] + ginv[j][r] * ginv[i][s]
                        - 2 * ginv[r][s] * ginv[i][j])
-                out[a][b] = rho * val * Fraction(1, 1 + delta(r, s))
+                out[a][b] = rho * val * half if r == s else rho * val
         return out
 
     def l0(self, mj: MetricJet):
@@ -99,7 +100,7 @@ class EHLagrangian:
                 total = total - 4 * ginv[i][r] * frob
             for s in range(n):
                 total = total - 8 * gdg[i][s] * v[s]
-        return rho * total * Fraction(1, 8)
+        return rho * total * (ring_unit(rho) / 8)
 
     def l0_reference(self, mj: MetricJet):
         """The zeroth-order part exactly as displayed (test oracle)."""
@@ -416,7 +417,7 @@ def affine_supplier(eh: EHLagrangian) -> TableAffineSupplier:
         return eh.l0(MetricJet(eh.n, eh.signature, tuple(y),
                                tuple(tuple(r) for r in dy)))
 
-    def lij(x, y, dy):
+    def lij(x, y):
         tab = eh.lij_rs(y)
         return {(al, i, j): tab[b][al]
                 for al in range(eh.npairs) for b, (i, j) in enumerate(eh.pairs)}

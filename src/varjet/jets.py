@@ -10,11 +10,13 @@ Equations, GTM 107)
 
     D_j = d/dx^j + sum_{|I| <= r}  y^a_{I+(j)} d/dy^a_I
 
-is written once, in `total_derivative`, and D_iD_j in `total_derivative2`.
-Both act on a function G given by its partials (a `Jet`, or anything with
-its `deriv`) over the coordinates of a `JetVars`; the order r of that
-`JetVars` is the domain J^r of G.  At a jet of order >= r + 1 (r + 2 for
-D_iD_j) the chain rule ``D_j G (j^{r+1} s) = d/dx^j [G(j^r s)]`` holds
+is written once, as the stencil of `total_derivative_stencil`, and D_iD_j
+as that of `total_derivative2_stencil`: the (coefficient, partial) pairs of
+the operator at one jet point.  `total_derivative` and `total_derivative2`
+contract a function G with them; G is given by its partials (a `Jet`, or
+anything with its `deriv`) over the coordinates of a `JetVars`, and the
+order r of that `JetVars` is the domain J^r of G.  At a jet of order
+>= r + 1 (r + 2 for D_iD_j) the chain rule ``D_j G (j^{r+1} s) = d/dx^j [G(j^r s)]`` holds
 exactly, over any ring.
 """
 
@@ -183,6 +185,16 @@ def _identity(v):
     return v
 
 
+def ring_unit(v):
+    """1 in the ring of the innermost scalars of v, a scalar or a (nested)
+    Jet, so that a weight `ring_unit(v) / 2` keeps float data off
+    `Fraction`'s reverse operators and exact data exact (`ring_one` of a Jet
+    is 1.0).  A zero Jet gives `Fraction(1)`, correct in every ring."""
+    while isinstance(v, Jet):
+        v = next(iter(v.coef.values()), 0)
+    return ring_one(v)
+
+
 def jet_of_section(s: PolySection, x, order: int) -> JetPoint:
     """Jet coordinates y^a_I = (d^|I| s^a / dx^I)(x) for |I| <= order, in
     the ring of x (see `point_ring`)."""
@@ -331,53 +343,85 @@ def jet_partials(F: JetFunction, p: JetPoint, cap: int = 2) -> PartialTable:
 # ids of jv (the varcore pipeline's L_0, L^ij block and momenta, or a seeded
 # evaluation), or anything else with `deriv`.  D_j G and D_iD_j G at a jet
 # point are then contractions of those partials with the jet coordinates of
-# the next orders.
+# the next orders.  A stencil is that contraction written out once per point:
+# a list of (coefficient, partial ids) pairs, with D G = sum c G.deriv(*ids)
+# and no pair whose coefficient is 0.  A caller that applies one D to many
+# functions at the same point builds the stencil once and passes it to
+# `contract`.
 
 
-def total_derivative(G, jv: JetVars, p: JetPoint, j: int):
-    """D_j G for G on J^r (r = jv.order), at p of order >= r + 1."""
+def contract(G, stencil):
+    """sum_t c_t G.deriv(*ids_t) over the (c_t, ids_t) of a stencil."""
+    d = G.deriv
+    total = 0
+    for c, ids in stencil:
+        total = total + c * d(*ids)
+    return total
+
+
+def total_derivative_stencil(jv: JetVars, p: JetPoint, j: int) -> list:
+    """D_j at p for functions on J^r (r = jv.order), p of order >= r + 1."""
     r = jv.order
     if p.order < r + 1:
         raise JetOrderError(f"D_j of a function on J^{r} needs a jet of order "
                             f"{r + 1}, got {p.order}")
-    total = G.deriv(jv.x(j))
+    terms = {(jv.x(j),): 1}
     for a in range(p.m):
-        total = total + p.y1(a, j) * G.deriv(jv.y(a))
+        terms[(jv.y(a),)] = p.y1(a, j)
         if r >= 1:
             for i in range(p.n):
-                total = total + p.y2(a, i, j) * G.deriv(jv.y1(a, i))
+                terms[(jv.y1(a, i),)] = p.y2(a, i, j)
         if r >= 2:
             for (i, k) in sym_pairs(p.n):
-                total = total + p.y3(a, i, k, j) * G.deriv(jv.y2(a, i, k))
-    return total
+                terms[(jv.y2(a, i, k),)] = p.y3(a, i, k, j)
+    return [(c, ids) for ids, c in terms.items() if c != 0]
 
 
-def total_derivative2(G, jv: JetVars, p: JetPoint, i: int, j: int):
-    """D_i D_j G for G on J^r (r = jv.order <= 1), at p of order >= r + 2."""
+def total_derivative2_stencil(jv: JetVars, p: JetPoint, i: int, j: int) -> list:
+    """D_iD_j at p for functions on J^r (r = jv.order <= 1), p of order
+    >= r + 2.  A mixed partial that the expansion reaches twice (the
+    y^a y^b and y'^a_k y'^b_l blocks, and the x-terms when i = j) is one
+    term, with the summed coefficient."""
     r = jv.order
     if r > 1 or p.order < r + 2:
         raise JetOrderError(f"D_iD_j of a function on J^{r} needs r <= 1 and a "
                             f"jet of order {r + 2}, got {p.order}")
     n, m = p.n, p.m
-    d = G.deriv
-    total = d(jv.x(i), jv.x(j))
+    terms: dict = {}
+
+    def add(c, *ids):
+        ids = tuple(sorted(ids))
+        acc = terms.get(ids)
+        terms[ids] = c if acc is None else acc + c
+
+    add(1, jv.x(i), jv.x(j))
     for a in range(m):
         ya_i, ya_j = p.y1(a, i), p.y1(a, j)
-        total = total + ya_i * d(jv.x(j), jv.y(a)) + ya_j * d(jv.x(i), jv.y(a))
-        total = total + p.y2(a, i, j) * d(jv.y(a))
+        add(ya_i, jv.x(j), jv.y(a))
+        add(ya_j, jv.x(i), jv.y(a))
+        add(p.y2(a, i, j), jv.y(a))
         for b in range(m):
-            total = total + ya_i * p.y1(b, j) * d(jv.y(a), jv.y(b))
+            add(ya_i * p.y1(b, j), jv.y(a), jv.y(b))
         if r == 0:
             continue
         for k in range(n):
-            total = total + p.y2(a, j, k) * d(jv.x(i), jv.y1(a, k)) \
-                          + p.y2(a, i, k) * d(jv.x(j), jv.y1(a, k))
-            total = total + p.y3(a, i, j, k) * d(jv.y1(a, k))
+            yak_j, yak_i = p.y2(a, j, k), p.y2(a, i, k)
+            add(yak_j, jv.x(i), jv.y1(a, k))
+            add(yak_i, jv.x(j), jv.y1(a, k))
+            add(p.y3(a, i, j, k), jv.y1(a, k))
             for b in range(m):
-                total = total + (p.y2(a, j, k) * p.y1(b, i)
-                                 + p.y2(a, i, k) * p.y1(b, j)) * d(jv.y1(a, k), jv.y(b))
+                add(yak_j * p.y1(b, i) + yak_i * p.y1(b, j), jv.y1(a, k), jv.y(b))
             for l in range(n):
                 for b in range(m):
-                    total = total + p.y2(a, j, k) * p.y2(b, i, l) \
-                        * d(jv.y1(a, k), jv.y1(b, l))
-    return total
+                    add(yak_j * p.y2(b, i, l), jv.y1(a, k), jv.y1(b, l))
+    return [(c, ids) for ids, c in terms.items() if c != 0]
+
+
+def total_derivative(G, jv: JetVars, p: JetPoint, j: int):
+    """D_j G for G on J^r (r = jv.order), at p of order >= r + 1."""
+    return contract(G, total_derivative_stencil(jv, p, j))
+
+
+def total_derivative2(G, jv: JetVars, p: JetPoint, i: int, j: int):
+    """D_i D_j G for G on J^r (r = jv.order <= 1), at p of order >= r + 2."""
+    return contract(G, total_derivative2_stencil(jv, p, i, j))

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .fwd import ring_sqrt, value_of
-from .jets import JetPoint, delta, pair_index, sym_pairs, sym_triples
+from .jets import JetPoint, pair_index, ring_unit, sym_pairs, sym_triples
 
 
 class SingularMetricError(ValueError):
@@ -159,8 +158,9 @@ def rho(mj: MetricJet):
     bumping both symmetric entries produces.
     """
     ginv, val = ginv_rho(mj.n, mj.g)
+    half = ring_unit(val) / 2
     # d det/d g_ab (full index) = det * g^{ab}; stored slot doubles off-diagonal
-    return val, [val * ginv[a][b] * Fraction(2 - delta(a, b), 2)
+    return val, [val * ginv[a][b] * half if a == b else val * ginv[a][b]
                  for a, b in sym_pairs(mj.n)]
 
 
@@ -191,6 +191,7 @@ def christoffel(mj: MetricJet):
         raise ValueError("Christoffel symbols need a metric jet of order >= 1")
     n = mj.n
     ginv = mat_inverse(mj.matrix())
+    half = ring_unit(ginv[0][0]) / 2
     gam = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -199,7 +200,7 @@ def christoffel(mj: MetricJet):
                 for l in range(n):
                     s = s + ginv[i][l] * (mj.dcomp(l, j, k) + mj.dcomp(l, k, j)
                                           - mj.dcomp(j, k, l))
-                val = s / 2
+                val = s * half
                 gam[i][j][k] = val
                 gam[i][k][j] = val
     return gam, ginv
@@ -211,6 +212,7 @@ def curvature(mj: MetricJet) -> CurvatureData:
         raise ValueError("curvature needs a metric jet of order >= 2")
     n = mj.n
     gam, ginv = christoffel(mj)
+    half = ring_unit(ginv[0][0]) / 2
     # dGamma^i_{jk}/dx^r from second metric derivatives
     dginv = _dginv(mj, ginv)
     dgam = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
@@ -224,7 +226,7 @@ def curvature(mj: MetricJet) -> CurvatureData:
                                                   - mj.dcomp(j, k, l))
                         s = s + ginv[i][l] * (mj.d2comp(l, j, k, r) + mj.d2comp(l, k, j, r)
                                               - mj.d2comp(j, k, l, r))
-                    val = s / 2
+                    val = s * half
                     dgam[i][j][k][r] = val
                     dgam[i][k][j][r] = val
     riem = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]

@@ -19,15 +19,16 @@ a black-box Lagrangian or closed-form coefficient tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .fwd import Jet, ring_one, value_of
 from .jets import (JetFunction, JetOrderError, JetPoint, JetVars, PolySection,
-                   delta, jet_of_section, pair_index, point_ring, seed_point,
-                   sym_pairs, total_derivative, total_derivative2)
+                   contract, delta, jet_of_section, pair_index, point_ring,
+                   ring_unit, seed_point, sym_pairs, total_derivative,
+                   total_derivative2_stencil, total_derivative_stencil)
 from .poly import Poly
 
 
@@ -188,10 +189,12 @@ class GenericAffineSupplier:
     One evaluation of L with the first-order coordinates seeded to order
     cap+1 and every stored second-order slot seeded (value 0) yields L_0 as
     the y''-free part and each L_a^{ij} as the coefficient series of the
-    corresponding y'' variable, exactly, provided L is affine.
+    corresponding y'' variable, exactly, provided L is affine.  The block
+    may depend on y', so the fibre primitive samples it along the ray.
     """
 
     extra_cap = 1
+    lij_sees_dy = True
 
     def __init__(self, lag: SecondOrderLagrangian):
         self.lag = lag
@@ -199,7 +202,8 @@ class GenericAffineSupplier:
 
     def tables(self, x, y, dy, cap: int):
         n, m, jv = self.lag.n, self.lag.m, self.jv
-        one = ring_one(value_of(y[0]))
+        one = ring_unit(y[0])
+        half = one / 2
         d2y = tuple(
             tuple(Jet.variable(jv.id_of[("y2", a, pr)], 0, cap + 1, one)
                   for pr in sym_pairs(n)) for a in range(m))
@@ -216,7 +220,7 @@ class GenericAffineSupplier:
                     raise NotProjectableError(
                         "Lagrangian is not affine in the second derivatives")
                 flat.order = cap
-                lij[(a, i, j)] = flat * Fraction(1, 2 - delta(i, j))
+                lij[(a, i, j)] = flat if i == j else flat * half
         l0 = out.restricted(j1_ids)
         l0.order = cap
         return l0, lij
@@ -224,18 +228,20 @@ class GenericAffineSupplier:
 
 class TableAffineSupplier:
     """Wrap closed-form callables l0(x, y, dy) -> L_0 and
-    lij(x, y, dy) -> {(a,i,j): L^{ij}_a}."""
+    lij(x, y) -> {(a,i,j): L^{ij}_a}.
+
+    The block takes no first derivatives, so the fibre primitive is the
+    contraction y^a_i L_a^{hi} of the block the pipeline already holds.
+    """
 
     extra_cap = 0
+    lij_sees_dy = False
 
     def __init__(self, n: int, m: int, l0, lij):
         self.n, self.m, self.l0, self.lij = n, m, l0, lij
 
     def tables(self, x, y, dy, cap: int):
-        return self.l0(x, y, dy), self.lij(x, y, dy)
-
-    def lij_only(self, x, y, dy):
-        return self.lij(x, y, dy)
+        return self.l0(x, y, dy), self.lij(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +255,11 @@ class PipelineData:
     All entries are Jets over the coordinates of J^1, numbered by `jv`, a
     JetVars of order 1: `total_derivative` reads them as functions on J^1.
     `cap` is the guaranteed truncation order of A, p, H, Lbar.
+    `primitive_method` says how the fibre primitives L^i were obtained:
+    "closed_form" (the contraction y^a_i L_a^{hi}, for a block without y'),
+    "sampled_constant" (the integrand agreed at t = 0, 1/2 and 1, which is
+    evidence of t-independence, not proof) or "quadrature" (Gauss-Legendre,
+    with `quad_residual` its last change); None without primitives.
     """
 
     n: int
@@ -263,6 +274,7 @@ class PipelineData:
     h: Jet
     lbar: Jet
     quad_residual: float = 0.0
+    primitive_method: str | None = None
 
     def lij_get(self, alpha, i, j):
         return self.lij[(alpha,) + _sp(i, j)]
@@ -286,38 +298,41 @@ def _jet_dist(a: Jet, b: Jet) -> float:
     return worst
 
 
+def _radial_contraction(lij: dict, dy, cap: int) -> list:
+    """y^a_i L_a^{hi} for each h, as Jets truncated at `cap`."""
+    m, n = len(dy), len(dy[0])
+    out = []
+    for h in range(n):
+        s = Jet(cap, {})
+        for a in range(m):
+            for i in range(n):
+                s = s + dy[a][i] * lij[(a,) + _sp(h, i)]
+        out.append(s)
+    return out
+
+
 def fibre_primitive_jets(supplier, x, y, dy, cap: int):
-    """L^h = int_0^1 y^a_i L_a^{hi}(x, y, t y') dt as Jets, plus a residual.
+    """L^h = int_0^1 y^a_i L_a^{hi}(x, y, t y') dt as Jets, with a residual
+    and the method (see `PipelineData.primitive_method`).
 
-    The radial primitive from the zero section.  If the integrand is
-    t-independent (coefficients not depending on the first derivatives, as
-    for every closed-form instantiation here) the integral is exact; else
-    16-node Gauss-Legendre with panel doubling until the change is below
-    1e-10 relative (up to 4 doublings, then a QuadratureError carries the
-    residual).
+    The radial primitive from the zero section, for a supplier whose block
+    may depend on y'.  The integrand is sampled at t = 0, 1/2 and 1; when
+    the three samples agree it is taken to be t-independent and the t = 1
+    sample is returned ("sampled_constant": agreement at three points is
+    evidence, not proof).  Otherwise 16-node Gauss-Legendre with panel
+    doubling until the change is below 1e-10 relative ("quadrature"; up to
+    4 doublings, then a QuadratureError carries the residual).
     """
-    n, m = len(x), len(y)
-
-    lij_of = getattr(supplier, "lij_only", None)
+    n = len(x)
 
     def integrand(t):
         dyt = [[t * v for v in row] for row in dy]
-        if lij_of is not None:
-            lij = lij_of(x, y, dyt)
-        else:
-            _, lij = supplier.tables(x, y, dyt, cap)
-        out = []
-        for h in range(n):
-            s = Jet(cap, {})
-            for a in range(m):
-                for i in range(n):
-                    s = s + dy[a][i] * lij[(a,) + _sp(h, i)]
-            out.append(s)
-        return out
+        _, lij = supplier.tables(x, y, dyt, cap)
+        return _radial_contraction(lij, dy, cap)
 
     i0, imid, i1 = integrand(Fraction(0)), integrand(Fraction(1, 2)), integrand(Fraction(1))
     if all(i0[h].coef == imid[h].coef == i1[h].coef for h in range(n)):
-        return i1, 0.0
+        return i1, 0.0, "sampled_constant"
 
     def panels(k):
         xs, ws = _gl_nodes(16)
@@ -337,7 +352,7 @@ def fibre_primitive_jets(supplier, x, y, dy, cap: int):
         change = max(_jet_dist(prev[h], cur[h]) for h in range(n))
         scale = max(1.0, max(abs(float(value_of(cur[h].value))) for h in range(n)))
         if change <= 1e-10 * scale:
-            return cur, change
+            return cur, change, "quadrature"
         prev = cur
     raise QuadratureError(f"fibre primitive quadrature stalled at residual {change:.3e}")
 
@@ -347,9 +362,12 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
     """Assemble the first-order data (A, p, H, Lbar) at the order-1 jet q.
 
     `cap` is the Taylor order retained for A/p/H/Lbar.  The fibre primitives
-    L^i are taken from the zero section.  With `with_primitives=False` the
-    quadrature is skipped and only L_0, the coefficient block and A are
-    produced (enough for Euler-Lagrange and Helmholtz work).
+    L^i are taken from the zero section: for a supplier whose block sees no
+    y' (`lij_sees_dy` false) they are the contraction y^a_i L_a^{hi} of the
+    block in hand, otherwise `fibre_primitive_jets` samples or integrates
+    the block along the ray.  With `with_primitives=False` they are skipped
+    and only L_0, the coefficient block and A are produced (enough for
+    Euler-Lagrange, Helmholtz and Noether work).
     """
     n, m = q.n, q.m
     jv = JetVars(n, m, 1)
@@ -365,10 +383,12 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
         l0 = Jet.constant(l0, cap + 1)
     lij = {k: (v if isinstance(v, Jet) else Jet.constant(v, cap + 1))
            for k, v in lij.items()}
-    if with_primitives:
-        li, quad_res = fibre_primitive_jets(supplier, x, y, dy, cap + 1)
+    if not with_primitives:
+        li, quad_res, method = None, 0.0, None
+    elif supplier.lij_sees_dy:
+        li, quad_res, method = fibre_primitive_jets(supplier, x, y, dy, cap + 1)
     else:
-        li, quad_res = None, 0.0
+        li, quad_res, method = _radial_contraction(lij, dy, cap + 1), 0.0, "closed_form"
 
     def xv(i):
         return jv.id_of[("x", i)]
@@ -408,7 +428,7 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
         for al in range(m):
             lbar = lbar - dy[al][i] * li[i].partial(yv(al))
     return PipelineData(n, m, jv, cap, l0, lij, li, a_tab, p_tab, h, lbar,
-                        float(quad_res))
+                        float(quad_res), method)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +506,7 @@ def hc_first_family(data: PipelineData, p2: JetPoint) -> list:
     data.  The y-partial of H is the momentum-space one (see `hc_residual`).
     """
     n, m, jv = data.n, data.m, data.jv
+    st = [total_derivative_stencil(jv, p2, i) for i in range(n)]
     out = []
     for al in range(m):
         acc = -data.h.deriv(jv.y(al))
@@ -493,7 +514,7 @@ def hc_first_family(data: PipelineData, p2: JetPoint) -> list:
             for i in range(n):
                 acc = acc - p2.y1(be, i) * data.p[(be, i)].deriv(jv.y(al))
         for i in range(n):
-            acc = acc + total_derivative(data.p[(al, i)], jv, p2, i)
+            acc = acc + contract(data.p[(al, i)], st[i])
         out.append(acc)
     return out
 
@@ -504,15 +525,17 @@ def hc_residual(supplier, s: PolySection, x) -> HCResult:
     First family: d(p_a^i o j1 s)/dx^i - dH/dy^a, where the y-partial of H
     is the momentum-space one (H regarded as a function of (x, y, p)); by
     the chain rule with dH/dp = -y' it equals the jet-coordinate partial
-    plus y'^b_i dp_b^i/dy^a, which needs no momentum inversion.  Second
-    family: the velocities reconstructed from the momenta by Newton
-    inversion of p(x, y, .) minus the actual ds/dx; skipped with a flag
-    when the condition number of dp exceeds 1e12.
+    plus y'^b_i dp_b^i/dy^a, which needs no momentum inversion; it is
+    returned in the ring of x (see `jets.point_ring`).  Second family: the
+    velocities reconstructed from the momenta by Newton inversion of
+    p(x, y, .) minus the actual ds/dx, in floats; skipped with a flag when
+    the condition number of dp exceeds 1e12.
     """
     n, m = s.n, s.m
     p2 = jet_of_section(s, x, 2)
     data = pipeline(supplier, p2.truncated(1), cap=1)
-    first = [float(v) for v in hc_first_family(data, p2)]
+    ev = point_ring(x)
+    first = [ev(v) for v in hc_first_family(data, p2)]
     pmat = np.array([[float(value_of(data.p[(al, i)].value)) for i in range(n)]
                      for al in range(m)])
     dp = _velocity_hessian(data)
@@ -550,6 +573,7 @@ def euler_lagrange(supplier, s: PolySection, x) -> list:
     p2 = jet_of_section(s, x, 2)
     data = pipeline(supplier, p2.truncated(1), cap=1, with_primitives=False)
     jv = data.jv
+    st = [total_derivative_stencil(jv, p2, i) for i in range(n)]
     out = []
     for al in range(m):
         acc = data.l0.deriv(jv.id_of[("y", al)])
@@ -558,7 +582,7 @@ def euler_lagrange(supplier, s: PolySection, x) -> list:
                 acc = acc + (2 - delta(i, j)) * p2.y2(be, i, j) \
                     * data.lij_get(be, i, j).deriv(jv.id_of[("y", al)])
         for i in range(n):
-            acc = acc - total_derivative(data.a[(al, i)], jv, p2, i)
+            acc = acc - contract(data.a[(al, i)], st[i])
         out.append(ev(value_of(acc)))
     return out
 
@@ -571,12 +595,13 @@ def euler_lagrange_first_order(supplier, s: PolySection, x) -> list:
     p2 = jet_of_section(s, x, 2)
     data = pipeline(supplier, p2.truncated(1), cap=2)
     jv = data.jv
+    st = [total_derivative_stencil(jv, p2, i) for i in range(n)]
     out = []
     for al in range(m):
         acc = data.lbar.deriv(jv.id_of[("y", al)])
         for i in range(n):
             g = data.lbar.partial(jv.id_of[("y1", al, i)])
-            acc = acc - total_derivative(g, jv, p2, i)
+            acc = acc - contract(g, st[i])
         out.append(ev(value_of(acc)))
     return out
 
@@ -596,10 +621,9 @@ def euler_lagrange_first_order(supplier, s: PolySection, x) -> list:
 class _Partials:
     """sum_t c_t * (d^|ids_t| jet_t / d ids_t) as a function on J^1.
 
-    Exposes `deriv` like a Jet, which is all `jets.total_derivative` and
-    `jets.total_derivative2` read (with the pipeline's order-1 JetVars as the
-    domain), and reads every partial through the parent Jets instead of
-    building the partial Jets."""
+    Exposes `deriv` like a Jet, which is all `jets.contract` reads (with
+    stencils over the pipeline's order-1 JetVars), and reads every partial
+    through the parent Jets instead of building the partial Jets."""
 
     __slots__ = ("terms",)
 
@@ -681,11 +705,16 @@ def helmholtz_residuals(supplier, s: PolySection, x,
     if perturb is not None:
         t0 = perturb(t0, x)
 
+    # D_j and D_iD_j at this point, built once for every contraction below
+    st1 = [total_derivative_stencil(jv, p3, j) for j in range(n)]
+    st2 = [[total_derivative2_stencil(jv, p3, i, j) for j in range(n)]
+           for i in range(n)]
+
     def d1(f, j):
-        return total_derivative(f, jv, p3, j)
+        return contract(f, st1[j])
 
     def d2(f, i, j):
-        return total_derivative2(f, jv, p3, i, j)
+        return contract(f, st2[i][j])
 
     worst_a = worst_b = worst_c = 0
     for al in range(m):
@@ -834,7 +863,11 @@ class TransformedSupplier:
     Produces the transformed block L'^{ab}_a and zero-order part L'_0 from the
     base supplier's tables by one inner derivative pass; itself a supplier, so
     the whole pipeline (projectability, momenta, Noether) applies to L'.
+    The prolongation brings y' into the block, so the fibre primitive
+    samples it along the ray.
     """
+
+    lij_sees_dy = True
 
     def __init__(self, base, X: VectorField):
         self.base = base
@@ -844,7 +877,7 @@ class TransformedSupplier:
 
     def tables(self, x, y, dy, cap: int):
         n, m, ijv = self.X.n, self.X.m, self.jv
-        one = ring_one(value_of(y[0]))
+        one = ring_unit(y[0])
         icap = cap + 1 + self.base.extra_cap
         ix = [Jet.variable(ijv.id_of[("x", i)], x[i], icap, one) for i in range(n)]
         iy = [Jet.variable(ijv.id_of[("y", a)], y[a], icap, one) for a in range(m)]
@@ -925,7 +958,7 @@ def noether_current(supplier, X: VectorField, s: PolySection, x) -> list:
     n, m = s.n, s.m
     ev = point_ring(x)
     p2 = jet_of_section(s, x, 2)
-    data = pipeline(supplier, p2.truncated(1), cap=1)
+    data = pipeline(supplier, p2.truncated(1), cap=1, with_primitives=False)
     pro = prolong(X, p2, order=1)
     u = pro.u
     lval = ev(value_of(lagrangian_value(supplier, p2)))

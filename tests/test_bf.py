@@ -385,8 +385,9 @@ def test_el_beta_matches_generic_euler_lagrange_n4():
 
 
 def test_el_bf_beta_eh_exact_zero_on_flat_pullback():
-    """Over Fractions the BF supplier of beta_EH gives exactly 0 on a flat
-    Lorentzian pullback at n = 3."""
+    """Over Fractions the BF supplier of beta_EH, and the covariant form
+    `el_residual_beta`, give exactly 0 on a flat Lorentzian pullback at
+    n = 3."""
     n, sig = 3, (1, 2)
     names = {f"x{i+1}": i for i in range(n)}
     phi = [parse_poly("x1 + x2^2/9", names, n),
@@ -397,6 +398,9 @@ def test_el_bf_beta_eh_exact_zero_on_flat_pullback():
     el = euler_lagrange(bf_supplier(beta_eh(n, sig), n, sig), s, x)
     assert el == [0] * 6
     assert all(isinstance(v, Fraction) for v in el)
+    cov = el_residual_beta(beta_eh(n, sig), s, x, sig)
+    assert list(cov.values()) == [0] * 6
+    assert all(isinstance(v, Fraction) for v in cov.values())
 
 
 def test_flat_corollary_expression_exact():

@@ -8,9 +8,9 @@ import pytest
 
 from varjet.einstein import EHLagrangian, natural_lift
 from varjet.jets import pair_index, sym_pairs
-from varjet.metric import (MetricJet, constant_metric_jet, curvature, ginv_rho,
-                           random_metric_jet, metric_from_jet_point)
-from varjet.fwd import value_of
+from varjet.metric import (MetricJet, christoffel, constant_metric_jet, curvature,
+                           ginv_rho, random_metric_jet, metric_from_jet_point)
+from varjet.fwd import Jet, value_of
 
 
 def test_lij_rs_identity_n2_matrix_and_det():
@@ -124,6 +124,42 @@ def test_l0_factorized_equals_displayed_form_exactly():
             lhs = eh.l0(mj)
             assert isinstance(lhs, Fraction)
             assert lhs == eh.l0_reference(mj)
+
+
+def _scalars(v):
+    """The innermost scalars of a value or a (nested) Jet."""
+    if isinstance(v, Jet):
+        for c in v.coef.values():
+            yield from _scalars(c)
+    else:
+        yield v
+
+
+def test_weights_stay_in_the_ring_of_nested_exact_jets():
+    """Exact metric data seeded twice (Jets whose coefficients are Jets, as
+    a transformed supplier builds them) keeps every scalar of lij_rs, l0
+    and the Christoffel symbols a Fraction: the 1/2 and 1/8 weights are
+    taken from the innermost scalars, not from the outer Jet.  Float data
+    keeps floats."""
+    F = Fraction
+    n, sig = 3, (2, 1)
+    eh = EHLagrangian(n, sig)
+    # g = A^T diag(1, 1, -1) A, so rho = |det A| is rational
+    a = [[F(1), F(1, 2), F(0)], [F(0), F(1), F(1, 3)], [F(1, 4), F(0), F(2)]]
+    g = tuple(sum(a[c][i] * (1, 1, -1)[c] * a[c][j] for c in range(n))
+              for i, j in sym_pairs(n))
+    dg = tuple(tuple(F((2 * k + i) % 5 - 2, 3) for i in range(n)) for k in range(6))
+    for ring in (F, float):
+        one = ring(1)
+        row = tuple(Jet.variable(k, Jet.variable(k, ring(v), 1, one), 1, one)
+                    for k, v in enumerate(g))
+        drow = tuple(tuple(map(ring, r)) for r in dg)
+        mj = MetricJet(n, sig, row, drow)
+        tab = eh.lij_rs(row)
+        gam, _ = christoffel(mj)
+        values = [v for r in tab for v in r] + [eh.l0(mj)] \
+            + [v for plane in gam for r in plane for v in r]
+        assert {type(c) for v in values for c in _scalars(v)} == {ring}
 
 
 def test_jet_function_matches_contraction():

@@ -593,7 +593,7 @@ def test_generic_residual_memo_is_ring_safe():
         return dy[0][0] * dy[0][0] * H + dy[0][1] * dy[0][1] * F(1, 3) \
             + x[0] * y[0] * dy[0][1]
 
-    def lij(x, y, dy):
+    def lij(x, y):
         return {(0, 0, 0): y[0] * y[0] * F(1, 3), (0, 0, 1): x[1] * y[0],
                 (0, 1, 1): H}
 

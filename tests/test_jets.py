@@ -7,9 +7,10 @@ import pytest
 
 from varjet.fwd import Jet
 from varjet.jets import (JetFunction, JetOrderError, JetPoint, MultiIndex,
-                         PolySection, jet_of_section, jet_partials,
+                         PolySection, contract, jet_of_section, jet_partials,
                          pair_index, seed_point, sym_pairs, total_derivative,
-                         total_derivative2)
+                         total_derivative2, total_derivative2_stencil,
+                         total_derivative_stencil)
 from varjet.poly import Poly, parse_poly
 
 
@@ -197,6 +198,50 @@ def test_total_derivatives_chain_rule_exact():
                 total_derivative(G, jv, jet_of_section(s, x, r), 0)
             with pytest.raises(JetOrderError):
                 total_derivative2(G, jv, jet_of_section(s, x, min(r + 1, 3)), 0, 1)
+
+
+def test_stencil_built_once_contracts_every_function_exactly():
+    """One D_j and one D_iD_j stencil per point contract every function G
+    on J^r (r = 0, 1) to d/dx^j and d^2/dx^i dx^j of G along the section,
+    exactly over Fractions.  The D_iD_j stencil lists each partial once
+    (the y^a y^b, y'^a_k y'^b_l and, at i = j, the x-terms merged) and no
+    zero coefficient."""
+    rng = random.Random(11)
+    n, m = 2, 2
+    names = {"x1": 0, "x2": 1}
+    mono = ["1", "x1", "x2", "x1*x2", "x1^2", "x2^2", "x1^2*x2", "x1^3", "x2^3"]
+    s = PolySection(n, [sum((Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                             * _poly(t, names, 2) for t in mono), Poly.constant(2, 0))
+                        for _ in range(m)])
+    x = (Fraction(3, 8), Fraction(-5, 8))
+    xs = [Jet.variable(i, x[i], 2, Fraction(1)) for i in range(n)]
+
+    def g_fns(q, r):
+        out = [q.x[0] * q.y[1] ** 2 + q.y[0] * q.y[1], q.y[0] * q.x[1] ** 2]
+        if r >= 1:
+            out += [q.y1(0, 1) * q.y1(1, 0) * q.y[0], q.y1(1, 1) ** 2 + q.x[0] * q.y1(0, 0)]
+        return out
+
+    for r in (0, 1):
+        seeded, jv = seed_point(jet_of_section(s, x, r), cap=2)
+        fns = g_fns(seeded, r)
+        along = g_fns(jet_of_section(s, xs, r), r)
+        p = jet_of_section(s, x, r + 2)
+        st1 = [total_derivative_stencil(jv, p, j) for j in range(n)]
+        st2 = [[total_derivative2_stencil(jv, p, i, j) for j in range(n)]
+               for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                ids = [tuple(sorted(t)) for _, t in st2[i][j]]
+                assert len(ids) == len(set(ids))
+                assert all(c != 0 for c, _ in st2[i][j] + st1[j])
+        for G, A in zip(fns, along):
+            for j in range(n):
+                d1 = contract(G, st1[j])
+                assert isinstance(d1, Fraction) and d1 == A.deriv(j)
+                for i in range(n):
+                    d2 = contract(G, st2[i][j])
+                    assert isinstance(d2, Fraction) and d2 == A.deriv(i, j)
 
 
 def test_seed_point_partial_symmetry():

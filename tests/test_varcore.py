@@ -192,6 +192,53 @@ def test_closed_form_supplier_matches_generic():
     assert np.allclose(dp1, dp2, atol=1e-9)
 
 
+def _gap(a, b, order):
+    """max |a - b| over the Taylor coefficients of degree <= order (the
+    generic supplier's Jets carry terms above their truncation order)."""
+    keys = {k for k in set(a.coef) | set(b.coef) if k & 31 <= order}
+    return max((abs(a.coef.get(k, 0) - b.coef.get(k, 0)) for k in keys), default=0)
+
+
+def test_closed_form_primitives_equal_the_sampled_path():
+    """The EH supplier's fibre primitives, the contraction y^a_i L_a^{hi},
+    against the generic supplier of the same Lagrangian, which samples its
+    block along the ray: L^i, p, H and Lbar agree exactly over Fractions
+    (at cap 0, the values and the first partials of L^i) and to 1e-12 over
+    floats (at cap 1), both satisfy dL^h/dy^a_i = L_a^{hi}, and each
+    pipeline says how it got L^i."""
+    F = Fraction
+    n, sig = 3, (2, 1)
+    eh, lag = eh_lagrangian(n, sig)
+    closed, gen = affine_supplier(eh), GenericAffineSupplier(lag)
+    # g = A^T diag(1, 1, -1) A, so rho = |det A| is rational
+    a = [[F(1), F(1, 2), F(0)], [F(0), F(1), F(1, 3)], [F(1, 4), F(0), F(2)]]
+    eta = (1, 1, -1)
+    g = tuple(sum(a[c][i] * eta[c] * a[c][j] for c in range(n))
+              for i, j in sym_pairs(n))
+    dg = tuple(tuple(F((3 * k + 5 * i) % 7 - 3, 5) for i in range(n))
+               for k in range(len(g)))
+    x = (F(1, 3), F(-1, 2), F(1, 5))
+    exact = JetPoint(n, len(g), 1, x, g, dg)
+    floats = JetPoint(n, len(g), 1, tuple(map(float, x)), tuple(map(float, g)),
+                      tuple(tuple(map(float, r)) for r in dg))
+    for q, cap, tol in ((exact, 0, 0), (floats, 1, 1e-12)):
+        dc, ds = pipeline(closed, q, cap=cap), pipeline(gen, q, cap=cap)
+        assert (dc.primitive_method, ds.primitive_method) == \
+            ("closed_form", "sampled_constant")
+        pairs = [(dc.li[h], ds.li[h], cap + 1) for h in range(n)]
+        pairs += [(dc.p[k], ds.p[k], cap) for k in dc.p]
+        pairs += [(dc.h, ds.h, cap), (dc.lbar, ds.lbar, cap)]
+        assert max(_gap(u, v, order) for u, v, order in pairs) <= tol
+        # and both are primitives: dL^h/dy^a_i = L_a^{hi}
+        jv = dc.jv
+        assert max(abs(d.li[h].deriv(jv.y1(al, i)) - d.lij_get(al, h, i).value)
+                   for d in (dc, ds) for h in range(n) for i in range(n)
+                   for al in range(len(g))) <= tol
+        if tol == 0:
+            assert all(isinstance(c, Fraction) for u, _, _ in pairs
+                       for c in u.coef.values())
+
+
 def test_lbar_is_minus_h_for_eh_and_momenta_identity():
     rng = np.random.default_rng(9)
     eh, lag = eh_lagrangian(3, (2, 1))
@@ -322,6 +369,21 @@ def test_hc_first_family_vanishes_on_flat_metric():
     assert res3.final_step < 1e-13 * max(1.0, max(abs(v) for v in res3.second))
 
 
+def test_hc_first_family_exact_zero_on_flat_pullback():
+    """Over Fractions the first Hamilton-Cartan family is exactly 0 on a
+    flat Lorentzian pullback at n = 3: it is returned in the ring of x."""
+    n, sig = 3, (1, 2)
+    names = {f"x{i+1}": i for i in range(n)}
+    phi = [parse_poly("x1 + x2^2/9", names, n),
+           parse_poly("x2 + x1*x3/8", names, n),
+           parse_poly("x3 - x1^2/7", names, n)]
+    s = pullback_metric_section(n, [Fraction(-1), Fraction(1), Fraction(1)], phi)
+    x = (Fraction(1, 8), Fraction(-1, 4), Fraction(3, 16))
+    res = hc_residual(affine_supplier(EHLagrangian(n, sig)), s, x)
+    assert res.first == [0] * 6
+    assert all(isinstance(v, Fraction) for v in res.first)
+
+
 def test_hc_newton_cycle_is_flagged():
     # n = m = 1, L = y'^4/4 - y'^2: p = v^3 - 2v.  Newton from rest towards
     # p(v0) = v0^3 - 2 v0 ~ -2 cycles 0 -> 1 -> 0 (the 2-cycle is
@@ -331,7 +393,7 @@ def test_hc_newton_cycle_is_flagged():
         v = dy[0][0]
         return v ** 4 * Fraction(1, 4) - v ** 2
 
-    def lij(x, y, dy):
+    def lij(x, y):
         return {(0, 0, 0): 0}
 
     v0 = Fraction(-23, 13)
