@@ -22,9 +22,9 @@ from functools import partial
 
 import numpy as np
 
-from .fwd import Jet, value_of
+from .fwd import Jet, ring_unit, value_of
 from .jets import (JetFunction, contract, delta, jet_of_section, pair_index,
-                   point_ring, ring_unit, seed_point, sign1, sym_pairs,
+                   point_ring, seed_point, sign1, sym_pairs,
                    total_derivative2_stencil, total_derivative_stencil)
 from .metric import (MetricJet, christoffel, curvature, ginv_rho, mat_inverse,
                      metric_from_jet_point)
@@ -266,12 +266,11 @@ def jet_function(beta: BetaForm, n: int, signature) -> JetFunction:
 def affine_supplier(beta: BetaForm, n: int, signature) -> TableAffineSupplier:
     """Closed-form affine data of L_beta for the varcore pipeline."""
 
-    def l0(x, y, dy):
-        return l_beta_zero(beta, MetricJet(n, tuple(signature), tuple(y),
-                                           tuple(tuple(r) for r in dy)))
+    def tables(x, y, dy):
+        mj = MetricJet(n, tuple(signature), tuple(y), tuple(tuple(r) for r in dy))
+        return l_beta_zero(beta, mj), lij_block(beta, y, n)
 
-    return TableAffineSupplier(n, len(sym_pairs(n)), l0,
-                               lambda x, y: lij_block(beta, y, n))
+    return TableAffineSupplier(n, len(sym_pairs(n)), tables)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ Euler-Lagrange comparisons) cheap.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from .fwd import Jet, value_of
-from .jets import JetFunction, JetPoint, delta, pair_index, ring_unit, sym_pairs
+from .fwd import Jet, ring_unit, value_of
+from .jets import JetFunction, JetPoint, delta, pair_index, sym_pairs
 from .metric import MetricJet, christoffel, curvature, ginv_rho
 from .poly import Poly
 from .varcore import TableAffineSupplier
@@ -33,10 +35,12 @@ class EHLagrangian:
 
     # -- second-derivative coefficient block --------------------------------
 
-    def lij_rs(self, g_row):
+    def lij_rs(self, g_row, inverse=None):
         """Table (L_EH)^{ij}_{rs} = rho (y^{ir}y^{js} + y^{jr}y^{is}
-        - 2 y^{rs}y^{ij}) / (1 + delta_rs), indexed [pair (ij)][pair (rs)]."""
-        ginv, rho = ginv_rho(self.n, g_row)
+        - 2 y^{rs}y^{ij}) / (1 + delta_rs), indexed [pair (ij)][pair (rs)].
+        `inverse` is the pair (g^-1, rho) of `ginv_rho(n, g_row)` when the
+        caller holds it."""
+        ginv, rho = inverse or ginv_rho(self.n, g_row)
         half = ring_unit(rho) / 2
         out = [[None] * self.npairs for _ in range(self.npairs)]
         for a, (i, j) in enumerate(self.pairs):
@@ -46,60 +50,35 @@ class EHLagrangian:
                 out[a][b] = rho * val * half if r == s else rho * val
         return out
 
-    def l0(self, mj: MetricJet):
-        """The zeroth-order part (L_EH)_0, quadratic in first derivatives.
+    def l0(self, mj: MetricJet, inverse=None):
+        """The zeroth-order part (L_EH)_0, quadratic in first derivatives:
 
-        Factorized form of the displayed double pair sum: rewriting it over
-        full index ranges and reassociating gives
+            L0 = rho/8 sum_T G_p G_q G_r sum_{A<=B} c_{T,AB} y'_A y'_B
 
-            L0 = rho/8 [ 8 W.trD - 2 trD^T G trD + 6 G_ij tr(D_i G D_j G)
-                         - 4 G_ir (G D_i G)_sj y_{rs,j} - 8 (G D_i G)_is V_s ]
+        over sorted triples T = (p, q, r) of stored inverse-metric slots
+        G_p = g^{ab} and stored first-derivative slots y'_A = y_{kl,i}.
+        `_l0_table` builds the integers c once per n, on the first call, by
+        expanding over full indices the five sums of the factorized display
 
-        with G the inverse metric, D_i the matrix (y_{kl,i})_kl,
-        trD_i = tr(G D_i), V_s = sum_{k,i} G_ki y_{ks,i}, W_j = (G V)_j
-        (sums over repeated indices).  G D_i G is built for one i at a time.
-        The identity with the literal display is pinned exactly over
-        Fractions against `l0_reference` in the tests.
+            8 W.trD - 2 trD^T G trD + 6 G_ij tr(D_i G D_j G)
+            - 4 G_ir (G D_i G)_sj y_{rs,j} - 8 (G D_i G)_is V_s
+
+        (G = g^-1, D_i = (y_{kl,i})_kl, trD_i = tr(G D_i), V_s = G_ki y_{ks,i},
+        W = G V).  The G products (Jets over y alone) are formed first, the
+        y' seed products multiplied in last.  `inverse` is (g^-1, rho) of
+        `ginv_rho(n, mj.g)` when the caller holds it.  `l0_reference`, the
+        literal display, pins the identity exactly in the tests.
         """
-        n = self.n
-        ginv, rho = ginv_rho(n, mj.g)
-        d = [[[mj.dcomp(k, l, i) for l in range(n)] for k in range(n)]
-             for i in range(n)]
-
-        def matmul(a, b):
-            return [[sum_products(a[r], [b[k][c] for k in range(n)])
-                     for c in range(n)] for r in range(n)]
-
-        def sum_products(row, col):
-            s = 0
-            for x, yv in zip(row, col):
-                s = s + x * yv
-            return s
-
-        trd = [sum(ginv[k][l] * d[i][k][l] for k in range(n) for l in range(n))
-               for i in range(n)]
-        # V[s] = sum_{k,i} g^{ki} y_{ks,i}
-        v = [sum(ginv[k][i] * d[i][k][s] for k in range(n) for i in range(n))
-             for s in range(n)]
-        w = [sum(ginv[j][l] * v[l] for l in range(n)) for j in range(n)]
-        e = [matmul(d[i], ginv) for i in range(n)]          # E_i = D_i G
+        ginv, rho = inverse or ginv_rho(self.n, mj.g)
+        table, sa, sb = _l0_table(self.n)
+        gs = [ginv[a][b] for a, b in self.pairs]
+        ys = [v for row in mj.dg for v in row]
+        yy = [ys[a] * ys[b] for a, b in zip(sa, sb)]
         total = 0
-        for j in range(n):
-            total = total + 8 * w[j] * trd[j]
-        for i in range(n):
-            for j in range(n):
-                total = total - 2 * ginv[i][j] * trd[i] * trd[j]
-                tr_ij = sum(e[i][a][b] * e[j][b][a]
-                            for a in range(n) for b in range(n))
-                total = total + 6 * ginv[i][j] * tr_ij
-        for i in range(n):
-            gdg = matmul(ginv, e[i])                        # G D_i G
-            for r in range(n):
-                frob = sum(gdg[s][j] * d[j][r][s]
-                           for s in range(n) for j in range(n))
-                total = total - 4 * ginv[i][r] * frob
-            for s in range(n):
-                total = total - 8 * gdg[i][s] * v[s]
+        for (p, q), rows in table:
+            gpq = gs[p] * gs[q]
+            for r, ks, cs in rows:
+                total = total + gpq * gs[r] * sum(c * yy[k] for k, c in zip(ks, cs))
         return rho * total * (ring_unit(rho) / 8)
 
     def l0_reference(self, mj: MetricJet):
@@ -330,6 +309,39 @@ class EHLagrangian:
         return int(np.linalg.matrix_rank(np.vstack(rows), tol=1e-8))
 
 
+@functools.cache
+def _l0_table(n: int):
+    """The integers c of `EHLagrangian.l0` as (table, sa, sb): y'_A is
+    mj.dg[A // n][A % n], table lists ((p, q), [(r, ks, cs), ...]) and
+    c_{(p,q,r), (sa[k], sb[k])} = c for k, c in zip(ks, cs), nonzero."""
+    np_, ns = n * (n + 1) // 2, n * n * (n + 1) // 2    # G slots, y' slots
+    pk = [[pair_index(n, a, b) for b in range(n)] for a in range(n)]
+    acc: dict = {}          # (T, A, B) packed into one int: a small, fast build
+    for i, j, a, b, c, d in itertools.product(range(n), repeat=6):
+        # each of the five sums is a sum of G G G y_{ab,i} y_{cd,j}
+        s1, s2 = pk[a][b] * n + i, pk[c][d] * n + j
+        ab = min(s1, s2) * ns + max(s1, s2)
+        for w, t in ((8, (pk[j][b], pk[a][i], pk[c][d])),
+                     (-2, (pk[i][j], pk[a][b], pk[c][d])),
+                     (6, (pk[i][j], pk[b][c], pk[d][a])),
+                     (-4, (pk[i][c], pk[d][a], pk[b][j])),
+                     (-8, (pk[i][a], pk[b][d], pk[c][j]))):
+            p, q, r = sorted(t)
+            key = ((p * np_ + q) * np_ + r) * ns * ns + ab
+            acc[key] = acc.get(key, 0) + w
+    keys = sorted(key for key, c in acc.items() if c)
+    index = {ab: k for k, ab in enumerate(sorted({key % (ns * ns) for key in keys}))}
+    table: dict = {}
+    for key in keys:
+        t, ab = divmod(key, ns * ns)
+        ks, cs = table.setdefault(divmod(t // np_, np_), {}).setdefault(t % np_, ([], []))
+        ks.append(index[ab])
+        cs.append(acc[key])
+    return ([(pq, [(r, tuple(ks), tuple(cs)) for r, (ks, cs) in rows.items()])
+             for pq, rows in table.items()],
+            tuple(ab // ns for ab in index), tuple(ab % ns for ab in index))
+
+
 # ---------------------------------------------------------------------------
 # natural lifts of base vector fields to the bundle of metrics
 
@@ -411,15 +423,14 @@ def covariant_noether_current(n: int, u_polys: list[Poly], mj: MetricJet, x):
 
 
 def affine_supplier(eh: EHLagrangian) -> TableAffineSupplier:
-    """The closed-form tables as a varcore affine-data supplier."""
+    """The closed-form tables as a varcore affine-data supplier; each
+    `tables` call inverts the metric row once, for L_0 and L^{ij} alike."""
 
-    def l0(x, y, dy):
-        return eh.l0(MetricJet(eh.n, eh.signature, tuple(y),
-                               tuple(tuple(r) for r in dy)))
+    def tables(x, y, dy):
+        inverse = ginv_rho(eh.n, y)
+        l0 = eh.l0(MetricJet(eh.n, eh.signature, tuple(y), tuple(map(tuple, dy))), inverse)
+        tab = eh.lij_rs(y, inverse)
+        return l0, {(al, i, j): tab[b][al]
+                    for al in range(eh.npairs) for b, (i, j) in enumerate(eh.pairs)}
 
-    def lij(x, y):
-        tab = eh.lij_rs(y)
-        return {(al, i, j): tab[b][al]
-                for al in range(eh.npairs) for b, (i, j) in enumerate(eh.pairs)}
-
-    return TableAffineSupplier(eh.n, eh.npairs, l0, lij)
+    return TableAffineSupplier(eh.n, eh.npairs, tables)

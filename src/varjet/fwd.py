@@ -243,12 +243,13 @@ class Jet:
         s0 = ring_sqrt(a0)
         h = Jet(self.order, {k: c for k, c in self.coef.items() if k})
         u = h * (Fraction(1, a0) if isinstance(a0, int) else 1 / a0)
+        one = ring_unit(a0)     # binomial coefficients in the ring of a0
         # sqrt(a0) * (1 + u)^{1/2}, binomial series
         acc = Jet.constant(s0, self.order)
         term = Jet.constant(s0, self.order)
         for k in range(1, self.order + 1):
             c = Fraction(1, 2) - (k - 1)            # C(1/2,k) = C(1/2,k-1)*c/k
-            term = term * u * Fraction(c.numerator, c.denominator * k)
+            term = term * u * (one * c.numerator / (c.denominator * k))
             if not term.coef:
                 break
             acc = acc + term
@@ -285,6 +286,16 @@ def ring_one(sample):
     if isinstance(sample, (int, Fraction)):
         return Fraction(1)
     return 1.0
+
+
+def ring_unit(v):
+    """1 in the ring of the innermost scalars of v, a scalar or a (nested)
+    Jet, so that a weight `ring_unit(v) / 2` keeps float data off
+    `Fraction`'s reverse operators and exact data exact (`ring_one` of a Jet
+    is 1.0).  A zero Jet gives `Fraction(1)`, correct in every ring."""
+    while isinstance(v, Jet):
+        v = next(iter(v.coef.values()), 0)
+    return ring_one(v)
 
 
 def value_of(x):

@@ -185,16 +185,6 @@ def _identity(v):
     return v
 
 
-def ring_unit(v):
-    """1 in the ring of the innermost scalars of v, a scalar or a (nested)
-    Jet, so that a weight `ring_unit(v) / 2` keeps float data off
-    `Fraction`'s reverse operators and exact data exact (`ring_one` of a Jet
-    is 1.0).  A zero Jet gives `Fraction(1)`, correct in every ring."""
-    while isinstance(v, Jet):
-        v = next(iter(v.coef.values()), 0)
-    return ring_one(v)
-
-
 def jet_of_section(s: PolySection, x, order: int) -> JetPoint:
     """Jet coordinates y^a_I = (d^|I| s^a / dx^I)(x) for |I| <= order, in
     the ring of x (see `point_ring`)."""

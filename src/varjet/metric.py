@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fwd import ring_sqrt, value_of
-from .jets import JetPoint, pair_index, ring_unit, sym_pairs, sym_triples
+from .fwd import ring_sqrt, ring_unit, value_of
+from .jets import JetPoint, pair_index, sym_pairs, sym_triples
 
 
 class SingularMetricError(ValueError):
@@ -256,17 +256,17 @@ def curvature(mj: MetricJet) -> CurvatureData:
 
 
 def _dginv(mj: MetricJet, ginv):
-    """d g^{il} / dx^r = -g^{ia} dg_{ab,r} g^{bl}."""
+    """d g^{il} / dx^r = -(G dG_r G)_{il} with G = g^{-1} and dG_r =
+    (dg_{ab,r}), formed once per symmetric pair (i, l)."""
     n = mj.n
     out = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for l in range(n):
-            for r in range(n):
-                s = 0
-                for a in range(n):
-                    for b in range(n):
-                        s = s - ginv[i][a] * mj.dcomp(a, b, r) * ginv[b][l]
-                out[i][l][r] = s
+    for r in range(n):
+        dgg = [[sum(mj.dcomp(a, b, r) * ginv[b][l] for b in range(n))
+                for l in range(n)] for a in range(n)]
+        for i in range(n):
+            for l in range(i, n):
+                s = -sum(ginv[i][a] * dgg[a][l] for a in range(n))
+                out[i][l][r] = out[l][i][r] = s
     return out
 
 

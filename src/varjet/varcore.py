@@ -24,10 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fwd import Jet, ring_one, value_of
+from .fwd import Jet, ring_one, ring_unit, value_of
 from .jets import (JetFunction, JetOrderError, JetPoint, JetVars, PolySection,
                    contract, delta, jet_of_section, pair_index, point_ring,
-                   ring_unit, seed_point, sym_pairs, total_derivative,
+                   seed_point, sym_pairs, total_derivative,
                    total_derivative2_stencil, total_derivative_stencil)
 from .poly import Poly
 
@@ -227,21 +227,19 @@ class GenericAffineSupplier:
 
 
 class TableAffineSupplier:
-    """Wrap closed-form callables l0(x, y, dy) -> L_0 and
-    lij(x, y) -> {(a,i,j): L^{ij}_a}.
-
-    The block takes no first derivatives, so the fibre primitive is the
-    contraction y^a_i L_a^{hi} of the block the pipeline already holds.
+    """Wrap a closed-form callable tables(x, y, dy) -> (L_0, {(a,i,j):
+    L^{ij}_a}), whose block takes no first derivatives, so the fibre
+    primitive is the contraction y^a_i L_a^{hi} of the block in hand.
     """
 
     extra_cap = 0
     lij_sees_dy = False
 
-    def __init__(self, n: int, m: int, l0, lij):
-        self.n, self.m, self.l0, self.lij = n, m, l0, lij
+    def __init__(self, n: int, m: int, tables):
+        self.n, self.m, self.fn = n, m, tables
 
     def tables(self, x, y, dy, cap: int):
-        return self.l0(x, y, dy), self.lij(x, y)
+        return self.fn(x, y, dy)
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +276,6 @@ class PipelineData:
 
     def lij_get(self, alpha, i, j):
         return self.lij[(alpha,) + _sp(i, j)]
-
-
-_GL_CACHE: dict = {}
-
-
-def _gl_nodes(npts: int):
-    if npts not in _GL_CACHE:
-        xs, ws = np.polynomial.legendre.leggauss(npts)
-        _GL_CACHE[npts] = (xs, ws)
-    return _GL_CACHE[npts]
 
 
 def _jet_dist(a: Jet, b: Jet) -> float:
@@ -334,8 +322,9 @@ def fibre_primitive_jets(supplier, x, y, dy, cap: int):
     if all(i0[h].coef == imid[h].coef == i1[h].coef for h in range(n)):
         return i1, 0.0, "sampled_constant"
 
+    xs, ws = np.polynomial.legendre.leggauss(16)
+
     def panels(k):
-        xs, ws = _gl_nodes(16)
         acc = [Jet(cap, {}) for _ in range(n)]
         width = 1.0 / k
         for p_i in range(k):

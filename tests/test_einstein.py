@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from varjet.einstein import EHLagrangian, natural_lift
+import varjet.einstein
+from varjet.einstein import EHLagrangian, affine_supplier, natural_lift
 from varjet.jets import pair_index, sym_pairs
 from varjet.metric import (MetricJet, christoffel, constant_metric_jet, curvature,
                            ginv_rho, random_metric_jet, metric_from_jet_point)
@@ -101,29 +102,76 @@ def test_reconstruction_equals_curvature_contraction():
             assert abs(lhs - tot) <= 1e-9 * max(1.0, abs(lhs))
 
 
-def test_l0_factorized_equals_displayed_form_exactly():
-    """The factorized L0 equals the literal double pair sum over Fractions.
+def _rational_metric_jet(rng, n, sig):
+    """g = A diag(eps) A^T with rational A, so rho = |det A| is rational,
+    and rational first derivatives."""
+    eps = [1] * sig[0] + [-1] * sig[1]
+    while True:
+        a = [[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+              for _ in range(n)] for _ in range(n)]
+        if np.linalg.det(np.array(a, dtype=float)) != 0:
+            break
+    g = tuple(sum(a[i][c] * eps[c] * a[j][c] for c in range(n))
+              for i, j in sym_pairs(n))
+    dg = tuple(tuple(Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 6)))
+                     for _ in range(n)) for _ in sym_pairs(n))
+    return MetricJet(n, sig, g, dg)
 
-    g = A diag(eps) A^T with rational A keeps rho = |det A| rational, so both
-    sides are exact rationals and must agree with no tolerance."""
+
+def test_l0_factorized_equals_displayed_form_exactly():
+    """The quadratic form of L0 equals the literal double pair sum over
+    Fractions, with no tolerance, at n = 2 to 5 (n = 3 and 4 drawn first,
+    from the same stream as before n = 2 and 5 were added)."""
     rng = np.random.default_rng(53)
-    for n, sig in [(3, (2, 1)), (4, (1, 3))]:
-        eps = [1] * sig[0] + [-1] * sig[1]
+    for n, sig in [(3, (2, 1)), (4, (1, 3)), (2, (1, 1)), (5, (3, 2))]:
         eh = EHLagrangian(n, sig)
         for _ in range(3):
-            while True:
-                a = [[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
-                      for _ in range(n)] for _ in range(n)]
-                if np.linalg.det(np.array(a, dtype=float)) != 0:
-                    break
-            g = tuple(sum(a[i][c] * eps[c] * a[j][c] for c in range(n))
-                      for i, j in sym_pairs(n))
-            dg = tuple(tuple(Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 6)))
-                             for _ in range(n)) for _ in sym_pairs(n))
-            mj = MetricJet(n, sig, g, dg)
+            mj = _rational_metric_jet(rng, n, sig)
             lhs = eh.l0(mj)
             assert isinstance(lhs, Fraction)
             assert lhs == eh.l0_reference(mj)
+
+
+def _nonzero_coefficients(v):
+    return {k: c for k, c in v.coef.items() if c != 0}
+
+
+def test_l0_on_seeded_exact_jets_equals_display_coefficientwise():
+    """With the metric row and y' order-2 Jets over Fractions, one variable
+    per slot as `pipeline` seeds them, L0 equals the literal display in
+    every Taylor coefficient."""
+    n, sig = 3, (2, 1)
+    eh = EHLagrangian(n, sig)
+    mj = _rational_metric_jet(np.random.default_rng(59), n, sig)
+    m, one = eh.npairs, Fraction(1)
+    row = tuple(Jet.variable(k, v, 2, one) for k, v in enumerate(mj.g))
+    drow = tuple(tuple(Jet.variable(m + n * k + i, v, 2, one) for i, v in enumerate(r))
+                 for k, r in enumerate(mj.dg))
+    seeded = MetricJet(n, sig, row, drow)
+    got, want = eh.l0(seeded), eh.l0_reference(seeded)
+    assert got.order == want.order == 2
+    assert _nonzero_coefficients(got) == _nonzero_coefficients(want)
+    # not an agreement of near-empty Jets: the value is the scalar L0
+    assert got.value == eh.l0(mj) and len(_nonzero_coefficients(got)) > 100
+    assert {type(c) for c in got.coef.values()} == {Fraction}
+
+
+def test_affine_supplier_inverts_each_metric_row_once(monkeypatch):
+    """One `tables` call of the EH supplier inverts the metric row once and
+    returns what `l0` and `lij_rs` give on their own."""
+    n, sig = 3, (2, 1)
+    eh = EHLagrangian(n, sig)
+    mj = _rational_metric_jet(np.random.default_rng(61), n, sig)
+    calls = []
+    inner = varjet.einstein.ginv_rho
+    monkeypatch.setattr(varjet.einstein, "ginv_rho",
+                        lambda *a: calls.append(a) or inner(*a))
+    l0, lij = affine_supplier(eh).tables((0,) * n, mj.g, mj.dg, 1)
+    assert len(calls) == 1
+    tab = eh.lij_rs(mj.g)
+    assert l0 == eh.l0(mj) == eh.l0_reference(mj)
+    assert lij == {(al, i, j): tab[b][al] for al in range(eh.npairs)
+                   for b, (i, j) in enumerate(eh.pairs)}
 
 
 def _scalars(v):

@@ -55,6 +55,48 @@ def test_sqrt_exact_at_one():
     assert f.deriv(0, 0, 0) == Fraction(3, 8)
 
 
+def _scalar_types(v):
+    if isinstance(v, Jet):
+        return set().union(*(_scalar_types(c) for c in v.coef.values()))
+    return {type(v)}
+
+
+def test_sqrt_coefficients_stay_in_the_ring_of_the_value(monkeypatch):
+    """The binomial coefficients of sqrt are taken in the ring of the
+    innermost scalars: float and nested float Jets never reach Fraction's
+    reverse operators and stay bit-identical to multiplying by the Fraction
+    C(1/2, k) (int/int division and float(Fraction) round alike), and exact
+    Jets stay exact."""
+    def by_fractions(a):
+        # the binomial series with Fraction coefficients
+        a0 = a.value
+        u = Jet(a.order, {k: c for k, c in a.coef.items() if k}) * (1 / a0)
+        acc = term = Jet.constant(ring_sqrt(a0), a.order)
+        for k in range(1, a.order + 1):
+            c = Fraction(1, 2) - (k - 1)
+            term = term * u * Fraction(c.numerator, c.denominator * k)
+            acc = acc + term
+        return acc
+
+    x, y = Jet.variable(0, 1.7, 3), Jet.variable(1, -0.3, 3)
+    f = x * x + y * x + 0.9
+    fallbacks = []
+    rmul = Fraction.__rmul__
+    monkeypatch.setattr(Fraction, "__rmul__",
+                        lambda b, a: fallbacks.append(a) or rmul(b, a))
+    assert _scalar_types(f.sqrt()) == {float} and fallbacks == []
+    monkeypatch.undo()
+    assert f.sqrt().coef == by_fractions(f).coef
+    nested = Jet.variable(2, f, 2, 1.0)
+    assert _scalar_types(nested.sqrt()) == {float}
+    assert nested.sqrt().coef[0].coef == f.sqrt().coef
+    xq = Jet.variable(0, Fraction(9, 4), 3)
+    g = xq * xq + Jet.variable(1, Fraction(0), 3)
+    assert _scalar_types(g.sqrt()) == {Fraction}
+    square = g.sqrt() * g.sqrt()
+    assert {k: c for k, c in square.coef.items() if c} == g.coef
+
+
 def test_partial_jet():
     x = Jet.variable(0, 1.5, 3)
     y = Jet.variable(1, -0.5, 3)

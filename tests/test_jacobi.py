@@ -597,7 +597,7 @@ def test_generic_residual_memo_is_ring_safe():
         return {(0, 0, 0): y[0] * y[0] * F(1, 3), (0, 0, 1): x[1] * y[0],
                 (0, 1, 1): H}
 
-    sup = TableAffineSupplier(2, 1, l0, lij)
+    sup = TableAffineSupplier(2, 1, lambda x, y, dy: (l0(x, y, dy), lij(x, y)))
     names = {"x1": 0, "x2": 1}
     s = PolySection(2, [parse_poly("1 + x1^2/4 - x1*x2/8", names, 2)])
     v = [parse_poly("x1^2*x2/2 - x2/3 + 1/4", names, 2)]

@@ -399,7 +399,8 @@ def test_hc_newton_cycle_is_flagged():
     v0 = Fraction(-23, 13)
     assert abs(v0 ** 3 - 2 * v0 + 2) < Fraction(1, 1000)
     s = PolySection(1, [v0 * Poly.variable(1, 0)])
-    res = hc_residual(TableAffineSupplier(1, 1, l0, lij), s, (0.3,))
+    res = hc_residual(TableAffineSupplier(1, 1, lambda x, y, dy: (l0(x, y, dy), lij(x, y))),
+                      s, (0.3,))
     assert res.first == [0.0] and not res.skipped_second
     assert (res.newton_iters, res.converged) == (60, False)
     assert res.final_step > 0.5         # the last step still jumps across the cycle
