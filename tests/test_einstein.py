@@ -120,8 +120,8 @@ def _rational_metric_jet(rng, n, sig):
 
 def test_l0_factorized_equals_displayed_form_exactly():
     """The quadratic form of L0 equals the literal double pair sum over
-    Fractions, with no tolerance, at n = 2 to 5 (n = 3 and 4 drawn first,
-    from the same stream as before n = 2 and 5 were added)."""
+    Fractions, with no tolerance, at n = 2 to 5 (n = 3 and 4 first, so
+    their draws from the seeded stream do not depend on the other cases)."""
     rng = np.random.default_rng(53)
     for n, sig in [(3, (2, 1)), (4, (1, 3)), (2, (1, 1)), (5, (3, 2))]:
         eh = EHLagrangian(n, sig)
