@@ -15,9 +15,9 @@ Coefficients are stored in the *normalized* (Taylor) convention — the
 coefficient on a monomial is the partial derivative divided by the monomial's
 multiplicity factorial — so multiplication is a plain convolution.
 
-The class works over any coefficient ring with ``+ - * /`` (floats,
-Fractions, complex, Gaussian rationals, even other Jets), which is what lets
-the exact-arithmetic paths share code with the float paths.
+The class works over any scalar ring with ``+ - * /`` (floats, Fractions,
+complex, Gaussian rationals), which is what lets the exact-arithmetic paths
+share code with the float paths.  `Jet.variable` refuses a Jet value.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ class Jet:
 
     @staticmethod
     def variable(var: int, value, order: int, one=1) -> "Jet":
+        if isinstance(value, Jet):
+            raise TypeError("a Jet variable takes a scalar value, not a Jet")
         c = {var_key(var): one}
         if value != 0:
             c[0] = value
@@ -111,13 +113,13 @@ class Jet:
             out[nk] = nc if acc is None else acc + nc
         return Jet(self.order - 1, out)
 
-    def restricted(self, keep) -> "Jet":
-        """Drop all terms involving variables outside `keep`."""
-        mask = _DEG_MASK
-        for v in keep:
+    def without(self, ids) -> "Jet":
+        """Drop all terms involving the variables `ids`."""
+        mask = 0
+        for v in ids:
             mask |= 7 << (_VAR_SHIFT + _VAR_BITS * v)
         return Jet(self.order, {k: c for k, c in self.coef.items()
-                                if k & mask == k})
+                                if not k & mask})
 
     def truncated(self, order: int) -> "Jet":
         return Jet(order, {k: c for k, c in self.coef.items()
@@ -256,11 +258,7 @@ class Jet:
         return acc
 
     def __abs__(self):
-        # the sign of a nested Jet is that of its innermost scalar value
-        v = self.value
-        while isinstance(v, Jet):
-            v = v.value
-        return self if v >= 0 else -self
+        return self if self.value >= 0 else -self
 
     def __repr__(self):
         items = ", ".join(f"{k:#x}:{c}" for k, c in list(self.coef.items())[:8])
@@ -289,11 +287,11 @@ def ring_one(sample):
 
 
 def ring_unit(v):
-    """1 in the ring of the innermost scalars of v, a scalar or a (nested)
-    Jet, so that a weight `ring_unit(v) / 2` keeps float data off
-    `Fraction`'s reverse operators and exact data exact (`ring_one` of a Jet
-    is 1.0).  A zero Jet gives `Fraction(1)`, correct in every ring."""
-    while isinstance(v, Jet):
+    """1 in the ring of the scalars of v, a scalar or a Jet, so that a weight
+    `ring_unit(v) / 2` keeps float data off `Fraction`'s reverse operators
+    and exact data exact (`ring_one` of a Jet is 1.0).  A zero Jet gives
+    `Fraction(1)`, correct in every ring."""
+    if isinstance(v, Jet):
         v = next(iter(v.coef.values()), 0)
     return ring_one(v)
 

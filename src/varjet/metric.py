@@ -42,13 +42,20 @@ def mat_det(a):
     return det
 
 
+def _check_nonsingular(det: float, rows) -> None:
+    """Refuse a float |det| of at most 1e-12 times the product of the row
+    2-norms (Hadamard's bound on |det|): singular to working precision."""
+    bound = math.prod(math.hypot(*row) for row in rows)
+    if abs(det) <= 1e-12 * bound:
+        raise SingularMetricError(
+            f"|det| = {abs(det):.3e} against the Hadamard bound {bound:.3e}")
+
+
 def mat_inverse(a):
     """Inverse by adjugate (dimensions here are <= 4).
 
-    Raises SingularMetricError when the value part of det is zero or, for a
-    float, when |det| <= 1e-12 times the product of the row 2-norms of the
-    value matrix (Hadamard's bound on |det|): such a float matrix is singular
-    to working precision.  An exact det is refused only at zero.
+    Raises SingularMetricError at a zero value part of det and, for a float
+    det, when `_check_nonsingular` refuses it.
     """
     n = len(a)
     det = mat_det(a)
@@ -56,10 +63,7 @@ def mat_inverse(a):
     if d0 == 0:
         raise SingularMetricError("zero determinant")
     if isinstance(d0, float):
-        bound = math.prod(math.hypot(*map(value_of, row)) for row in a)
-        if abs(d0) <= 1e-12 * bound:
-            raise SingularMetricError(
-                f"|det| = {abs(d0):.3e} against the Hadamard bound {bound:.3e}")
+        _check_nonsingular(d0, [map(value_of, row) for row in a])
     inv = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -112,12 +116,10 @@ class MetricJet:
         return [[self.comp(a, b) for b in range(n)] for a in range(n)]
 
     def validate(self) -> None:
-        """Nondegeneracy (|det g| > 1e-12) and declared signature (float
-        metrics only)."""
+        """Nondegeneracy (`_check_nonsingular`, in floats) and the declared
+        signature."""
         gm = np.array([[float(value_of(v)) for v in row] for row in self.matrix()])
-        det = np.linalg.det(gm)
-        if abs(det) <= 1e-12:
-            raise SingularMetricError(f"|det g| = {abs(det):.3e}")
+        _check_nonsingular(float(np.linalg.det(gm)), gm)
         eig = np.linalg.eigvalsh(0.5 * (gm + gm.T))
         npos = int(np.sum(eig > 0))
         if (npos, self.n - npos) != self.signature:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fwd import Jet, ring_one, ring_unit, value_of
+from .fwd import Jet, ring_one, ring_unit
 from .jets import (JetFunction, JetOrderError, JetPoint, JetVars, PolySection,
                    contract, delta, jet_of_section, pair_index, point_ring,
                    seed_point, sym_pairs, total_derivative,
@@ -81,7 +81,7 @@ def projectability_check(lag: SecondOrderLagrangian, samples,
         out = lag.L(seeded)
 
         def d2(lab1, lab2):
-            return float(value_of(out.deriv(jv.id_of[lab1], jv.id_of[lab2])))
+            return float(out.deriv(jv.id_of[lab1], jv.id_of[lab2]))
 
         pairs = sym_pairs(n)
         # affineness: all second partials in the y'' block vanish
@@ -110,7 +110,7 @@ def projectability_check(lag: SecondOrderLagrangian, samples,
                                      * d2(("y2", be, _sp(ia, ib)), ("y2", al, _sp(i, ic))))
                                 worst_j2 = max(worst_j2, abs(float(r)))
         # first-order cross conditions dL_b^{ih}/dy^a_a' = dL_a^{ia'}/dy^b_h
-        for r in _first_cross_residuals(out, jv, n, m):
+        for r in _first_cross_residuals(d2, n, m):
             worst_tris = max(worst_tris, abs(r))
     affine = worst_aff <= tol
     j2 = affine or worst_j2 <= tol
@@ -123,12 +123,10 @@ def _sp(i, j):
     return (i, j) if i <= j else (j, i)
 
 
-def _first_cross_residuals(out: Jet, jv: JetVars, n: int, m: int):
+def _first_cross_residuals(d2, n: int, m: int):
     """Residuals of dL_b^{ih}/dy^a_{a'} - dL_a^{ia'}/dy^b_h, which are also
-    the components of the fibre differential of the w' contraction."""
-    def d2(lab1, lab2):
-        return float(value_of(out.deriv(jv.id_of[lab1], jv.id_of[lab2])))
-
+    the components of the fibre differential of the w' contraction; `d2`
+    reads a second partial of L by coordinate labels."""
     res = []
     for al in range(m):
         for be in range(m):
@@ -186,10 +184,10 @@ def legendre_coefficients(lag: SecondOrderLagrangian, p: JetPoint) -> LegendreCo
 class GenericAffineSupplier:
     """Extract (L_0, L^{ij}) Taylor data from a black-box affine Lagrangian.
 
-    One evaluation of L with the first-order coordinates seeded to order
-    cap+1 and every stored second-order slot seeded (value 0) yields L_0 as
-    the y''-free part and each L_a^{ij} as the coefficient series of the
-    corresponding y'' variable, exactly, provided L is affine.  The block
+    One evaluation of L with every stored second-order slot seeded (value
+    0) at the order of the first-order Jets yields L_0 as the y''-free part
+    and each L_a^{ij} as the coefficient series of the corresponding y''
+    variable, one order lower, exactly, provided L is affine.  The block
     may depend on y', so the fibre primitive samples it along the ray.
     """
 
@@ -200,30 +198,28 @@ class GenericAffineSupplier:
         self.lag = lag
         self.jv = JetVars(lag.n, lag.m, 2)
 
-    def tables(self, x, y, dy, cap: int):
+    def tables(self, x, y, dy):
         n, m, jv = self.lag.n, self.lag.m, self.jv
+        top = y[0].order
         one = ring_unit(y[0])
         half = one / 2
         d2y = tuple(
-            tuple(Jet.variable(jv.id_of[("y2", a, pr)], 0, cap + 1, one)
+            tuple(Jet.variable(jv.id_of[("y2", a, pr)], 0, top, one)
                   for pr in sym_pairs(n)) for a in range(m))
         p2 = JetPoint(n, m, 2, tuple(x), tuple(y), tuple(tuple(r) for r in dy), d2y)
         out = self.lag.L(p2)
-        j1_ids = range(jv.id_of[("y2", 0, (0, 0))])
+        y2_ids = range(jv.id_of[("y2", 0, (0, 0))], len(jv))
         lij = {}
         for a in range(m):
             for (i, j) in sym_pairs(n):
                 vid = jv.id_of[("y2", a, (i, j))]
                 cjet = out.partial(vid)
-                flat = cjet.restricted(j1_ids)
+                flat = cjet.without(y2_ids)
                 if len(flat.coef) != len(cjet.coef):
                     raise NotProjectableError(
                         "Lagrangian is not affine in the second derivatives")
-                flat.order = cap
                 lij[(a, i, j)] = flat if i == j else flat * half
-        l0 = out.restricted(j1_ids)
-        l0.order = cap
-        return l0, lij
+        return out.without(y2_ids).truncated(top - 1), lij
 
 
 class TableAffineSupplier:
@@ -236,10 +232,7 @@ class TableAffineSupplier:
     lij_sees_dy = False
 
     def __init__(self, n: int, m: int, tables):
-        self.n, self.m, self.fn = n, m, tables
-
-    def tables(self, x, y, dy, cap: int):
-        return self.fn(x, y, dy)
+        self.n, self.m, self.tables = n, m, tables
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +275,7 @@ def _jet_dist(a: Jet, b: Jet) -> float:
     keys = set(a.coef) | set(b.coef)
     worst = 0.0
     for k in keys:
-        worst = max(worst, abs(float(value_of(a.coef.get(k, 0) - b.coef.get(k, 0)))))
+        worst = max(worst, abs(float(a.coef.get(k, 0) - b.coef.get(k, 0))))
     return worst
 
 
@@ -315,7 +308,7 @@ def fibre_primitive_jets(supplier, x, y, dy, cap: int):
 
     def integrand(t):
         dyt = [[t * v for v in row] for row in dy]
-        _, lij = supplier.tables(x, y, dyt, cap)
+        _, lij = supplier.tables(x, y, dyt)
         return _radial_contraction(lij, dy, cap)
 
     i0, imid, i1 = integrand(Fraction(0)), integrand(Fraction(1, 2)), integrand(Fraction(1))
@@ -339,7 +332,7 @@ def fibre_primitive_jets(supplier, x, y, dy, cap: int):
     for k in (2, 4, 8, 16):
         cur = panels(k)
         change = max(_jet_dist(prev[h], cur[h]) for h in range(n))
-        scale = max(1.0, max(abs(float(value_of(cur[h].value))) for h in range(n)))
+        scale = max(1.0, max(abs(float(cur[h].value)) for h in range(n)))
         if change <= 1e-10 * scale:
             return cur, change, "quadrature"
         prev = cur
@@ -350,13 +343,16 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
              with_primitives: bool = True) -> PipelineData:
     """Assemble the first-order data (A, p, H, Lbar) at the order-1 jet q.
 
-    `cap` is the Taylor order retained for A/p/H/Lbar.  The fibre primitives
-    L^i are taken from the zero section: for a supplier whose block sees no
-    y' (`lij_sees_dy` false) they are the contraction y^a_i L_a^{hi} of the
-    block in hand, otherwise `fibre_primitive_jets` samples or integrates
-    the block along the ray.  With `with_primitives=False` they are skipped
-    and only L_0, the coefficient block and A are produced (enough for
-    Euler-Lagrange, Helmholtz and Noether work).
+    `cap` is the Taylor order retained for A/p/H/Lbar.  The seeds have order
+    cap + 1 + `supplier.extra_cap`, and `supplier.tables(x, y, dy)` returns
+    L_0 and the block `extra_cap` orders below its arguments.  The fibre
+    primitives L^i are taken from the zero section: for a supplier whose
+    block sees no y' (`lij_sees_dy` false) they are the contraction
+    y^a_i L_a^{hi} of the block in hand, otherwise `fibre_primitive_jets`
+    samples or integrates the block along the ray.  With
+    `with_primitives=False` they are skipped and only L_0, the coefficient
+    block and A are produced (enough for Euler-Lagrange, Helmholtz and
+    Noether work).
     """
     n, m = q.n, q.m
     jv = JetVars(n, m, 1)
@@ -367,7 +363,7 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
     dy = [[Jet.variable(jv.id_of[("y1", a, i)], q.dy[a][i], seed_cap, one)
            for i in range(n)] for a in range(m)]
 
-    l0, lij = supplier.tables(x, y, dy, cap + 1)
+    l0, lij = supplier.tables(x, y, dy)
     if not isinstance(l0, Jet):
         l0 = Jet.constant(l0, cap + 1)
     lij = {k: (v if isinstance(v, Jet) else Jet.constant(v, cap + 1))
@@ -435,7 +431,7 @@ def momenta_hamiltonian(supplier, q: JetPoint, cap: int = 1):
 def _velocity_hessian(data: PipelineData) -> np.ndarray:
     """dp_a^i/dy'^b_j as a float matrix, rows (a, i) and columns (b, j)."""
     n, m, jv = data.n, data.m, data.jv
-    return np.array([[float(value_of(data.p[(al, i)].deriv(jv.y1(be, j))))
+    return np.array([[float(data.p[(al, i)].deriv(jv.y1(be, j)))
                       for be in range(m) for j in range(n)]
                      for al in range(m) for i in range(n)])
 
@@ -448,7 +444,7 @@ def bar_lagrangian(supplier, q: JetPoint):
     for al in range(m):
         for i in range(n):
             d = data.lbar.deriv(data.jv.id_of[("y1", al, i)]) - data.p[(al, i)].value
-            worst = max(worst, abs(float(value_of(d))))
+            worst = max(worst, abs(float(d)))
     return data.lbar.value, worst, data
 
 
@@ -464,7 +460,7 @@ def bilinear_form_b(supplier, q: JetPoint):
                 for j in range(n):
                     v = data.a[(al, i)].deriv(data.jv.id_of[("y1", be, j)]) \
                         - data.lij_get(be, i, j).deriv(data.jv.id_of[("y", al)])
-                    b[al * n + i][be * n + j] = float(value_of(v))
+                    b[al * n + i][be * n + j] = float(v)
     defect = float(np.max(np.abs(b - b.T)))
     try:
         cond = float(np.linalg.cond(b))
@@ -525,7 +521,7 @@ def hc_residual(supplier, s: PolySection, x) -> HCResult:
     data = pipeline(supplier, p2.truncated(1), cap=1)
     ev = point_ring(x)
     first = [ev(v) for v in hc_first_family(data, p2)]
-    pmat = np.array([[float(value_of(data.p[(al, i)].value)) for i in range(n)]
+    pmat = np.array([[float(data.p[(al, i)].value) for i in range(n)]
                      for al in range(m)])
     dp = _velocity_hessian(data)
     cond = float(np.linalg.cond(dp)) if np.isfinite(dp).all() else float("inf")
@@ -541,7 +537,7 @@ def hc_residual(supplier, s: PolySection, x) -> HCResult:
         q_try = JetPoint(n, m, 1, tuple(xs), tuple(ys),
                          tuple(tuple(vel[a * n:(a + 1) * n]) for a in range(m)))
         d_try = pipeline(supplier, q_try, cap=1)
-        p_try = np.array([float(value_of(d_try.p[(al, i)].value))
+        p_try = np.array([float(d_try.p[(al, i)].value)
                           for al in range(m) for i in range(n)])
         step = np.linalg.solve(_velocity_hessian(d_try), target - p_try)
         vel = vel + step
@@ -572,7 +568,7 @@ def euler_lagrange(supplier, s: PolySection, x) -> list:
                     * data.lij_get(be, i, j).deriv(jv.id_of[("y", al)])
         for i in range(n):
             acc = acc - contract(data.a[(al, i)], st[i])
-        out.append(ev(value_of(acc)))
+        out.append(ev(acc))
     return out
 
 
@@ -591,7 +587,7 @@ def euler_lagrange_first_order(supplier, s: PolySection, x) -> list:
         for i in range(n):
             g = data.lbar.partial(jv.id_of[("y1", al, i)])
             acc = acc - contract(g, st[i])
-        out.append(ev(value_of(acc)))
+        out.append(ev(acc))
     return out
 
 # ---------------------------------------------------------------------------
@@ -849,89 +845,87 @@ def prolong(X: VectorField, p: JetPoint, order: int = 2) -> Prolongation:
 class TransformedSupplier:
     """Affine data of the Lie-transformed Lagrangian L' = X^(2)(L) + div(u) L.
 
-    Produces the transformed block L'^{ab}_a and zero-order part L'_0 from the
-    base supplier's tables by one inner derivative pass; itself a supplier, so
-    the whole pipeline (projectability, momenta, Noether) applies to L'.
-    The prolongation brings y' into the block, so the fibre primitive
-    samples it along the ray.
+    pr^1 X of L_0 and of each L_a^{ij} is a directional derivative (Olver,
+    GTM 107, Thm 2.36): the e-derivative at e = 0 of one call of the base
+    tables at (x + e u, y + e v, y' + e v'), whose e-free part is the base
+    tables.  e is one more variable of the same Jets, numbered above every
+    jet coordinate.  The arguments are affine in their variables, so their
+    order is raised exactly, and the tables come back at that order
+    (scalars at scalars).  A supplier itself, so the pipeline applies to L'.
+    The block takes y' only if the base block does.
     """
 
-    lij_sees_dy = True
+    extra_cap = 0
 
     def __init__(self, base, X: VectorField):
         self.base = base
         self.X = X
-        self.extra_cap = base.extra_cap + 1
-        self.jv = JetVars(X.n, X.m, 1)
+        self.lij_sees_dy = base.lij_sees_dy
+        self.e_id = len(JetVars(X.n, X.m, 3))
 
-    def tables(self, x, y, dy, cap: int):
-        n, m, ijv = self.X.n, self.X.m, self.jv
-        one = ring_unit(y[0])
-        icap = cap + 1 + self.base.extra_cap
-        ix = [Jet.variable(ijv.id_of[("x", i)], x[i], icap, one) for i in range(n)]
-        iy = [Jet.variable(ijv.id_of[("y", a)], y[a], icap, one) for a in range(m)]
-        idy = [[Jet.variable(ijv.id_of[("y1", a, i)], dy[a][i], icap, one)
-                for i in range(n)] for a in range(m)]
-        l0, lij = self.base.tables(ix, iy, idy, cap + 1)
+    def tables(self, x, y, dy):
+        n, m, e_id = self.X.n, self.X.m, self.e_id
+        scalar = not isinstance(y[0], Jet)
+        order = 0 if scalar else y[0].order
+        top = order + 1 + self.base.extra_cap
 
+        def raised(v):
+            return Jet(top, dict(v.coef)) if isinstance(v, Jet) else Jet.constant(v, top)
+
+        x, y = [raised(v) for v in x], [raised(v) for v in y]
+        dy = [[raised(v) for v in row] for row in dy]
         # pr X at (x, y, y'); the y'' terms of v^a_(ij) go into the L' block
         pro = _prolongation(self.X, x, y, dy, 2)
+        e = Jet.variable(e_id, 0, top, ring_unit(y[0]))
+        l0_e, lij_e = self.base.tables(
+            [x[i] + e * pro.u[i] for i in range(n)],
+            [y[a] + e * pro.v[a] for a in range(m)],
+            [[dy[a][i] + e * pro.v1[a][i] for i in range(n)] for a in range(m)])
+
+        def split(t):
+            """t and dt/de at e = 0, at the order of the arguments."""
+            if not isinstance(t, Jet):
+                return Jet.constant(t, order), Jet(order, {})
+            return t.without((e_id,)).truncated(order), t.partial(e_id).without((e_id,))
+
+        l0, dl0 = split(l0_e)
+        lij, dlij = {}, {}
+        for k, t in lij_e.items():
+            lij[k], dlij[k] = split(t)
         du = pro.du
         div = sum(du[i][i] for i in range(n))
-
-        def x1_of(jet: Jet):
-            acc = 0
-            for i in range(n):
-                acc = acc + pro.u[i] * jet.deriv(ijv.x(i))
-            for a in range(m):
-                acc = acc + pro.v[a] * jet.deriv(ijv.y(a))
-                for i in range(n):
-                    acc = acc + pro.v1[a][i] * jet.deriv(ijv.y1(a, i))
-            return acc
-
         lij_out = {}
         for al in range(m):
             for (i, j) in sym_pairs(n):
-                acc = x1_of(lij[(al, i, j)]) + div * lij[(al, i, j)].value
+                acc = dlij[(al, i, j)] + lij[(al, i, j)] * div
                 for be in range(m):
-                    acc = acc + pro.dvy[be][al] * lij[(be, i, j)].value
+                    acc = acc + lij[(be, i, j)] * pro.dvy[be][al]
                 for r in range(n):
-                    acc = acc - du[i][r] * lij[(al,) + _sp(r, j)].value \
-                              - du[j][r] * lij[(al,) + _sp(r, i)].value
+                    acc = acc - lij[(al,) + _sp(r, j)] * du[i][r] \
+                              - lij[(al,) + _sp(r, i)] * du[j][r]
                 lij_out[(al, i, j)] = acc
-        l0_out = x1_of(l0) + div * l0.value
+        l0_out = dl0 + l0 * div
         for be in range(m):
             for k, (h, l) in enumerate(sym_pairs(n)):
-                l0_out = l0_out + (2 - delta(h, l)) * pro.v2[be][k] * lij[(be, h, l)].value
+                l0_out = l0_out + lij[(be, h, l)] * ((2 - delta(h, l)) * pro.v2[be][k])
+        if scalar:
+            return l0_out.value, {k: v.value for k, v in lij_out.items()}
         return l0_out, lij_out
 
 
-def symmetry_transform(supplier, X: VectorField, n: int, m: int):
+def symmetry_transform(supplier, X: VectorField):
     """The transformed affine data as a supplier, and L' as a JetFunction."""
     tsup = TransformedSupplier(supplier, X)
 
     def fn(p: JetPoint):
-        l0, lij = tsup.tables(p.x, p.y, p.dy, 0)
+        l0, lij = tsup.tables(p.x, p.y, p.dy)
         acc = l0
-        for al in range(m):
-            for (i, j) in sym_pairs(n):
+        for al in range(X.m):
+            for (i, j) in sym_pairs(X.n):
                 acc = acc + (2 - delta(i, j)) * lij[(al, i, j)] * p.y2(al, i, j)
         return acc
 
     return tsup, JetFunction(2, fn, name="transformed Lagrangian")
-
-
-def lagrangian_value(supplier, p2: JetPoint):
-    """L at an order-2 point, reconstructed from the affine data."""
-    n, m = p2.n, p2.m
-    l0, lij = supplier.tables(p2.x, p2.y, p2.dy, 0)
-    acc = l0 if not isinstance(l0, Jet) else l0.value
-    for al in range(m):
-        for (i, j) in sym_pairs(n):
-            c = lij[(al, i, j)]
-            c = c.value if isinstance(c, Jet) else c
-            acc = acc + (2 - delta(i, j)) * c * p2.y2(al, i, j)
-    return acc
 
 
 def noether_current(supplier, X: VectorField, s: PolySection, x) -> list:
@@ -950,16 +944,20 @@ def noether_current(supplier, X: VectorField, s: PolySection, x) -> list:
     data = pipeline(supplier, p2.truncated(1), cap=1, with_primitives=False)
     pro = prolong(X, p2, order=1)
     u = pro.u
-    lval = ev(value_of(lagrangian_value(supplier, p2)))
+    lval = data.l0.value
+    for al in range(m):
+        for (i, j) in sym_pairs(n):
+            lval = lval + (2 - delta(i, j)) * data.lij_get(al, i, j).value * p2.y2(al, i, j)
+    lval = ev(lval)
     out = []
     for i in range(n):
         acc = u[i] * lval
         for al in range(m):
             vert = pro.v[al] - sum(u[k] * p2.y1(al, k) for k in range(n))
-            acc = acc + ev(value_of(data.a[(al, i)].value)) * vert
+            acc = acc + ev(data.a[(al, i)].value) * vert
             for h in range(n):
                 vert1 = pro.v1[al][h] - sum(u[k] * p2.y2(al, h, k) for k in range(n))
-                acc = acc + ev(value_of(data.lij_get(al, i, h).value)) * vert1
+                acc = acc + ev(data.lij_get(al, i, h).value) * vert1
         out.append(acc)
     return out
 

@@ -166,7 +166,7 @@ def test_affine_supplier_inverts_each_metric_row_once(monkeypatch):
     inner = varjet.einstein.ginv_rho
     monkeypatch.setattr(varjet.einstein, "ginv_rho",
                         lambda *a: calls.append(a) or inner(*a))
-    l0, lij = affine_supplier(eh).tables((0,) * n, mj.g, mj.dg, 1)
+    l0, lij = affine_supplier(eh).tables((0,) * n, mj.g, mj.dg)
     assert len(calls) == 1
     tab = eh.lij_rs(mj.g)
     assert l0 == eh.l0(mj) == eh.l0_reference(mj)
@@ -175,20 +175,15 @@ def test_affine_supplier_inverts_each_metric_row_once(monkeypatch):
 
 
 def _scalars(v):
-    """The innermost scalars of a value or a (nested) Jet."""
-    if isinstance(v, Jet):
-        for c in v.coef.values():
-            yield from _scalars(c)
-    else:
-        yield v
+    """The scalars of a value or a Jet."""
+    return v.coef.values() if isinstance(v, Jet) else (v,)
 
 
-def test_weights_stay_in_the_ring_of_nested_exact_jets():
-    """Exact metric data seeded twice (Jets whose coefficients are Jets, as
-    a transformed supplier builds them) keeps every scalar of lij_rs, l0
-    and the Christoffel symbols a Fraction: the 1/2 and 1/8 weights are
-    taken from the innermost scalars, not from the outer Jet.  Float data
-    keeps floats."""
+def test_weights_stay_in_the_ring_of_seeded_exact_jets():
+    """Exact metric data seeded as Jets, one variable per slot, keeps every
+    scalar of lij_rs, l0 and the Christoffel symbols a Fraction: the 1/2
+    and 1/8 weights are taken from the Jet's scalars, not from the Jet.
+    Float data keeps floats."""
     F = Fraction
     n, sig = 3, (2, 1)
     eh = EHLagrangian(n, sig)
@@ -199,8 +194,7 @@ def test_weights_stay_in_the_ring_of_nested_exact_jets():
     dg = tuple(tuple(F((2 * k + i) % 5 - 2, 3) for i in range(n)) for k in range(6))
     for ring in (F, float):
         one = ring(1)
-        row = tuple(Jet.variable(k, Jet.variable(k, ring(v), 1, one), 1, one)
-                    for k, v in enumerate(g))
+        row = tuple(Jet.variable(k, ring(v), 2, one) for k, v in enumerate(g))
         drow = tuple(tuple(map(ring, r)) for r in dg)
         mj = MetricJet(n, sig, row, drow)
         tab = eh.lij_rs(row)

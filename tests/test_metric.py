@@ -178,6 +178,26 @@ def test_sigma_nabla_makes_covariant_derivative_vanish():
         assert covariant_derivative_residual(mj) <= 1e-12
 
 
+def test_validate_accepts_a_small_but_regular_metric():
+    # 1e-4 I at n = 4 has |det g| = 1e-16, yet it is as well conditioned as
+    # I; validate and mat_inverse share one scale-free test and accept it
+    g = tuple(1e-4 if a == b else 0.0 for a, b in sym_pairs(4))
+    mj = MetricJet(4, (4, 0), g)
+    mj.validate()
+    assert abs(mat_inverse(mj.matrix())[0][0] - 1e4) <= 1e-8
+
+
+def test_validate_refuses_a_large_near_singular_metric():
+    # entries of 1e4 with |det g| = 1e-4, against a Hadamard bound of 2e8:
+    # singular to working precision, though |det g| > 1e-12 and the float
+    # eigenvalues (2e4 and 5e-9) match the declared signature
+    mj = MetricJet(2, (2, 0), (1e4, 1e4, 1e4 + 1e-8))
+    with pytest.raises(SingularMetricError, match="Hadamard"):
+        mj.validate()
+    with pytest.raises(SingularMetricError, match="Hadamard"):
+        mat_inverse(mj.matrix())
+
+
 def test_random_metric_signature_validation():
     rng = np.random.default_rng(11)
     mj = random_metric_jet(rng, 4, (1, 3), order=2)

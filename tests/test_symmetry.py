@@ -13,9 +13,10 @@ from varjet.poly import Poly, parse_poly
 from varjet.varcore import (GenericAffineSupplier, SecondOrderLagrangian,
                             VectorField, euler_lagrange,
                             euler_lagrange_first_order, helmholtz_residuals,
-                            noether_current, noether_divergence, pipeline,
-                            projectability_check, prolong,
-                            random_projectable_lagrangian, symmetry_transform)
+                            momenta_hamiltonian, noether_current,
+                            noether_divergence, pipeline, projectability_check,
+                            prolong, random_projectable_lagrangian,
+                            symmetry_transform)
 
 
 def random_metric_section(rng, n, base_diag, scale=0.15):
@@ -168,7 +169,7 @@ def test_symmetry_transform_zero_field():
     sup = GenericAffineSupplier(lag)
     n, m = 2, 1
     X = VectorField(n, m, [Poly.constant(n, 0)] * n, [Poly.constant(n + m, 0)])
-    tsup, Lp = symmetry_transform(sup, X, n, m)
+    tsup, Lp = symmetry_transform(sup, X)
     p = JetPoint(n, m, 2, (0.2, -0.1), (0.4,), ((0.5, 0.6),), ((0.1, 0.2, 0.3),))
     assert abs(Lp(p)) == 0.0
 
@@ -181,7 +182,7 @@ def test_symmetry_transform_natural_lift_annihilates_eh():
     m = len(sym_pairs(n))
     X = VectorField(n, m, u, natural_lift(n, u))
     eh = EHLagrangian(n, (2, 0))
-    tsup, Lp = symmetry_transform(affine_supplier(eh), X, n, m)
+    tsup, Lp = symmetry_transform(affine_supplier(eh), X)
     for _ in range(4):
         mj = random_metric_jet(rng, n, (2, 0), order=2)
         val = Lp(mj.to_jet_point())
@@ -197,7 +198,7 @@ def test_symmetry_transform_preserves_projectability():
     u = [parse_poly("x1 + x2^2/3", names, n), parse_poly("1 - x1*x2/2", names, n)]
     v = [Poly.variable(n + m, 2) ** 2 * 0.3 + Poly.variable(n + m, 0) * 0.2]
     X = VectorField(n, m, u, v)
-    tsup, Lp = symmetry_transform(sup, X, n, m)
+    tsup, Lp = symmetry_transform(sup, X)
     lag_p = SecondOrderLagrangian(n, m, Lp)
     pts = []
     for _ in range(3):
@@ -238,7 +239,7 @@ def test_symmetry_transform_is_the_prolonged_field_applied_to_l():
     v = [parse_poly("y1*y2/4 + x1*y1 - x2^2/5", names, n + m),
          parse_poly("y1^2/3 - x1*y2/2 + x2", names, n + m)]
     X = VectorField(n, m, u, v)
-    _, Lp = symmetry_transform(GenericAffineSupplier(lag), X, n, m)
+    _, Lp = symmetry_transform(GenericAffineSupplier(lag), X)
     worst = 0.0
     for _ in range(3):
         p = JetPoint(n, m, 2, tuple(rng.uniform(-1, 1, n)), tuple(rng.uniform(-1, 1, m)),
@@ -263,7 +264,7 @@ def test_symmetry_transform_eh_n2_is_the_prolonged_field_exactly():
          lift[2] - parse_poly("y11*y22/5", ynames, n + m)]
     X = VectorField(n, m, u, v)
     eh = EHLagrangian(n, (2, 0))
-    _, Lp = symmetry_transform(affine_supplier(eh), X, n, m)
+    _, Lp = symmetry_transform(affine_supplier(eh), X)
     F = Fraction
     p = JetPoint(n, m, 2, (F(1, 3), F(-1, 2)), (F(5, 4), F(1, 2), F(1)),
                  ((F(1, 3), F(-2, 7)), (F(1, 5), F(1, 2)), (F(-1, 4), F(2, 3))),
@@ -400,9 +401,8 @@ def test_noether_minkowski_hand_component():
 
 
 def test_transformed_eh_supplier_runs_through_the_pipeline():
-    # the pipeline seeds Jets whose coefficients are the transformed
-    # supplier's inner Jets, and L_EH takes abs(det g) of them; its value
-    # parts must equal the tables at plain numbers, exactly
+    # the pipeline's Jets of the transformed tables, on which L_EH takes
+    # abs(det g), must have as values the tables at plain numbers, exactly
     n = 2
     names = {"x1": 0, "x2": 1}
     u = [parse_poly("x1^2 - x2/3", names, n), parse_poly("x1*x2/2 + 1", names, n)]
@@ -412,12 +412,102 @@ def test_transformed_eh_supplier_runs_through_the_pipeline():
     v = [lift[0] + parse_poly("x1*y12/3", ynames, n + m), lift[1],
          lift[2] - parse_poly("y11*y22/5", ynames, n + m)]
     X = VectorField(n, m, u, v)
-    tsup, _ = symmetry_transform(affine_supplier(EHLagrangian(n, (2, 0))), X, n, m)
+    tsup, _ = symmetry_transform(affine_supplier(EHLagrangian(n, (2, 0))), X)
     F = Fraction
     q = JetPoint(n, m, 1, (F(1, 3), F(-1, 2)), (F(5, 4), F(1, 2), F(1)),
                  ((F(1, 3), F(-2, 7)), (F(1, 5), F(1, 2)), (F(-1, 4), F(2, 3))))
     data = pipeline(tsup, q, cap=0, with_primitives=False)
-    l0, lij = tsup.tables(q.x, q.y, q.dy, 0)
+    l0, lij = tsup.tables(q.x, q.y, q.dy)
     assert isinstance(l0, Fraction) and l0 != 0 and data.l0.value == l0
     assert lij.keys() == data.lij.keys()
     assert all(data.lij[k].value == c for k, c in lij.items())
+
+
+# ---------------------------------------------------------------------------
+# the variational-symmetry criterion pr X(L) + L div u = 0, exactly
+
+
+def _n2_lift_and_control():
+    """The n = 2 natural lift of u, and the same lift plus a vertical part
+    that breaks the symmetry."""
+    n = 2
+    names = {"x1": 0, "x2": 1}
+    u = [parse_poly("x1^2 - x2/3", names, n), parse_poly("x1*x2/2 + 1", names, n)]
+    lift = natural_lift(n, u)
+    ynames = {"x1": 0, "x2": 1, "y11": 2, "y12": 3, "y22": 4}
+    v = [lift[0] + parse_poly("x1*y12/3", ynames, n + 3), lift[1],
+         lift[2] - parse_poly("y11*y22/5", ynames, n + 3)]
+    return VectorField(n, 3, u, lift), VectorField(n, 3, u, v)
+
+
+def test_transformed_eh_tables_vanish_coefficientwise_for_a_natural_lift():
+    # L_EH is natural, so for a natural lift L'_0 and L'^{ij} vanish as
+    # functions on J^1: every Taylor coefficient of their pipeline Jets is 0
+    F = Fraction
+    q = JetPoint(2, 3, 1, (F(1, 3), F(-1, 2)), (F(5, 4), F(1, 2), F(1)),
+                 ((F(1, 3), F(-2, 7)), (F(1, 5), F(1, 2)), (F(-1, 4), F(2, 3))))
+    lift, control = _n2_lift_and_control()
+    sup = affine_supplier(EHLagrangian(2, (2, 0)))
+    for cap in (0, 1):
+        for X, vanishes in ((lift, True), (control, False)):
+            data = pipeline(symmetry_transform(sup, X)[0], q, cap=cap,
+                            with_primitives=False)
+            coefs = [c for jet in [data.l0, *data.lij.values()]
+                     for c in jet.coef.values()]
+            assert all(isinstance(c, Fraction) for c in coefs)
+            assert all(c == 0 for c in coefs) == vanishes, (cap, vanishes)
+
+
+def _eh_n3_section():
+    """A rational metric section at n = 3 with g(x0) = I, so rho is
+    rational along the pipeline's Jets, and x0."""
+    n = 3
+    x0 = (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4))
+    dx = [Poly.variable(n, i) - x0[i] for i in range(n)]
+    polys = [Poly.constant(n, Fraction(int(a == b)))
+             + Fraction(k + 1, 7) * dx[k % n]
+             + Fraction(1, k + 3) * dx[(k + 1) % n] * dx[(k + 2) % n]
+             for k, (a, b) in enumerate(sym_pairs(n))]
+    return PolySection(n, polys), x0
+
+
+def _n3_lift_and_control():
+    """The n = 3 natural lift of u, and the same lift plus a vertical part."""
+    n = 3
+    names = {f"x{i+1}": i for i in range(n)}
+    u = [parse_poly("x2^2 + x1*x3 - x2", names, n),
+         parse_poly("x1^2 - x3/2", names, n),
+         parse_poly("x1*x2*x3 + x1", names, n)]
+    lift = natural_lift(n, u)
+    ynames = dict(names, y11=3, y12=4, y22=6)
+    v = list(lift)
+    v[0] = v[0] + parse_poly("x1*y12/3", ynames, n + 6)
+    v[3] = v[3] - parse_poly("y11*y22/5", ynames, n + 6)
+    return VectorField(n, 6, u, lift), VectorField(n, 6, u, v)
+
+
+def test_euler_lagrange_of_the_transformed_eh_n3_exact():
+    # E(pr X(L) + L div u) = 0 for the natural lift, over Fractions; the
+    # control is not a symmetry.  At n = 2 L_EH is a null Lagrangian, so
+    # only n >= 3 tells the two apart.
+    s, x0 = _eh_n3_section()
+    sup = affine_supplier(EHLagrangian(3, (3, 0)))
+    lift, control = _n3_lift_and_control()
+    el = euler_lagrange(symmetry_transform(sup, lift)[0], s, x0)
+    assert el == [0] * 6 and all(type(v) is Fraction for v in el), el
+    el = euler_lagrange(symmetry_transform(sup, control)[0], s, x0)
+    assert any(v != 0 for v in el), el
+
+
+def test_transformed_eh_momenta_and_hamiltonian_n3_exact():
+    # the transformed block takes no y', so its fibre primitive is the
+    # closed-form contraction, and for the natural lift p and H are 0
+    s, x0 = _eh_n3_section()
+    q = jet_of_section(s, x0, 1)
+    sup = affine_supplier(EHLagrangian(3, (3, 0)))
+    lift, control = _n3_lift_and_control()
+    for X, vanishes in ((lift, True), (control, False)):
+        p, h, _, data = momenta_hamiltonian(symmetry_transform(sup, X)[0], q)
+        assert data.primitive_method == "closed_form"
+        assert isinstance(h, (int, Fraction))       # no float on the way
+        assert (h == 0 and all(v == 0 for row in p for v in row)) == vanishes
