@@ -16,7 +16,6 @@ Einstein-Hilbert Lagrangian is the special case beta = beta_EH.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -26,8 +25,7 @@ from .fwd import Jet, ring_unit, value_of
 from .jets import (JetFunction, contract, delta, jet_of_section, pair_index,
                    point_ring, seed_point, sign1, sym_pairs,
                    total_derivative2_stencil, total_derivative_stencil)
-from .metric import (MetricJet, christoffel, curvature, ginv_rho, mat_inverse,
-                     metric_from_jet_point)
+from .metric import MetricJet, christoffel, curvature, metric_from_jet_point
 from .varcore import TableAffineSupplier
 
 
@@ -36,12 +34,13 @@ class BetaConstraintError(ValueError):
 
 
 class BetaForm:
-    """Coefficients beta_{kl,j}^i(g) for k < l, read one metric row at a time.
+    """Coefficients beta_{kl,j}^i(g) for k < l, read at the value of one
+    metric jet at a time.
 
-    `fn(g_row)` must be ring-generic and return the callable
-    `(k, l, j, i) -> beta_{kl,j}^i` (k < l) at that row, so that what the
-    coefficients share (g^{-1}, rho) is formed once per row; values for
-    k >= l follow by antisymmetry.  The skew constraint
+    `fn(mj)` must be ring-generic and return the callable
+    `(k, l, j, i) -> beta_{kl,j}^i` (k < l) at the jet's metric value; what
+    the coefficients share (g^{-1}, rho) is read from the jet, which forms
+    it once.  Values for k >= l follow by antisymmetry.  The skew constraint
     beta_{ac,i}^d y^{ib} + beta_{ac,i}^b y^{id} = 0 is validated pointwise.
     """
 
@@ -50,10 +49,10 @@ class BetaForm:
         self.fn = fn
         self.name = name
 
-    def table(self, g_row):
+    def table(self, mj: MetricJet):
         """beta[k][l][j][i] with the antisymmetric extension filled in."""
         n = self.n
-        coeff = self.fn(g_row)
+        coeff = self.fn(mj)
         out = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
         for k in range(n):
             for l in range(k + 1, n):
@@ -64,26 +63,24 @@ class BetaForm:
                         out[l][k][j][i] = -v
         return out
 
-    def validate(self, g_row) -> float:
-        """Max residual of the skew constraint at this metric value; raises
-        BetaConstraintError above 1e-10."""
+    def validate(self, mj: MetricJet) -> float:
+        """Max residual of the skew constraint on the value parts of the
+        jet's g^-1 and of the table; raises BetaConstraintError above 1e-10."""
         n = self.n
-        gm = [[g_row[pair_index(n, a, b)] for b in range(n)] for a in range(n)]
-        ginv = mat_inverse(gm)
-        tab = self.table(g_row)
+        ginv = [[value_of(v) for v in row] for row in mj.ginv]
+        tab = self.table(mj)
         worst = 0.0
         for a in range(n):
             for c in range(n):
+                block = [[value_of(v) for v in row] for row in tab[a][c]]
                 for d in range(n):
                     for b in range(n):
                         s = 0
                         for i in range(n):
-                            s = s + tab[a][c][i][d] * ginv[i][b] \
-                                  + tab[a][c][i][b] * ginv[i][d]
-                        worst = max(worst, abs(float(value_of(s))))
+                            s = s + block[i][d] * ginv[i][b] + block[i][b] * ginv[i][d]
+                        worst = max(worst, abs(float(s)))
         if worst > 1e-10:
-            raise BetaConstraintError(
-                f"skew constraint violated (residual {worst:.3e})")
+            raise BetaConstraintError(f"skew constraint violated (residual {worst:.3e})")
         return worst
 
 
@@ -91,8 +88,8 @@ def beta_eh(n: int, signature) -> BetaForm:
     """(beta_EH)_{kl,i}^j = (-1)^{k+l+1} rho (delta^{ik} y^{jl}
     - delta^{il} y^{jk}); reproduces the E-H Lagrangian."""
 
-    def fn(g_row):
-        ginv, rho = ginv_rho(n, g_row)
+    def fn(mj):
+        ginv, rho = mj.ginv, mj.rho
 
         # (k, l, j, i): j the covariant slot and i the contravariant one (the
         # display has sub i / sup j), so this is beta_{kl, cov}^{contra}
@@ -111,7 +108,9 @@ def beta_from_antisym(n: int, a_entries):
     metric row (or plain constants).
     """
 
-    def fn(g_row):
+    def fn(mj):
+        g_row = mj.g
+
         def coeff(k, l, j, i):
             arow = [e(g_row) if callable(e) else e for e in a_entries[(k, l)][i]]
             return sum(arow[b] * g_row[pair_index(n, b, j)] for b in range(n))
@@ -152,20 +151,19 @@ def _beta_aux(tab, l: int, t: int, j: int, k: int):
 def l_beta_zero(beta: BetaForm, mj: MetricJet):
     """L_beta^0, quadratic in first metric derivatives: the curvature trace
     `l_beta_trace` at this metric jet with y'' = 0, as L_beta is affine in
-    y''.  The identity needs the skew constraint, so beta is validated at the
-    scalar value of the metric row.  The printed sum is the oracle
-    `l_beta_zero_reference`."""
-    beta.validate(tuple(map(value_of, mj.g)))
-    zero_d2 = ((0,) * len(mj.g),) * len(mj.g)
-    return l_beta_trace(beta, replace(mj, d2g=zero_d2))
+    y''.  The identity needs the skew constraint, so beta is validated at
+    this jet's metric value; the y'' = 0 jet shares its g^-1.  The printed
+    sum is the oracle `l_beta_zero_reference`."""
+    beta.validate(mj)
+    return l_beta_trace(beta, mj.with_slots(d2g=((0,) * len(mj.g),) * len(mj.g)))
 
 
 def l_beta_zero_reference(beta: BetaForm, mj: MetricJet):
     """L_beta^0 exactly as displayed, a double sum of nine brackets (test
     oracle, any beta)."""
     n = beta.n
-    ginv = mat_inverse(mj.matrix())
-    aux = partial(_beta_aux, beta.table(mj.g))
+    ginv = mj.ginv
+    aux = partial(_beta_aux, beta.table(mj))
     total = 0
     for k, l in sym_pairs(n):
         wkl = Fraction(1, 1 + delta(k, l))
@@ -198,16 +196,17 @@ def l_beta_zero_reference(beta: BetaForm, mj: MetricJet):
     return total
 
 
-def lij_block(beta: BetaForm, g_row, n: int):
+def lij_block(beta: BetaForm, mj: MetricJet):
     """L^{jk}_{(hl)}: the affine second-derivative coefficients of L_beta.
 
     From the display (-1)^{k+l+1} beta_{kl,i}^j y^{ih} y_{hl,jk}: the stored
     coefficient of y_{(hl),(jk)} collects the symmetrizations over h<->l and
-    j<->k with the usual 1/(2 - delta) weight.
+    j<->k with the usual 1/(2 - delta) weight.  Only the jet's metric value
+    and g^-1 are read.
     """
-    gm = [[g_row[pair_index(n, a, b)] for b in range(n)] for a in range(n)]
-    ginv = mat_inverse(gm)
-    tab = beta.table(g_row)
+    n = beta.n
+    ginv = mj.ginv
+    tab = beta.table(mj)
 
     def full_coeff(a, b, c, d):
         # coefficient T^{(ab),(cd)} of y_{ab,cd} in the *full* sum over
@@ -237,7 +236,7 @@ def l_beta(beta: BetaForm, mj: MetricJet):
     `l_beta_zero` validates beta."""
     n = beta.n
     total = l_beta_zero(beta, mj)
-    for (ai, c, d), coef in lij_block(beta, mj.g, n).items():
+    for (ai, c, d), coef in lij_block(beta, mj).items():
         total = total + (2 - delta(c, d)) * coef * mj.d2g[ai][pair_index(n, c, d)]
     return total
 
@@ -246,7 +245,7 @@ def l_beta_trace(beta: BetaForm, mj: MetricJet):
     """Oracle: L_beta = sum_{k<l} (-1)^{k+l+1} beta_{kl,j}^i (R^g)^j_{ikl}."""
     n = beta.n
     cd = curvature(mj)
-    tab = beta.table(mj.g)
+    tab = beta.table(mj)
     total = 0
     for k in range(n):
         for l in range(k + 1, n):
@@ -268,7 +267,7 @@ def affine_supplier(beta: BetaForm, n: int, signature) -> TableAffineSupplier:
 
     def tables(x, y, dy):
         mj = MetricJet(n, tuple(signature), tuple(y), tuple(tuple(r) for r in dy))
-        return l_beta_zero(beta, mj), lij_block(beta, y, n)
+        return l_beta_zero(beta, mj), lij_block(beta, mj)
 
     return TableAffineSupplier(n, len(sym_pairs(n)), tables)
 
@@ -301,8 +300,8 @@ def el_residual_beta(beta: BetaForm, s, x, signature):
     # as Jets over J^1 (cap 2, so the partials keep first-order data)
     seeded, jv = seed_point(p3.truncated(1), cap=2)
     smj = metric_from_jet_point(seeded, signature)
-    gam1, ginv1 = christoffel(smj)
-    tab = beta.table(smj.g)
+    gam1, ginv1 = christoffel(smj), smj.ginv
+    tab = beta.table(smj)
 
     def dbog(k, l, i, j, r):   # D_r (beta o g)_{kl,i}^j
         v = tab[k][l][i][j]
@@ -365,13 +364,13 @@ def bilinear_form_beta(beta: BetaForm, mj: MetricJet):
     n = beta.n
     pairs = sym_pairs(n)
     npairs = len(pairs)
-    ginv = mat_inverse(mj.matrix())
-    seeds = [Jet.variable(w, mj.g[w], 1, 1.0) for w in range(npairs)]
-    tab_seeded = beta.table(seeds)
+    seeded = MetricJet(n, mj.signature,
+                       tuple(Jet.variable(w, mj.g[w], 1, 1.0) for w in range(npairs)))
+    tab_seeded = beta.table(seeded)
     tab = [[[[float(value_of(tab_seeded[k][l][j][i]))
               for i in range(n)] for j in range(n)]
             for l in range(n)] for k in range(n)]
-    giv = [[float(value_of(ginv[a][b])) for b in range(n)] for a in range(n)]
+    giv = [[float(value_of(v)) for v in row] for row in seeded.ginv]
 
     # d beta / d g_w, one table per stored slot w
     dtabs = [[[[[float(v.deriv(w)) if isinstance(v, Jet) else 0.0 for v in row]
@@ -446,8 +445,8 @@ def flat_corollary_expression(beta: BetaForm, s, x, signature):
     # the section are the total derivatives D_u S and D_uD_v S
     seeded, jv = seed_point(p3.truncated(0), cap=2)
     smj = metric_from_jet_point(seeded, signature)
-    tab = beta.table(smj.g)
-    giv = mat_inverse(smj.matrix())
+    tab = beta.table(smj)
+    giv = smj.ginv
     s_fn = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for k in range(n):
         for l in range(n):

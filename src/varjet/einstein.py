@@ -18,7 +18,7 @@ import numpy as np
 
 from .fwd import Jet, ring_unit, value_of
 from .jets import JetFunction, JetPoint, delta, pair_index, sym_pairs
-from .metric import MetricJet, christoffel, curvature, ginv_rho
+from .metric import MetricJet, christoffel, curvature, metric_from_jet_point
 from .poly import Poly
 from .varcore import TableAffineSupplier
 
@@ -35,12 +35,11 @@ class EHLagrangian:
 
     # -- second-derivative coefficient block --------------------------------
 
-    def lij_rs(self, g_row, inverse=None):
+    def lij_rs(self, mj: MetricJet):
         """Table (L_EH)^{ij}_{rs} = rho (y^{ir}y^{js} + y^{jr}y^{is}
-        - 2 y^{rs}y^{ij}) / (1 + delta_rs), indexed [pair (ij)][pair (rs)].
-        `inverse` is the pair (g^-1, rho) of `ginv_rho(n, g_row)` when the
-        caller holds it."""
-        ginv, rho = inverse or ginv_rho(self.n, g_row)
+        - 2 y^{rs}y^{ij}) / (1 + delta_rs), indexed [pair (ij)][pair (rs)],
+        from the jet's g^-1 and rho (only its metric value is read)."""
+        ginv, rho = mj.ginv, mj.rho
         half = ring_unit(rho) / 2
         out = [[None] * self.npairs for _ in range(self.npairs)]
         for a, (i, j) in enumerate(self.pairs):
@@ -50,7 +49,7 @@ class EHLagrangian:
                 out[a][b] = rho * val * half if r == s else rho * val
         return out
 
-    def l0(self, mj: MetricJet, inverse=None):
+    def l0(self, mj: MetricJet):
         """The zeroth-order part (L_EH)_0, quadratic in first derivatives:
 
             L0 = rho/8 sum_T G_p G_q G_r sum_{A<=B} c_{T,AB} y'_A y'_B
@@ -64,12 +63,12 @@ class EHLagrangian:
             - 4 G_ir (G D_i G)_sj y_{rs,j} - 8 (G D_i G)_is V_s
 
         (G = g^-1, D_i = (y_{kl,i})_kl, trD_i = tr(G D_i), V_s = G_ki y_{ks,i},
-        W = G V).  The G products (Jets over y alone) are formed first, the
-        y' seed products multiplied in last.  `inverse` is (g^-1, rho) of
-        `ginv_rho(n, mj.g)` when the caller holds it.  `l0_reference`, the
-        literal display, pins the identity exactly in the tests.
+        W = G V).  G and rho are the jet's own, and the G products (Jets
+        over y alone) are formed first, the y' seed products multiplied in
+        last.  `l0_reference`, the literal display, pins the identity exactly
+        in the tests.
         """
-        ginv, rho = inverse or ginv_rho(self.n, mj.g)
+        ginv, rho = mj.ginv, mj.rho
         table, sa, sb = _l0_table(self.n)
         gs = [ginv[a][b] for a, b in self.pairs]
         ys = [v for row in mj.dg for v in row]
@@ -84,7 +83,7 @@ class EHLagrangian:
     def l0_reference(self, mj: MetricJet):
         """The zeroth-order part exactly as displayed (test oracle)."""
         n = self.n
-        ginv, rho = ginv_rho(n, mj.g)
+        ginv, rho = mj.ginv, mj.rho
         total = 0
         for r, s in self.pairs:
             for k, l in self.pairs:
@@ -109,13 +108,14 @@ class EHLagrangian:
                         total = total + w * br * mj.dcomp(k, l, i) * mj.dcomp(r, s, j)
         return rho * total * Fraction(1, 2)
 
-    def y_table(self, g_row):
-        """Y_{kl}^{i;rs,j}: the linear map from first derivatives to momenta.
+    def y_table(self, mj: MetricJet):
+        """Y_{kl}^{i;rs,j}: the linear map from first derivatives to momenta,
+        at the jet's metric value.
 
         Returned as Y[pair (kl)][i][pair (rs)][j].
         """
         n = self.n
-        ginv, rho = ginv_rho(n, g_row)
+        ginv, rho = mj.ginv, mj.rho
         out = [[[[None] * n for _ in range(self.npairs)] for _ in range(n)]
                for _ in range(self.npairs)]
         for a, (k, l) in enumerate(self.pairs):
@@ -139,7 +139,7 @@ class EHLagrangian:
 
     def momenta(self, mj: MetricJet):
         """p_{kl}^i = sum_{r<=s} Y_{kl}^{i;rs,j} y_{rs,j}, as p[pair][i]."""
-        ytab = self.y_table(mj.g)
+        ytab = self.y_table(mj)
         n = self.n
         out = [[0] * n for _ in range(self.npairs)]
         for a in range(self.npairs):
@@ -154,7 +154,7 @@ class EHLagrangian:
     def hamiltonian(self, mj: MetricJet):
         """H, quadratic in first derivatives (the displayed closed form)."""
         n = self.n
-        ginv, rho = ginv_rho(n, mj.g)
+        ginv, rho = mj.ginv, mj.rho
         half = Fraction(1, 2)
         total = 0
         for k, l in self.pairs:
@@ -177,8 +177,7 @@ class EHLagrangian:
     def hamiltonian_christoffel(self, mj: MetricJet):
         """H as rho g^{ij} (Gamma^r_ij Gamma^h_hr - Gamma^r_hi Gamma^h_jr)."""
         n = self.n
-        gam, ginv = christoffel(mj)
-        _, rho = ginv_rho(n, mj.g)
+        gam, ginv = christoffel(mj), mj.ginv
         total = 0
         for i in range(n):
             for j in range(n):
@@ -188,7 +187,7 @@ class EHLagrangian:
                         s = s + gam[r][i][j] * gam[h][h][r] \
                               - gam[r][h][i] * gam[h][j][r]
                 total = total + ginv[i][j] * s
-        return rho * total
+        return mj.rho * total
 
     # -- regularity ----------------------------------------------------------
 
@@ -207,13 +206,12 @@ class EHLagrangian:
         which already fails under uniform scaling of the metric; see the
         regularity tests for the numeric refutation.)
         """
-        lij = self.lij_rs(mj.g)
+        lij = self.lij_rs(mj)
         mat = np.array([[float(value_of(v)) for v in row] for row in lij])
         det = float(np.linalg.det(mat))
         gm = [[float(value_of(v)) for v in row] for row in mj.matrix()]
         sgn = 1.0 if np.linalg.det(np.array(gm)) > 0 else -1.0
-        _, rho_v = ginv_rho(self.n, mj.g)
-        rho_f = float(value_of(rho_v))
+        rho_f = float(value_of(mj.rho))
         exp2 = (self.n + 1) * (self.n - 4)
         mag = (self.n - 1) * (rho_f ** (exp2 // 2) if exp2 % 2 == 0
                               else rho_f ** (exp2 / 2.0))
@@ -229,12 +227,8 @@ class EHLagrangian:
         sig = self.signature
 
         def fn(p: JetPoint):
-            mj = MetricJet(n, sig, tuple(p.y),
-                           tuple(tuple(r) for r in p.dy),
-                           tuple(tuple(r) for r in p.d2y))
-            cd = curvature(mj)
-            _, rho_v = ginv_rho(n, p.y)
-            return rho_v * cd.scalar
+            mj = metric_from_jet_point(p, sig)
+            return mj.rho * curvature(mj).scalar
 
         return JetFunction(2, fn, name=f"L_EH(n={n})")
 
@@ -243,9 +237,9 @@ class EHLagrangian:
     def lij_rs_with_partials(self, g_row):
         """The (L_EH)^{ij}_{rs} table as Jets of order 2 over the metric
         slots."""
-        seeds = [Jet.variable(k, g_row[k], 2, Fraction(1))
-                 for k in range(self.npairs)]
-        return self.lij_rs(seeds)
+        seeds = tuple(Jet.variable(k, g_row[k], 2, Fraction(1))
+                      for k in range(self.npairs))
+        return self.lij_rs(MetricJet(self.n, self.signature, seeds))
 
     def phi_matrix(self, mj: MetricJet, st: tuple[int, int], uv: tuple[int, int],
                    _cache=None):
@@ -284,7 +278,7 @@ class EHLagrangian:
         """Report on the matrix Phi_{st,uv}: max entry, determinant, rank."""
         mat = self.phi_matrix(mj, st, uv)
         scale = max(1.0, float(np.max(np.abs(
-            [[float(value_of(v)) for v in row] for row in self.lij_rs(mj.g)]))))
+            [[float(value_of(v)) for v in row] for row in self.lij_rs(mj)]))))
         return {
             "matrix": mat,
             "max_abs": float(np.max(np.abs(mat))),
@@ -388,7 +382,7 @@ def covariant_noether_current(n: int, u_polys: list[Poly], mj: MetricJet, x):
     forces the rho factor.
     """
     cd = curvature(mj)
-    gam, ginv, dgam = cd.gamma, cd.ginv, cd.dgamma
+    gam, ginv, dgam = cd.gamma, mj.ginv, cd.dgamma
     u = [p.eval(x) for p in u_polys]
     du = [[u_polys[c].diff(h).eval(x) for h in range(n)] for c in range(n)]
     d2u = [[[u_polys[c].diff(h).diff(a).eval(x) for a in range(n)]
@@ -407,7 +401,6 @@ def covariant_noether_current(n: int, u_polys: list[Poly], mj: MetricJet, x):
                     s = s + dgam[c][h][e][a] * u[e] + gam[c][h][e] * du[e][a]
                     s = s - gam[e][a][h] * nab[c][e] + gam[c][a][e] * nab[e][h]
                 nab2[a][h][c] = s
-    _, rho_v = ginv_rho(n, mj.g)
     out = []
     for i in range(n):
         c12 = 0.0
@@ -418,18 +411,17 @@ def covariant_noether_current(n: int, u_polys: list[Poly], mj: MetricJet, x):
         for a in range(n):
             for ap in range(n):
                 c11 = c11 + ginv[a][ap] * nab2[ap][a][i]
-        out.append(rho_v * (c12 - c11))
+        out.append(mj.rho * (c12 - c11))
     return out
 
 
 def affine_supplier(eh: EHLagrangian) -> TableAffineSupplier:
     """The closed-form tables as a varcore affine-data supplier; each
-    `tables` call inverts the metric row once, for L_0 and L^{ij} alike."""
+    `tables` call builds one MetricJet, so L_0 and L^{ij} share its g^-1."""
 
     def tables(x, y, dy):
-        inverse = ginv_rho(eh.n, y)
-        l0 = eh.l0(MetricJet(eh.n, eh.signature, tuple(y), tuple(map(tuple, dy))), inverse)
-        tab = eh.lij_rs(y, inverse)
+        mj = MetricJet(eh.n, eh.signature, tuple(y), tuple(map(tuple, dy)))
+        l0, tab = eh.l0(mj), eh.lij_rs(mj)
         return l0, {(al, i, j): tab[b][al]
                     for al in range(eh.npairs) for b, (i, j) in enumerate(eh.pairs)}
 

@@ -278,22 +278,14 @@ def ring_sqrt(x):
     return math.sqrt(x)
 
 
-def ring_one(sample):
-    """A multiplicative unit matching the ring of `sample` (exact for
-    int/Fraction inputs, float otherwise)."""
-    if isinstance(sample, (int, Fraction)):
-        return Fraction(1)
-    return 1.0
-
-
 def ring_unit(v):
-    """1 in the ring of the scalars of v, a scalar or a Jet, so that a weight
-    `ring_unit(v) / 2` keeps float data off `Fraction`'s reverse operators
-    and exact data exact (`ring_one` of a Jet is 1.0).  A zero Jet gives
-    `Fraction(1)`, correct in every ring."""
+    """1 in the ring of the scalars of v, a scalar or a Jet: `Fraction(1)`
+    for int and Fraction scalars, 1.0 otherwise.  A weight `ring_unit(v) / 2`
+    keeps float data off `Fraction`'s reverse operators and exact data exact.
+    A zero Jet gives `Fraction(1)`, correct in every ring."""
     if isinstance(v, Jet):
         v = next(iter(v.coef.values()), 0)
-    return ring_one(v)
+    return Fraction(1) if isinstance(v, (int, Fraction)) else 1.0
 
 
 def value_of(x):

@@ -166,7 +166,7 @@ def _eh_coefficients(p2: JetPoint, signature) -> JacobiCoefficients:
     mj = metric_from_jet_point(p2, signature)
     cdat = curvature(mj)
     gam = cdat.gamma
-    g = cdat.ginv
+    g = mj.ginv
     riem = cdat.riemann
 
     # helpers for the first-order bracket: T[c] = g^{sc} Gamma^l_{ls}

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .fwd import Jet, ring_one
+from .fwd import Jet, ring_unit
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +278,7 @@ def seed_point(p: JetPoint, cap: int) -> tuple[JetPoint, JetVars]:
     order `cap`, numbered by the returned JetVars of order `p.order`.
     """
     jv = JetVars(p.n, p.m, p.order)
-    one = ring_one(p.x[0] if p.n else 1)
+    one = ring_unit(p.x[0] if p.n else 1)
 
     def seed(lab, val):
         return Jet.variable(jv.id_of[lab], val, cap, one)

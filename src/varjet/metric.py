@@ -5,13 +5,16 @@ so a :class:`MetricJet` of order r converts losslessly to a
 :class:`~varjet.jets.JetPoint` with m = n(n+1)/2 and back.  All tensor
 formulas are written over generic scalar rings; numpy enters only for the
 signature validation of float metrics and the sampling in
-`random_metric_jet`.
+`random_metric_jet`.  A MetricJet forms its inverse g^-1 and volume factor
+rho once, on first read; every reader of the same jet shares them, and
+`mat_inverse` and `mat_det` are called nowhere else.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +86,9 @@ class MetricJet:
 
     g, dg, d2g, d3g are stored once per sorted component pair (a <= b);
     derivative slots are themselves symmetric in the differentiation indices.
+    `ginv` (g^-1 as a full n x n list) and `rho` (sqrt|det g|) are formed
+    from g on first read and kept, so each metric row is inverted once per
+    jet; a singular row raises SingularMetricError there.
     """
 
     n: int
@@ -115,6 +121,24 @@ class MetricJet:
         n = self.n
         return [[self.comp(a, b) for b in range(n)] for a in range(n)]
 
+    @cached_property
+    def ginv(self):
+        return mat_inverse(self.matrix())
+
+    @cached_property
+    def rho(self):
+        return ring_sqrt(abs(mat_det(self.matrix())))
+
+    def with_slots(self, **slots) -> MetricJet:
+        """This jet with other derivative slots (dg, d2g, d3g).  g is kept,
+        so the copy shares g^-1 and rho, forming g^-1 here if it is not yet
+        formed."""
+        out = replace(self, **slots)
+        out.__dict__["ginv"] = self.ginv
+        if "rho" in self.__dict__:
+            out.__dict__["rho"] = self.rho
+        return out
+
     def validate(self) -> None:
         """Nondegeneracy (`_check_nonsingular`, in floats) and the declared
         signature."""
@@ -145,13 +169,6 @@ def metric_from_jet_point(p: JetPoint, signature) -> MetricJet:
                      tuple(tuple(r) for r in p.d3y))
 
 
-def ginv_rho(n: int, g_row):
-    """Inverse metric and volume factor sqrt|det g| from a stored metric row
-    (one value per sorted pair a <= b)."""
-    gm = [[g_row[pair_index(n, a, b)] for b in range(n)] for a in range(n)]
-    return mat_inverse(gm), ring_sqrt(abs(mat_det(gm)))
-
-
 def rho(mj: MetricJet):
     """Volume factor sqrt|det g| with its derivatives w.r.t. the g_ab slots.
 
@@ -159,7 +176,7 @@ def rho(mj: MetricJet):
     stored slot (a <= b); the off-diagonal slots carry the factor 2 that
     bumping both symmetric entries produces.
     """
-    ginv, val = ginv_rho(mj.n, mj.g)
+    ginv, val = mj.ginv, mj.rho
     half = ring_unit(val) / 2
     # d det/d g_ab (full index) = det * g^{ab}; stored slot doubles off-diagonal
     return val, [val * ginv[a][b] * half if a == b else val * ginv[a][b]
@@ -176,23 +193,28 @@ class CurvatureData:
                     + Gamma^m_{jl} Gamma^i_{km} - Gamma^m_{jk} Gamma^i_{lm},
 
     ricci[j][l] = R^k_{jkl} and scalar = g^{jl} ricci[j][l];
-    dgamma[i][j][k][r] = d Gamma^i_{jk}/dx^r, from the first and second
-    metric derivatives, symmetric in (j, k).
+    dgamma[i][j][k][r] = d Gamma^i_{jk}/dx^r, symmetric in (j, k):
+
+        d_r Gamma^i_{jk} = -(G dG_r)^i_b Gamma^b_{jk}
+                           + 1/2 G^{il} (g_{lj,kr} + g_{lk,jr} - g_{jk,lr})
+
+    with G = g^-1 and dG_r = (g_{ab,r}), as d_r G = -G dG_r G.
     """
 
     gamma: tuple
     riemann: tuple
     ricci: tuple
     scalar: object
-    ginv: tuple
     dgamma: tuple
 
 
 def christoffel(mj: MetricJet):
+    """Gamma^i_{jk} = 1/2 g^{il} (g_{lj,k} + g_{lk,j} - g_{jk,l}), as
+    gamma[i][j][k]."""
     if mj.order < 1:
         raise ValueError("Christoffel symbols need a metric jet of order >= 1")
     n = mj.n
-    ginv = mat_inverse(mj.matrix())
+    ginv = mj.ginv
     half = ring_unit(ginv[0][0]) / 2
     gam = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -205,7 +227,7 @@ def christoffel(mj: MetricJet):
                 val = s * half
                 gam[i][j][k] = val
                 gam[i][k][j] = val
-    return gam, ginv
+    return gam
 
 
 def curvature(mj: MetricJet) -> CurvatureData:
@@ -213,34 +235,35 @@ def curvature(mj: MetricJet) -> CurvatureData:
     if mj.order < 2:
         raise ValueError("curvature needs a metric jet of order >= 2")
     n = mj.n
-    gam, ginv = christoffel(mj)
+    gam, ginv = christoffel(mj), mj.ginv
     half = ring_unit(ginv[0][0]) / 2
-    # dGamma^i_{jk}/dx^r from second metric derivatives
-    dginv = _dginv(mj, ginv)
     dgam = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                for r in range(n):
+    for r in range(n):
+        gdg = [[sum(ginv[i][a] * mj.dcomp(a, b, r) for a in range(n))
+                for b in range(n)] for i in range(n)]       # (G dG_r)^i_b
+        for i in range(n):
+            for j in range(n):
+                for k in range(j, n):
                     s = 0
                     for l in range(n):
-                        s = s + dginv[i][l][r] * (mj.dcomp(l, j, k) + mj.dcomp(l, k, j)
-                                                  - mj.dcomp(j, k, l))
                         s = s + ginv[i][l] * (mj.d2comp(l, j, k, r) + mj.d2comp(l, k, j, r)
                                               - mj.d2comp(j, k, l, r))
                     val = s * half
+                    for b in range(n):
+                        val = val - gdg[i][b] * gam[b][j][k]
                     dgam[i][j][k][r] = val
                     dgam[i][k][j][r] = val
     riem = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                for l in range(n):
+                for l in range(k + 1, n):    # antisymmetric in (k, l)
                     s = dgam[i][j][l][k] - dgam[i][j][k][l]
                     for mm in range(n):
                         s = s + gam[mm][j][l] * gam[i][k][mm] \
                               - gam[mm][j][k] * gam[i][l][mm]
                     riem[i][j][k][l] = s
+                    riem[i][j][l][k] = -s
     ricci = [[0] * n for _ in range(n)]
     for j in range(n):
         for l in range(n):
@@ -253,23 +276,7 @@ def curvature(mj: MetricJet) -> CurvatureData:
         for l in range(n):
             scal = scal + ginv[j][l] * ricci[j][l]
     return CurvatureData(tuple(map(tuple, (tuple(map(tuple, g)) for g in gam))),
-                         _freeze4(riem), tuple(map(tuple, ricci)), scal,
-                         tuple(map(tuple, ginv)), _freeze4(dgam))
-
-
-def _dginv(mj: MetricJet, ginv):
-    """d g^{il} / dx^r = -(G dG_r G)_{il} with G = g^{-1} and dG_r =
-    (dg_{ab,r}), formed once per symmetric pair (i, l)."""
-    n = mj.n
-    out = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for r in range(n):
-        dgg = [[sum(mj.dcomp(a, b, r) * ginv[b][l] for b in range(n))
-                for l in range(n)] for a in range(n)]
-        for i in range(n):
-            for l in range(i, n):
-                s = -sum(ginv[i][a] * dgg[a][l] for a in range(n))
-                out[i][l][r] = out[l][i][r] = s
-    return out
+                         _freeze4(riem), tuple(map(tuple, ricci)), scal, _freeze4(dgam))
 
 
 def _freeze4(t):
@@ -303,7 +310,7 @@ def sigma_nabla(gamma, g_row, n: int, signature) -> MetricJet:
 
 def covariant_derivative_residual(mj: MetricJet) -> float:
     """max |nabla_k g_ij| for the metric jet's own Levi-Civita symbols."""
-    gam, _ = christoffel(mj)
+    gam = christoffel(mj)
     n = mj.n
     worst = 0.0
     for i in range(n):

@@ -23,6 +23,7 @@ from .einstein import EHLagrangian
 from .jacobi import DiffOpMatrix, flat_operator_matrix
 from .jets import delta, pair_index, sym_pairs
 from .linalg import QC, QC_I, in_row_space, nullspace, rank
+from .metric import constant_metric_jet
 
 LORENTZ_EPS = (-1, 1, 1, 1)
 
@@ -220,9 +221,8 @@ class PresymplecticValue:
 @cache
 def y_table_flat():
     """The momentum-coefficient table Y at the flat metric diag(LORENTZ_EPS)."""
-    g_row = tuple(Fraction(LORENTZ_EPS[a]) if a == b else Fraction(0)
-                  for a, b in sym_pairs(4))
-    return EHLagrangian(4, (3, 1)).y_table(g_row)
+    flat = constant_metric_jet([Fraction(e) for e in LORENTZ_EPS], order=0)
+    return EHLagrangian(4, flat.signature).y_table(flat)
 
 
 def presymplectic_pair(x_field: BasisField, y_field: BasisField) -> PresymplecticValue:

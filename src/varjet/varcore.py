@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fwd import Jet, ring_one, ring_unit
+from .fwd import Jet, ring_unit
 from .jets import (JetFunction, JetOrderError, JetPoint, JetVars, PolySection,
                    contract, delta, jet_of_section, pair_index, point_ring,
                    seed_point, sym_pairs, total_derivative,
@@ -357,7 +357,7 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
     n, m = q.n, q.m
     jv = JetVars(n, m, 1)
     seed_cap = cap + 1 + supplier.extra_cap
-    one = ring_one(q.y[0])
+    one = ring_unit(q.y[0])
     x = [Jet.variable(jv.id_of[("x", i)], q.x[i], seed_cap, one) for i in range(n)]
     y = [Jet.variable(jv.id_of[("y", a)], q.y[a], seed_cap, one) for a in range(m)]
     dy = [[Jet.variable(jv.id_of[("y1", a, i)], q.dy[a][i], seed_cap, one)
@@ -421,11 +421,13 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
 
 
 def momenta_hamiltonian(supplier, q: JetPoint, cap: int = 1):
-    """Momenta p_a^i, Hamiltonian H and the velocity Hessian dp = dp/dy'."""
+    """Momenta p_a^i, Hamiltonian H and the velocity Hessian dp = dp/dy';
+    p and H are in the ring of the point (an exact zero is `Fraction(0)`)."""
     data = pipeline(supplier, q, cap=max(cap, 1))
     n, m = data.n, data.m
-    p = [[data.p[(al, i)].value for i in range(n)] for al in range(m)]
-    return p, data.h.value, _velocity_hessian(data), data
+    one = ring_unit(q.y[0])
+    p = [[data.p[(al, i)].value * one for i in range(n)] for al in range(m)]
+    return p, data.h.value * one, _velocity_hessian(data), data
 
 
 def _velocity_hessian(data: PipelineData) -> np.ndarray:
@@ -437,7 +439,8 @@ def _velocity_hessian(data: PipelineData) -> np.ndarray:
 
 
 def bar_lagrangian(supplier, q: JetPoint):
-    """Value of Lbar plus the defect of the momenta identity p = dLbar/dy'."""
+    """Value of Lbar, in the ring of the point, plus the defect of the
+    momenta identity p = dLbar/dy'."""
     data = pipeline(supplier, q, cap=1)
     n, m = data.n, data.m
     worst = 0.0
@@ -445,7 +448,7 @@ def bar_lagrangian(supplier, q: JetPoint):
         for i in range(n):
             d = data.lbar.deriv(data.jv.id_of[("y1", al, i)]) - data.p[(al, i)].value
             worst = max(worst, abs(float(d)))
-    return data.lbar.value, worst, data
+    return data.lbar.value * ring_unit(q.y[0]), worst, data
 
 
 def bilinear_form_b(supplier, q: JetPoint):

@@ -6,16 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import varjet.metric
 from varjet.bf import (BetaConstraintError, BetaForm, beta_eh, beta_from_antisym,
                        bilinear_form_beta, el_residual_beta,
-                       flat_corollary_expression, jet_function, l_beta,
+                       flat_corollary_expression, jet_function, l_beta, lij_block,
                        l_beta_trace, l_beta_zero, l_beta_zero_reference,
                        random_constrained_beta)
 from varjet.bf import affine_supplier as bf_supplier
 from varjet.einstein import EHLagrangian
 from varjet.einstein import affine_supplier as eh_supplier
 from varjet.jets import PolySection, jet_of_section, pair_index, sym_pairs
-from varjet.metric import (MetricJet, constant_metric_jet, curvature, ginv_rho,
+from varjet.metric import (MetricJet, constant_metric_jet, curvature,
                            metric_from_jet_point, random_metric_jet,
                            signature_diagonal)
 from varjet.poly import Poly, parse_poly
@@ -27,7 +28,7 @@ def test_beta_eh_identity_entry():
     b = beta_eh(3, (3, 0))
     mj = constant_metric_jet([1, 1, 1], order=0)
     # table[k][l][cov][contra]; printed entry has pair (1,2), cov 1, contra 2
-    tab = b.table(mj.g)
+    tab = b.table(mj)
     assert tab[0][1][0][1] == 1
 
 
@@ -37,7 +38,7 @@ def test_beta_eh_skew_constraint_random():
         b = beta_eh(n, sig)
         for _ in range(5):
             mj = random_metric_jet(rng, n, sig, order=0)
-            assert b.validate(mj.g) <= 1e-10
+            assert b.validate(mj) <= 1e-10
 
 
 def test_constraint_validator_rejects():
@@ -45,7 +46,7 @@ def test_constraint_validator_rejects():
     bad = BetaForm(n, lambda g: lambda k, l, j, i: 1.0)
     mj = constant_metric_jet([1, 1, 1], order=0)
     with pytest.raises(BetaConstraintError):
-        bad.validate(mj.g)
+        bad.validate(mj)
 
 
 def test_zero_beta_gives_zero_lagrangian():
@@ -65,8 +66,7 @@ def test_l_beta_eh_equals_l_eh():
             mj = random_metric_jet(rng, n, sig, order=2)
             lb = l_beta(b, mj)
             cd = curvature(mj)
-            _, rho = ginv_rho(eh.n, mj.g)
-            le = rho * cd.scalar
+            le = mj.rho * cd.scalar
             assert abs(lb - le) <= 1e-9 * max(1.0, abs(le))
 
 
@@ -166,7 +166,7 @@ def test_bilinear_form_beta_eh_is_y_table():
     eh = EHLagrangian(n, sig)
     mj = random_metric_jet(rng, n, sig, order=1)
     f = bilinear_form_beta(b, mj)
-    y = eh.y_table(mj.g)
+    y = eh.y_table(mj)
     npairs = len(sym_pairs(n))
     for al in range(npairs):
         for i in range(n):
@@ -303,15 +303,31 @@ def test_l_beta_zero_equals_display_exactly(n, sig):
 
 
 @pytest.mark.parametrize("n, sig", [(3, (2, 1)), (4, (1, 3))])
+def test_bf_supplier_inverts_each_metric_row_once(monkeypatch, n, sig):
+    """One `tables` call of the BF supplier inverts the metric row once, for
+    the skew check, the trace at y'' = 0 and the L^{ij} block alike, and
+    returns what `l_beta_zero` and `lij_block` give on their own."""
+    mj = _rational_metric_jet(np.random.default_rng(66 + n), n, sig)
+    b = beta_eh(n, sig)
+    calls = []
+    inner = varjet.metric.mat_inverse
+    monkeypatch.setattr(varjet.metric, "mat_inverse",
+                        lambda *a: calls.append(a) or inner(*a))
+    l0, lij = bf_supplier(b, n, sig).tables((0,) * n, mj.g, mj.dg)
+    assert len(calls) == 1
+    assert l0 == l_beta_zero(b, mj) == l_beta_zero_reference(b, mj)
+    assert lij == lij_block(b, mj)
+
+
+@pytest.mark.parametrize("n, sig", [(3, (2, 1)), (4, (1, 3))])
 def test_l_eh_zero_is_scalar_curvature_at_zero_second_jet(n, sig):
     """The same identity for Einstein-Hilbert: (L_EH)_0 = rho R at y'' = 0,
     exactly over Fractions."""
     rng = np.random.default_rng(62 + n)
     mj = _rational_metric_jet(rng, n, sig)
-    _, rho = ginv_rho(n, mj.g)
     l0 = EHLagrangian(n, sig).l0(mj)
     assert isinstance(l0, Fraction) and l0 != 0
-    assert l0 == rho * curvature(_zero_second_jet(mj)).scalar
+    assert l0 == mj.rho * curvature(_zero_second_jet(mj)).scalar
 
 
 def test_l_beta_zero_refuses_unconstrained_beta():

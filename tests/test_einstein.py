@@ -6,18 +6,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import varjet.einstein
+import varjet.metric
 from varjet.einstein import EHLagrangian, affine_supplier, natural_lift
 from varjet.jets import pair_index, sym_pairs
 from varjet.metric import (MetricJet, christoffel, constant_metric_jet, curvature,
-                           ginv_rho, random_metric_jet, metric_from_jet_point)
+                           random_metric_jet, metric_from_jet_point)
 from varjet.fwd import Jet, value_of
 
 
 def test_lij_rs_identity_n2_matrix_and_det():
     eh = EHLagrangian(2, (2, 0))
     mj = constant_metric_jet([1, 1], order=0)
-    tab = eh.lij_rs(mj.g)
+    tab = eh.lij_rs(mj)
     expect = [[0, 0, -1], [0, 1, 0], [-1, 0, 0]]   # basis (11),(12),(22)
     for a in range(3):
         for b in range(3):
@@ -31,7 +31,7 @@ def test_lij_rs_minkowski_entries():
     eh = EHLagrangian(4, (1, 3))
     # paper's signature convention orders +1 first; use diag(-1,1,1,1) anyway:
     mj = constant_metric_jet([-1, 1, 1, 1], order=1)
-    tab = eh.lij_rs(mj.g)
+    tab = eh.lij_rs(mj)
     i12 = pair_index(4, 0, 1)
     i11 = pair_index(4, 0, 0)
     i22 = pair_index(4, 1, 1)
@@ -91,9 +91,8 @@ def test_reconstruction_equals_curvature_contraction():
         for _ in range(8):
             mj = random_metric_jet(rng, n, sig, order=2)
             cd = curvature(mj)
-            _, rho = ginv_rho(eh.n, mj.g)
-            lhs = rho * cd.scalar
-            tab = eh.lij_rs(mj.g)
+            lhs = mj.rho * cd.scalar
+            tab = eh.lij_rs(mj)
             tot = eh.l0(mj)
             for a, (r, s) in enumerate(sym_pairs(n)):
                 for b, (i, j) in enumerate(sym_pairs(n)):
@@ -163,12 +162,12 @@ def test_affine_supplier_inverts_each_metric_row_once(monkeypatch):
     eh = EHLagrangian(n, sig)
     mj = _rational_metric_jet(np.random.default_rng(61), n, sig)
     calls = []
-    inner = varjet.einstein.ginv_rho
-    monkeypatch.setattr(varjet.einstein, "ginv_rho",
+    inner = varjet.metric.mat_inverse
+    monkeypatch.setattr(varjet.metric, "mat_inverse",
                         lambda *a: calls.append(a) or inner(*a))
     l0, lij = affine_supplier(eh).tables((0,) * n, mj.g, mj.dg)
     assert len(calls) == 1
-    tab = eh.lij_rs(mj.g)
+    tab = eh.lij_rs(mj)
     assert l0 == eh.l0(mj) == eh.l0_reference(mj)
     assert lij == {(al, i, j): tab[b][al] for al in range(eh.npairs)
                    for b, (i, j) in enumerate(eh.pairs)}
@@ -197,8 +196,8 @@ def test_weights_stay_in_the_ring_of_seeded_exact_jets():
         row = tuple(Jet.variable(k, ring(v), 2, one) for k, v in enumerate(g))
         drow = tuple(tuple(map(ring, r)) for r in dg)
         mj = MetricJet(n, sig, row, drow)
-        tab = eh.lij_rs(row)
-        gam, _ = christoffel(mj)
+        tab = eh.lij_rs(mj)
+        gam = christoffel(mj)
         values = [v for r in tab for v in r] + [eh.l0(mj)] \
             + [v for plane in gam for r in plane for v in r]
         assert {type(c) for v in values for c in _scalars(v)} == {ring}
@@ -211,8 +210,7 @@ def test_jet_function_matches_contraction():
     for _ in range(5):
         mj = random_metric_jet(rng, 3, (3, 0), order=2)
         cd = curvature(mj)
-        _, rho = ginv_rho(eh.n, mj.g)
-        assert abs(F(mj.to_jet_point()) - rho * cd.scalar) < 1e-12
+        assert abs(F(mj.to_jet_point()) - mj.rho * cd.scalar) < 1e-12
 
 
 def test_momenta_linear_in_first_derivatives():
@@ -244,7 +242,7 @@ def test_y_table_is_symmetric_bilinear_block():
     rng = np.random.default_rng(41)
     eh = EHLagrangian(4, (1, 3))
     mj = random_metric_jet(rng, 4, (1, 3), order=1)
-    y = eh.y_table(mj.g)
+    y = eh.y_table(mj)
     pr = sym_pairs(4)
     for a in range(len(pr)):
         for i in range(4):

@@ -2,7 +2,8 @@
 
 Every import sits at module level, and no module imports an underscore-
 prefixed (private) name from a sibling module: a helper that two modules
-need is public in one of them.
+need is public in one of them.  Only `metric` inverts a matrix or takes a
+determinant: everything else reads g^-1 and rho from its MetricJet.
 """
 
 import ast
@@ -29,6 +30,18 @@ def layout_faults(source: str, name: str) -> list[str]:
     return faults
 
 
+def matrix_calls(source: str, name: str) -> list[str]:
+    """Calls of `mat_inverse` or `mat_det`, by bare name or as an attribute."""
+    faults = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if callee in ("mat_inverse", "mat_det"):
+                faults.append(f"{name}:{node.lineno} calls {callee}")
+    return faults
+
+
 def test_no_function_level_or_private_sibling_imports():
     assert {"bf.py", "einstein.py", "metric.py", "varcore.py"} <= {p.name for p in SOURCES}
     faults = [f for p in SOURCES for f in layout_faults(p.read_text(), p.name)]
@@ -42,3 +55,17 @@ def test_layout_guard_flags_both_faults():
            "    from .varcore import TableAffineSupplier\n")
     assert layout_faults(src, "m.py") == ["m.py:4 imports inside f()",
                                           "m.py:1 imports the private name _dginv"]
+
+
+def test_only_metric_inverts_or_takes_determinants():
+    faults = [f for p in SOURCES if p.name != "metric.py"
+              for f in matrix_calls(p.read_text(), p.name)]
+    assert faults == []
+
+
+def test_matrix_call_guard_flags_both_forms():
+    src = ("from .metric import mat_det\n"
+           "d = mat_det(m)\n"
+           "inv = metric.mat_inverse(m)\n")
+    assert matrix_calls(src, "m.py") == ["m.py:2 calls mat_det",
+                                         "m.py:3 calls mat_inverse"]

@@ -6,11 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import varjet.metric
 from varjet.fwd import Jet
 from varjet.jets import pair_index, sym_pairs
 from varjet.metric import (MetricJet, SingularMetricError, christoffel,
                            constant_metric_jet, covariant_derivative_residual,
-                           curvature, mat_inverse, random_metric_jet, rho,
+                           curvature, mat_det, mat_inverse, random_metric_jet, rho,
                            sigma_nabla)
 from varjet.poly import Poly, parse_poly
 from varjet.jets import PolySection, jet_of_section
@@ -40,6 +41,38 @@ def test_rho_diag_2_3_and_derivative_vs_fd():
 
 def test_rho_rejects_singular():
     mj = MetricJet(2, (1, 1), (1.0, 1.0, 1.0))
+    with pytest.raises(SingularMetricError):
+        rho(mj)
+
+
+def test_metric_jet_forms_its_inverse_and_volume_factor_once(monkeypatch):
+    # g = A^T diag(1, 1, -1) A, so rho = |det A| is rational
+    F = Fraction
+    a = [[F(1), F(1, 2), F(0)], [F(0), F(1), F(1, 3)], [F(1, 4), F(0), F(2)]]
+    g = tuple(sum(a[c][i] * (1, 1, -1)[c] * a[c][j] for c in range(3))
+              for i, j in sym_pairs(3))
+    mj = MetricJet(3, (2, 1), g)
+    calls = []
+    inner = varjet.metric.mat_inverse
+    monkeypatch.setattr(varjet.metric, "mat_inverse",
+                        lambda *a: calls.append(a) or inner(*a))
+    ginv = mj.ginv
+    assert ginv == inner(mj.matrix())
+    assert all(isinstance(v, Fraction) for row in ginv for v in row)
+    assert isinstance(mj.rho, Fraction) and mj.rho == abs(mat_det(a)) == F(49, 24)
+    assert mj.rho ** 2 == abs(mat_det(mj.matrix()))
+    # read again, and through a copy with other derivative slots: no new inverse
+    dg = tuple((F(1), F(0), F(-1)) for _ in g)
+    assert mj.ginv is ginv and mj.with_slots(dg=dg).ginv is ginv
+    assert mj.with_slots(dg=dg).rho is mj.rho
+    assert len(calls) == 1      # the reference above calls the unpatched one
+
+
+@pytest.mark.parametrize("g", [(1.0, 1.0, 1.0), (Fraction(1), 2, 4)])
+def test_metric_jet_refuses_a_singular_row_on_first_read(g):
+    mj = MetricJet(2, (1, 1), g)
+    with pytest.raises(SingularMetricError):
+        mj.ginv
     with pytest.raises(SingularMetricError):
         rho(mj)
 
@@ -144,7 +177,7 @@ def test_dgamma_is_the_x_derivative_of_christoffel_exactly():
     seeded = MetricJet(n, sig, tuple(p.eval(xs) for p in polys),
                        tuple(tuple(p.diff(k).eval(xs) for k in range(n))
                              for p in polys))
-    gam, _ = christoffel(seeded)
+    gam = christoffel(seeded)
     checked = 0
     for i in range(n):
         for j in range(n):
@@ -173,7 +206,7 @@ def test_sigma_nabla_makes_covariant_derivative_vanish():
     n = 3
     for _ in range(10):
         base = random_metric_jet(rng, n, (3, 0), order=1)
-        gam, _ = christoffel(base)
+        gam = christoffel(base)
         mj = sigma_nabla(gam, base.g, n, (3, 0))
         assert covariant_derivative_residual(mj) <= 1e-12
 

@@ -10,7 +10,7 @@ from varjet.einstein import EHLagrangian, affine_supplier
 from varjet.fwd import value_of
 from varjet.jets import (JetFunction, JetPoint, PolySection, jet_of_section,
                          pair_index, sym_pairs)
-from varjet.metric import ginv_rho, metric_from_jet_point, random_metric_jet
+from varjet.metric import metric_from_jet_point, random_metric_jet
 from varjet.poly import Poly, parse_poly
 from varjet.varcore import (GenericAffineSupplier, SecondOrderLagrangian,
                             TableAffineSupplier, bar_lagrangian,
@@ -140,7 +140,7 @@ def test_legendre_eh_matches_closed_form():
         for _ in range(3):
             mj = random_metric_jet(rng, n, sig, order=3)
             lc = legendre_coefficients(lag, mj.to_jet_point())
-            tab = eh.lij_rs(mj.g)
+            tab = eh.lij_rs(mj)
             for al in range(eh.npairs):
                 for b, (i, j) in enumerate(sym_pairs(n)):
                     ref = tab[b][al]
@@ -168,7 +168,7 @@ def test_generic_pipeline_matches_eh_closed_forms():
                     assert abs(float(value_of(p[al][i])) - p_ref[al][i]) <= 1e-8 * scale
             assert abs(float(value_of(h)) - h_ref) <= 1e-8 * max(1.0, abs(h_ref))
             # dp equals the Y-table
-            y = eh.y_table(mj.g)
+            y = eh.y_table(mj)
             for al in range(eh.npairs):
                 for i in range(n):
                     for be in range(eh.npairs):
@@ -272,7 +272,7 @@ def test_bilinear_form_symmetry_and_eh_regularity():
         assert defect <= 1e-9
         assert cond < 1e9
         # b equals the Y-table contraction (thEH (i))
-        y = eh.y_table(mj.g)
+        y = eh.y_table(mj)
         for al in range(eh.npairs):
             for i in range(3):
                 for be in range(eh.npairs):
@@ -495,8 +495,7 @@ def test_euler_lagrange_flat_metric_zero_and_einstein_tensor():
         el = euler_lagrange(sup, s, x)
         mj = metric_from_jet_point(jet_of_section(s, x, 2), sig)
         cd = curvature(mj)
-        _, rho = ginv_rho(eh.n, mj.g)
-        ginv = cd.ginv
+        ginv = mj.ginv
         ric_up = [[sum(ginv[a][c] * ginv[b][d] * cd.ricci[c][d]
                        for c in range(n) for d in range(n))
                    for b in range(n)] for a in range(n)]
@@ -504,7 +503,7 @@ def test_euler_lagrange_flat_metric_zero_and_einstein_tensor():
             gab_up = ginv[a][b]
             ein = ric_up[a][b] - 0.5 * gab_up * cd.scalar
             w = 2 - (1 if a == b else 0)
-            ref = w * rho * ein
+            ref = w * mj.rho * ein
             if consts is None and abs(ref) > 1e-3:
                 consts = el[k] / ref
             if abs(ref) > 1e-3:
