@@ -212,9 +212,8 @@ class EHLagrangian:
         gm = [[float(value_of(v)) for v in row] for row in mj.matrix()]
         sgn = 1.0 if np.linalg.det(np.array(gm)) > 0 else -1.0
         rho_f = float(value_of(mj.rho))
-        exp2 = (self.n + 1) * (self.n - 4)
-        mag = (self.n - 1) * (rho_f ** (exp2 // 2) if exp2 % 2 == 0
-                              else rho_f ** (exp2 / 2.0))
+        # (n+1)(n-4) = n(n-3) - 4 is even: an integer power of rho
+        mag = (self.n - 1) * rho_f ** ((self.n + 1) * (self.n - 4) // 2)
         pred = -sgn ** (self.n + 1) * mag
         return det, pred
 
@@ -241,38 +240,41 @@ class EHLagrangian:
                       for k in range(self.npairs))
         return self.lij_rs(MetricJet(self.n, self.signature, seeds))
 
-    def phi_matrix(self, mj: MetricJet, st: tuple[int, int], uv: tuple[int, int],
-                   _cache=None):
+    def _phi_arrays(self, mj: MetricJet):
+        """d1[r, c, w] and d2[r, c, w, v], the first and second partials of
+        the (L_EH)^{ij}_{rs} table entries (row r, column c) over the metric
+        slots w, v at the jet's metric value, and Lambda, the inverse of the
+        table's value."""
+        table = self.lij_rs_with_partials(mj.g)
+        slots = range(self.npairs)
+        d1 = np.array([[[float(t.deriv(w)) for w in slots] for t in row]
+                       for row in table])
+        d2 = np.array([[[[float(t.deriv(w, v)) for v in slots] for w in slots]
+                        for t in row] for row in table])
+        lam = np.linalg.inv(np.array([[float(t.value) for t in row] for row in table]))
+        return d1, d2, lam
+
+    @staticmethod
+    def _phi(arrays, st: int, uv: int):
+        """(Phi_{st,uv})^{jk}_{cd} for the stored pairs st, uv:
+
+            d2[jk, st, cd, uv] - d2[jk, uv, cd, st]
+            + sum_{ab,pq} X_st[jk, ab] Lambda[ab, pq] d1[pq, uv, cd]
+            + sum_{ab,pq} X_uv[jk, ab] Lambda[ab, pq] d1[pq, st, cd],
+
+        X_st[jk, ab] = d1[jk, ab, st] - d1[jk, st, ab] and X_uv[jk, ab] =
+        d1[jk, uv, ab] - d1[jk, ab, uv]: two matrix products each."""
+        d1, d2, lam = arrays
+        x_st = d1[:, :, st] - d1[:, st, :]
+        x_uv = d1[:, uv, :] - d1[:, :, uv]
+        return (d2[:, st, :, uv] - d2[:, uv, :, st]
+                + x_st @ lam @ d1[:, uv, :] + x_uv @ lam @ d1[:, st, :])
+
+    def phi_matrix(self, mj: MetricJet, st: tuple[int, int], uv: tuple[int, int]):
         """The matrix (Phi_{st,uv})^{jk}_{cd} from the vertical-symmetry
         integrability conditions; rows (jk), columns (cd)."""
-        npairs = self.npairs
-        st_i = self.pair_pos[tuple(sorted(st))]
-        uv_i = self.pair_pos[tuple(sorted(uv))]
-        if _cache is None:
-            table = self.lij_rs_with_partials(mj.g)
-            lam = np.linalg.inv(np.array([[float(v.value) for v in row]
-                                          for row in table]))
-        else:
-            table, lam = _cache
-
-        def d1(row, col, w):
-            return float(table[row][col].deriv(w))
-
-        def d2(row, col, w1, w2):
-            return float(table[row][col].deriv(w1, w2))
-
-        out = np.zeros((npairs, npairs))
-        for jk in range(npairs):
-            for cd in range(npairs):
-                val = d2(jk, st_i, cd, uv_i) - d2(jk, uv_i, cd, st_i)
-                for ab in range(npairs):
-                    for pq in range(npairs):
-                        # Lambda_pq^{ab} = inv[ab][pq] of the (L_EH)_cd^{jk} block
-                        val += lam[ab][pq] * (
-                            (d1(jk, ab, st_i) - d1(jk, st_i, ab)) * d1(pq, uv_i, cd)
-                            + (d1(jk, uv_i, ab) - d1(jk, ab, uv_i)) * d1(pq, st_i, cd))
-                out[jk][cd] = val
-        return out
+        return self._phi(self._phi_arrays(mj), self.pair_pos[tuple(sorted(st))],
+                         self.pair_pos[tuple(sorted(uv))])
 
     def phi_nondegeneracy(self, mj: MetricJet, st, uv):
         """Report on the matrix Phi_{st,uv}: max entry, determinant, rank."""
@@ -292,14 +294,9 @@ class EHLagrangian:
         """Rank of the integrability system stacked over every pair of
         fibre-coordinate pairs; full rank n(n+1)/2 forces the vertical
         symmetry components V^{cd} to vanish."""
-        table = self.lij_rs_with_partials(mj.g)
-        lam = np.linalg.inv(np.array([[float(v.value) for v in row]
-                                      for row in table]))
-        rows = []
-        for a in range(self.npairs):
-            for b in range(a + 1, self.npairs):
-                rows.append(self.phi_matrix(mj, self.pairs[a], self.pairs[b],
-                                            _cache=(table, lam)))
+        arrays = self._phi_arrays(mj)
+        rows = [self._phi(arrays, a, b) for a in range(self.npairs)
+                for b in range(a + 1, self.npairs)]
         return int(np.linalg.matrix_rank(np.vstack(rows), tol=1e-8))
 
 

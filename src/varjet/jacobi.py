@@ -6,7 +6,11 @@ second-order Lagrangian: for a vertical field V along a section s,
     d2V/dx^i dx^j (dp_a^i/dy'^c_j) - V^c {...} - dV^c/dx^h {...} = 0,
 
 with every brace a combination of first and second partials of the momenta
-and Hamiltonian along j^1 s.  The Einstein-Hilbert specialization is the
+and Hamiltonian along j^1 s.  The braces hold D_i(dp_a^i/dy^c) and
+D_i(dp_a^i/dy'^c_h); they take D_i from `jets` (`total_derivative_stencil`,
+built once per point, contracted with each partial by `jets.contract`), so
+the operator reads y'' only through those stencils, whose zero terms are
+dropped.  The Einstein-Hilbert specialization is the
 explicit second-order operator in the metric, Christoffel symbols and
 curvature; at a constant flat metric it degenerates to a constant-coefficient
 operator whose matrix (quadratic polynomials in the formal symbols D^1..D^n)
@@ -32,8 +36,9 @@ from functools import cached_property
 from itertools import chain, combinations_with_replacement
 from math import lcm
 
-from .jets import (JetPoint, MultiIndex, PolySection, delta, jet_of_section,
-                   pair_index, point_ring, sym_pairs)
+from .jets import (JetPoint, MultiIndex, PolySection, contract, delta,
+                   jet_of_section, pair_index, point_ring, sym_pairs,
+                   total_derivative_stencil)
 from .linalg import nullspace
 from .metric import curvature, metric_from_jet_point
 from .poly import Poly
@@ -105,33 +110,25 @@ def _memoized(memo: dict, owner, p2: JetPoint, build) -> JacobiCoefficients:
 def _generic_coefficients(supplier, p2: JetPoint) -> JacobiCoefficients:
     n, m = p2.n, p2.m
     data = pipeline(supplier, p2.truncated(1), cap=2)
-    jv = data.jv
+    jv, p, h = data.jv, data.p, data.h
+    st = [total_derivative_stencil(jv, p2, i) for i in range(n)]
+    y1 = [(be, i, p2.y1(be, i)) for be in range(m) for i in range(n) if p2.y1(be, i) != 0]
 
-    def dp(al, i, *labs):
-        return data.p[(al, i)].deriv(*(jv.id_of[lab] for lab in labs))
-
-    def dh(*labs):
-        return data.h.deriv(*(jv.id_of[lab] for lab in labs))
-
-    def bracket(al, c, lab, br):
-        # minus the coefficient of the V^c (lab = y^c) or dV^c/dx^h
-        # (lab = y'^c_h) term, given its leading part br
-        for be in range(m):
-            for i in range(n):
-                br = br + p2.y1(be, i) * (dp(be, i, ("y", al), lab)
-                                          - dp(al, i, ("y", be), lab))
-                for j in range(n):
-                    br = br - p2.y2(be, i, j) * dp(al, i, ("y1", be, j), lab)
+    def bracket(al, lab, br):
+        # minus the coefficient of the V^c (lab the id of y^c) or dV^c/dx^h
+        # (lab the id of y'^c_h) term, given its leading part br
+        for be, i, v in y1:
+            br = br + v * p[(be, i)].deriv(jv.y(al), lab)
         for i in range(n):
-            br = br - dp(al, i, ("x", i), lab)
+            br = br - contract(p[(al, i)], st[i], lab)
         return -br
 
-    c2 = [[[[dp(al, i, ("y1", c, j)) for j in range(n)] for i in range(n)]
+    c2 = [[[[p[(al, i)].deriv(jv.y1(c, j)) for j in range(n)] for i in range(n)]
            for c in range(m)] for al in range(m)]
-    c0 = [[bracket(al, c, ("y", c), dh(("y", al), ("y", c))) for c in range(m)]
+    c0 = [[bracket(al, jv.y(c), h.deriv(jv.y(al), jv.y(c))) for c in range(m)]
           for al in range(m)]
-    c1 = [[[bracket(al, c, ("y1", c, h), dp(c, h, ("y", al)) - dp(al, h, ("y", c))
-                    + dh(("y", al), ("y1", c, h))) for h in range(n)]
+    c1 = [[[bracket(al, jv.y1(c, k), p[(c, k)].deriv(jv.y(al)) - p[(al, k)].deriv(jv.y(c))
+                    + h.deriv(jv.y(al), jv.y1(c, k))) for k in range(n)]
            for c in range(m)] for al in range(m)]
     gap = max((abs(float(g)) for g in hc_first_family(data, p2)), default=0.0)
     return JacobiCoefficients(n, c2, c1, c0, gap)

@@ -12,10 +12,10 @@ Equations, GTM 107)
 
 is written once, as the stencil of `total_derivative_stencil`, and D_iD_j
 as that of `total_derivative2_stencil`: the (coefficient, partial) pairs of
-the operator at one jet point.  `total_derivative` and `total_derivative2`
-contract a function G with them; G is given by its partials (a `Jet`, or
-anything with its `deriv`) over the coordinates of a `JetVars`, and the
-order r of that `JetVars` is the domain J^r of G.  At a jet of order
+the operator at one jet point.  `contract` applies a stencil to a function
+G, or to a partial of G, and `total_derivative` and `total_derivative2` are
+stencil + contract; G is a `Jet` over the coordinates of a `JetVars`, and
+the order r of that `JetVars` is the domain J^r of G.  At a jet of order
 >= r + 1 (r + 2 for D_iD_j) the chain rule ``D_j G (j^{r+1} s) = d/dx^j [G(j^r s)]`` holds
 exactly, over any ring.
 """
@@ -331,21 +331,24 @@ def jet_partials(F: JetFunction, p: JetPoint, cap: int = 2) -> PartialTable:
 #
 # G is a function on J^r, r = jv.order, given by its partials: a Jet over the
 # ids of jv (the varcore pipeline's L_0, L^ij block and momenta, or a seeded
-# evaluation), or anything else with `deriv`.  D_j G and D_iD_j G at a jet
-# point are then contractions of those partials with the jet coordinates of
-# the next orders.  A stencil is that contraction written out once per point:
-# a list of (coefficient, partial ids) pairs, with D G = sum c G.deriv(*ids)
-# and no pair whose coefficient is 0.  A caller that applies one D to many
-# functions at the same point builds the stencil once and passes it to
-# `contract`.
+# evaluation).  D_j G and D_iD_j G at a jet point are then contractions of
+# those partials with the jet coordinates of the next orders.  A stencil is
+# that contraction written out once per point: a list of (coefficient,
+# partial ids) pairs, with D G = sum c G.deriv(*ids) and no pair whose
+# coefficient is 0.  A caller that applies one D to many functions, or to
+# many partials of one function, at the same point builds the stencil once
+# and passes it to `contract`.
 
 
-def contract(G, stencil):
-    """sum_t c_t G.deriv(*ids_t) over the (c_t, ids_t) of a stencil."""
+def contract(G, stencil, *ids):
+    """sum_t c_t G.deriv(*ids, *ids_t) over the (c_t, ids_t) of a stencil:
+    the stencil's operator applied to the partial dG/d(ids), read from G's
+    own coefficients (no partial Jet is built).  With no ids, the operator
+    applied to G."""
     d = G.deriv
     total = 0
-    for c, ids in stencil:
-        total = total + c * d(*ids)
+    for c, t in stencil:
+        total = total + c * d(*ids, *t)
     return total
 
 

@@ -26,9 +26,9 @@ import numpy as np
 
 from .fwd import Jet, ring_unit
 from .jets import (JetFunction, JetOrderError, JetPoint, JetVars, PolySection,
-                   contract, delta, jet_of_section, pair_index, point_ring,
-                   seed_point, sym_pairs, total_derivative,
-                   total_derivative2_stencil, total_derivative_stencil)
+                   contract, delta, jet_of_section, jet_partials, pair_index,
+                   point_ring, sym_pairs, total_derivative2_stencil,
+                   total_derivative_stencil)
 from .poly import Poly
 
 
@@ -77,20 +77,15 @@ def projectability_check(lag: SecondOrderLagrangian, samples,
     n, m = lag.n, lag.m
     worst_aff = worst_j2 = worst_tris = 0.0
     for p in samples:
-        seeded, jv = seed_point(p.truncated(2), cap=2)
-        out = lag.L(seeded)
-
-        def d2(lab1, lab2):
-            return float(out.deriv(jv.id_of[lab1], jv.id_of[lab2]))
-
+        d2 = jet_partials(lag.L, p.truncated(2)).d2
         pairs = sym_pairs(n)
         # affineness: all second partials in the y'' block vanish
         for a in range(m):
             for b in range(m):
                 for p1 in pairs:
                     for p2 in pairs:
-                        worst_aff = max(worst_aff, abs(d2(("y2", a, p1),
-                                                          ("y2", b, p2))))
+                        worst_aff = max(worst_aff, abs(float(d2(("y2", a, p1),
+                                                                ("y2", b, p2)))))
         # J^2 projectability system, for 1 <= a <= b <= c <= n
         for al in range(m):
             for be in range(m):
@@ -156,22 +151,18 @@ def legendre_coefficients(lag: SecondOrderLagrangian, p: JetPoint) -> LegendreCo
     if p.order < 3:
         raise JetOrderError("Legendre coefficients need an order-3 jet")
     n, m = lag.n, lag.m
-    seeded, jv = seed_point(p.truncated(2), cap=2)
-    out = lag.L(seeded)
-
-    def d1(lab):
-        return out.deriv(jv.id_of[lab])
-
+    t = jet_partials(lag.L, p.truncated(2))
+    st = [total_derivative_stencil(t.jv, p, j) for j in range(n)]
     lij = {}
     for a in range(m):
         for (i, j) in sym_pairs(n):
-            lij[(a, i, j)] = d1(("y2", a, (i, j))) * Fraction(1, 2 - delta(i, j))
+            lij[(a, i, j)] = t.d(("y2", a, (i, j))) * Fraction(1, 2 - delta(i, j))
     li0 = {}
     for a in range(m):
         for i in range(n):
-            total = d1(("y1", a, i))
+            total = t.d(("y1", a, i))
             for j in range(n):
-                dj = total_derivative(out.partial(jv.y2(a, i, j)), jv, p, j)
+                dj = contract(t.jet, st[j], t.jv.y2(a, i, j))
                 total = total - Fraction(1, 2 - delta(i, j)) * dj
             li0[(a, i)] = total
     return LegendreCoefficients(lij, li0)
@@ -244,7 +235,7 @@ class PipelineData:
     """Taylor data of the first-order objects at one jet point.
 
     All entries are Jets over the coordinates of J^1, numbered by `jv`, a
-    JetVars of order 1: `total_derivative` reads them as functions on J^1.
+    JetVars of order 1: `jets.contract` reads them as functions on J^1.
     `cap` is the guaranteed truncation order of A, p, H, Lbar.
     `primitive_method` says how the fibre primitives L^i were obtained:
     "closed_form" (the contraction y^a_i L_a^{hi}, for a block without y'),
@@ -606,25 +597,6 @@ def euler_lagrange_first_order(supplier, s: PolySection, x) -> list:
 # Fractions.
 
 
-class _Partials:
-    """sum_t c_t * (d^|ids_t| jet_t / d ids_t) as a function on J^1.
-
-    Exposes `deriv` like a Jet, which is all `jets.contract` reads (with
-    stencils over the pipeline's order-1 JetVars), and reads every partial
-    through the parent Jets instead of building the partial Jets."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = terms
-
-    def deriv(self, *vars):
-        acc = 0
-        for c, jet, ids in self.terms:
-            acc = acc + c * jet.deriv(*ids, *vars)
-        return acc
-
-
 @dataclass
 class HelmholtzResult:
     max_a: float
@@ -655,6 +627,9 @@ def helmholtz_residuals(supplier, s: PolySection, x,
     data = pipeline(supplier, p3.truncated(1), cap=3, with_primitives=False)
     jv = data.jv
 
+    # Each coefficient is a function on J^1 written as its terms (c, jet, ids),
+    # sum c * d^|ids| jet / d ids, so every value and total derivative is read
+    # from the pipeline's Jets without building a partial Jet.
     # G[al,si,k,l] = dE_al/dy''^si_(kl)
     g_fn = {}
     for al in range(m):
@@ -664,7 +639,7 @@ def helmholtz_residuals(supplier, s: PolySection, x,
                          (-1, data.a[(al, k)], (jv.y1(si, l),))]
                 if k < l:
                     terms.append((-1, data.a[(al, l)], (jv.y1(si, k),)))
-                g_fn[(al, si, k, l)] = _Partials(terms)
+                g_fn[(al, si, k, l)] = terms
 
     # TL1[al,si,i] = d^2L/dy^al dy'^si_i and TL0[al,si] = d^2L/dy^al dy^si
     # at the order-2 jet of s; both affine in y''
@@ -674,20 +649,26 @@ def helmholtz_residuals(supplier, s: PolySection, x,
             for (k, l) in pairs:
                 terms.append(((2 - delta(k, l)) * p3.y2(be, k, l),
                               data.lij_get(be, k, l), ids))
-        return _Partials(terms)
+        return terms
 
     tl1_fn = {(al, si, i): y2_affine((jv.y(al), jv.y1(si, i)))
               for al in range(m) for si in range(m) for i in range(n)}
     tl0_fn = {(al, si): y2_affine((jv.y(al), jv.y(si)))
               for al in range(m) for si in range(m)}
     # V[al,si,i] = dA_al^i/dy^si ; W[al,si,j,i] = dA_al^j/dy'^si_i
-    v_fn = {(al, si, i): _Partials([(1, data.a[(al, i)], (jv.y(si),))])
+    v_fn = {(al, si, i): [(1, data.a[(al, i)], (jv.y(si),))]
             for al in range(m) for si in range(m) for i in range(n)}
-    w_fn = {(al, si, j, i): _Partials([(1, data.a[(al, j)], (jv.y1(si, i),))])
+    w_fn = {(al, si, j, i): [(1, data.a[(al, j)], (jv.y1(si, i),))]
             for al in range(m) for si in range(m) for j in range(n)
             for i in range(n)}
 
-    t0 = {name: {key: f.deriv() for key, f in fns.items()}
+    def value(f):
+        acc = 0
+        for c, jet, ids in f:
+            acc = acc + c * jet.deriv(*ids)
+        return acc
+
+    t0 = {name: {key: value(f) for key, f in fns.items()}
           for name, fns in (("G", g_fn), ("TL1", tl1_fn), ("TL0", tl0_fn),
                             ("V", v_fn), ("W", w_fn))}
     if perturb is not None:
@@ -698,11 +679,11 @@ def helmholtz_residuals(supplier, s: PolySection, x,
     st2 = [[total_derivative2_stencil(jv, p3, i, j) for j in range(n)]
            for i in range(n)]
 
-    def d1(f, j):
-        return contract(f, st1[j])
-
-    def d2(f, i, j):
-        return contract(f, st2[i][j])
+    def d(f, st):
+        acc = 0
+        for c, jet, ids in f:
+            acc = acc + c * contract(jet, st, *ids)
+        return acc
 
     worst_a = worst_b = worst_c = 0
     for al in range(m):
@@ -715,14 +696,14 @@ def helmholtz_residuals(supplier, s: PolySection, x,
     for (a, sg, i) in tl1_fn:
         acc = t0["TL1"][(a, sg, i)] - t0["V"][(a, sg, i)]
         for j in range(n):
-            acc = acc - d1(w_fn[(a, sg, j, i)], j)
+            acc = acc - d(w_fn[(a, sg, j, i)], st1[j])
         dedy1[(a, sg, i)] = acc
     for al in range(m):
         for si in range(m):
             for i in range(n):
                 r = dedy1[(al, si, i)] + dedy1[(si, al, i)]
                 for j in range(n):
-                    r = r - (1 + delta(i, j)) * d1(g_fn[(si, al) + _sp(i, j)], j)
+                    r = r - (1 + delta(i, j)) * d(g_fn[(si, al) + _sp(i, j)], st1[j])
                 worst_b = max(worst_b, abs(r))
     # family (c): dE_al/dy^si - dE_si/dy^al + D_i(dE_si/dy'^al_i)
     #             - sum_{i<=j} D_iD_j G_si_al^(ij).
@@ -734,15 +715,15 @@ def helmholtz_residuals(supplier, s: PolySection, x,
             r = t0["TL0"][(al, si)] - t0["TL0"][(si, al)]
             for i in range(n):
                 ids = (jv.y(si), jv.y1(al, i))
-                r = r - d1(v_fn[(al, si, i)], i) + d1(tl1_fn[(si, al, i)], i)
+                r = r - d(v_fn[(al, si, i)], st1[i]) + d(tl1_fn[(si, al, i)], st1[i])
                 for be in range(m):
                     for (k, l) in pairs:
                         r = r + (2 - delta(k, l)) * p3.y3(be, k, l, i) \
                             * data.lij_get(be, k, l).deriv(*ids)
                 for j in range(n):
-                    r = r - d2(w_fn[(si, al, j, i)], i, j)
+                    r = r - d(w_fn[(si, al, j, i)], st2[i][j])
             for (i, j) in pairs:
-                r = r - d2(g_fn[(si, al, i, j)], i, j)
+                r = r - d(g_fn[(si, al, i, j)], st2[i][j])
             worst_c = max(worst_c, abs(r))
     return HelmholtzResult(float(worst_a), float(worst_b), float(worst_c))
 

@@ -276,6 +276,36 @@ def test_phi_nondegeneracy_claims():
     assert rep0["max_abs"] < 1e-12
 
 
+def test_phi_matrix_equals_the_index_sum():
+    """Phi from matrix products equals the displayed index sum over (ab, pq),
+    at a random n = 3 metric, on each ordered pair of stored pairs."""
+    rng = np.random.default_rng(7)
+    eh3 = EHLagrangian(3, (2, 1))
+    mj = random_metric_jet(rng, 3, (2, 1), order=0)
+    table = eh3.lij_rs_with_partials(mj.g)
+    lam = np.linalg.inv(np.array([[float(t.value) for t in row] for row in table]))
+
+    def d1(row, col, w):
+        return float(table[row][col].deriv(w))
+
+    N = eh3.npairs
+    for st in range(N):
+        for uv in range(N):
+            ref = np.zeros((N, N))
+            for jk in range(N):
+                for cd in range(N):
+                    val = (float(table[jk][st].deriv(cd, uv))
+                           - float(table[jk][uv].deriv(cd, st)))
+                    for ab in range(N):
+                        for pq in range(N):
+                            val += lam[ab][pq] * (
+                                (d1(jk, ab, st) - d1(jk, st, ab)) * d1(pq, uv, cd)
+                                + (d1(jk, uv, ab) - d1(jk, ab, uv)) * d1(pq, st, cd))
+                    ref[jk][cd] = val
+            got = eh3.phi_matrix(mj, eh3.pairs[st], eh3.pairs[uv])
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
 def test_natural_lift_constant_field_is_horizontal():
     from varjet.poly import Poly
     n = 2

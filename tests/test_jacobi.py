@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from varjet.einstein import EHLagrangian, affine_supplier
+from varjet.fwd import Jet
 from varjet.jacobi import (DiffOpMatrix, JacobiCoefficients,
                            derivative_shift_check,
                            eh_jacobi_coefficients, eh_jacobi_residual,
@@ -605,6 +606,29 @@ def test_generic_residual_memo_is_ring_safe():
         lambda x: jacobi_residual(sup, s, v, x)[0],
         lambda x: jacobi_coefficients(sup, s, x).residual(v, x),
         s, (0.5, -0.25), (F(1, 2), F(-1, 4)))
+
+
+def test_generic_coefficients_read_few_partials_at_a_constant_background(monkeypatch):
+    """At the constant Minkowski metric, n = 4 over Fractions, y' and y''
+    vanish, so the brackets read only the x-terms of each D_i stencil:
+    one `jacobi_coefficients` build reads 5,350 partials through `Jet.deriv`
+    (the hand-written D_i sums read 125,350) and every hc gap is 0."""
+    eps = (-1, 1, 1, 1)
+    sup = affine_supplier(EHLagrangian(4, (1, 3)))
+    s = PolySection(4, [Poly.constant(4, F(eps[a]) if a == b else F(0))
+                        for a, b in sym_pairs(4)])
+    reads = [0]
+    deriv = Jet.deriv
+
+    def counted(self, *ids):
+        reads[0] += 1
+        return deriv(self, *ids)
+
+    monkeypatch.setattr(Jet, "deriv", counted)
+    coef = jacobi_coefficients(sup, s, (F(0),) * 4)
+    assert reads[0] == 5350
+    assert coef.hc_gap == 0
+    assert all(v == 0 for row in coef.c0 for v in row)
 
 
 NAMES3 = {"x1": 0, "x2": 1, "x3": 2}

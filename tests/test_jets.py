@@ -244,6 +244,36 @@ def test_stencil_built_once_contracts_every_function_exactly():
                     assert isinstance(d2, Fraction) and d2 == A.deriv(i, j)
 
 
+def test_contract_with_ids_is_the_stencil_applied_to_the_partial():
+    """contract(G, st, *ids) == contract(G.partial(ids...), st) exactly over
+    Fractions, for D_j and D_iD_j on J^1 and for one and two partial ids:
+    the stencil reads the partial through G's own coefficients."""
+    rng = random.Random(5)
+    n, m = 2, 2
+    names = {"x1": 0, "x2": 1}
+    mono = ["1", "x1", "x2", "x1*x2", "x1^2", "x2^2", "x1^2*x2", "x1^3", "x2^3"]
+    s = PolySection(n, [sum((Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                             * _poly(t, names, 2) for t in mono), Poly.constant(2, 0))
+                        for _ in range(m)])
+    x = (Fraction(-1, 4), Fraction(5, 8))
+    q, jv = seed_point(jet_of_section(s, x, 1), cap=5)
+    G = (q.x[0] * q.y[1] ** 2 * q.y1(0, 1) + q.y[0] * q.y1(1, 0) ** 3
+         + q.x[1] ** 2 * q.y1(0, 0) * q.y1(1, 1) * q.y[1])
+    p = jet_of_section(s, x, 3)
+    st1 = [total_derivative_stencil(jv, p, j) for j in range(n)]
+    st2 = [[total_derivative2_stencil(jv, p, i, j) for j in range(n)] for i in range(n)]
+    for a in range(len(jv)):
+        Ga = G.partial(a)
+        for j in range(n):
+            assert contract(G, st1[j], a) == contract(Ga, st1[j])
+            for i in range(n):
+                assert contract(G, st2[i][j], a) == contract(Ga, st2[i][j])
+        for b in range(len(jv)):
+            for j in range(n):
+                assert contract(G, st1[j], a, b) == contract(Ga.partial(b), st1[j])
+    assert any(contract(G, st2[1][0], a) != 0 for a in range(len(jv)))
+
+
 def test_seed_point_partial_symmetry():
     s = _section_x1sq_x2()
     p = jet_of_section(s, (0.7, -0.3), 2)

@@ -3,7 +3,9 @@
 Every import sits at module level, and no module imports an underscore-
 prefixed (private) name from a sibling module: a helper that two modules
 need is public in one of them.  Only `metric` inverts a matrix or takes a
-determinant: everything else reads g^-1 and rho from its MetricJet.
+determinant: everything else reads g^-1 and rho from its MetricJet.  Only
+`fwd.Jet` defines `deriv`: a function's partials are read from its Jet, and
+a total derivative of a partial is `jets.contract(G, stencil, *ids)`.
 """
 
 import ast
@@ -42,6 +44,13 @@ def matrix_calls(source: str, name: str) -> list[str]:
     return faults
 
 
+def deriv_methods(source: str, name: str) -> list[str]:
+    """Classes that define a `deriv` method."""
+    return [f"{name}:{node.name}" for node in ast.walk(ast.parse(source, filename=name))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(f, ast.FunctionDef) and f.name == "deriv" for f in node.body)]
+
+
 def test_no_function_level_or_private_sibling_imports():
     assert {"bf.py", "einstein.py", "metric.py", "varcore.py"} <= {p.name for p in SOURCES}
     faults = [f for p in SOURCES for f in layout_faults(p.read_text(), p.name)]
@@ -69,3 +78,17 @@ def test_matrix_call_guard_flags_both_forms():
            "inv = metric.mat_inverse(m)\n")
     assert matrix_calls(src, "m.py") == ["m.py:2 calls mat_det",
                                          "m.py:3 calls mat_inverse"]
+
+
+def test_only_jet_defines_deriv():
+    found = [f for p in SOURCES for f in deriv_methods(p.read_text(), p.name)]
+    assert found == ["fwd.py:Jet"]
+
+
+def test_deriv_guard_flags_a_class_method_only():
+    src = ("class _Partials:\n"
+           "    def deriv(self, *vars):\n"
+           "        return 0\n"
+           "def deriv(f):\n"
+           "    return f\n")
+    assert deriv_methods(src, "m.py") == ["m.py:_Partials"]
