@@ -32,30 +32,39 @@ class EHLagrangian:
         self.pairs = sym_pairs(n)
         self.npairs = len(self.pairs)
         self.pair_pos = {p: k for k, p in enumerate(self.pairs)}
+        self.pk = [[pair_index(n, a, b) for b in range(n)] for a in range(n)]
 
     # -- second-derivative coefficient block --------------------------------
 
     def lij_rs(self, mj: MetricJet):
         """Table (L_EH)^{ij}_{rs} = rho (y^{ir}y^{js} + y^{jr}y^{is}
-        - 2 y^{rs}y^{ij}) / (1 + delta_rs), indexed [pair (ij)][pair (rs)],
-        from the jet's g^-1 and rho (only its metric value is read)."""
-        ginv, rho = mj.ginv, mj.rho
-        half = ring_unit(rho) / 2
+        - 2 y^{rs}y^{ij}) / (1 + delta_rs), indexed [pair (ij)][pair (rs)].
+
+        Each entry is a signed sum of the jet's pair products T_pq =
+        rho g^p g^q (`MetricJet.rho_gpairs`, only its metric value is
+        read), so it makes no product of its own: T_{ir,js} + T_{jr,is}
+        - 2 T_{rs,ij}, and at r = s, where the first two coincide and the
+        weight 1/2 cancels the 2s, T_{ir,jr} - T_{rr,ij}."""
+        t, pk = mj.rho_gpairs, self.pk
         out = [[None] * self.npairs for _ in range(self.npairs)]
         for a, (i, j) in enumerate(self.pairs):
             for b, (r, s) in enumerate(self.pairs):
-                val = (ginv[i][r] * ginv[j][s] + ginv[j][r] * ginv[i][s]
-                       - 2 * ginv[r][s] * ginv[i][j])
-                out[a][b] = rho * val * half if r == s else rho * val
+                if r == s:
+                    out[a][b] = t[pk[i][r]][pk[j][r]] - t[pk[r][r]][a]
+                else:
+                    out[a][b] = (t[pk[i][r]][pk[j][s]] + t[pk[j][r]][pk[i][s]]
+                                 - 2 * t[b][a])
         return out
 
     def l0(self, mj: MetricJet):
         """The zeroth-order part (L_EH)_0, quadratic in first derivatives:
 
-            L0 = rho/8 sum_T G_p G_q G_r sum_{A<=B} c_{T,AB} y'_A y'_B
+            L0 = 1/8 sum_r G_r sum_{p<=q<=r} T_pq S_pqr,
+            S_pqr = sum_{A<=B} c_{pqr,AB} y'_A y'_B,
 
-        over sorted triples T = (p, q, r) of stored inverse-metric slots
-        G_p = g^{ab} and stored first-derivative slots y'_A = y_{kl,i}.
+        over stored inverse-metric slots G_p = g^{ab}, the jet's pair
+        products T_pq = rho G_p G_q (`MetricJet.rho_gpairs`, shared with
+        `lij_rs`) and stored first-derivative slots y'_A = y_{kl,i}.
         `_l0_table` builds the integers c once per n, on the first call, by
         expanding over full indices the five sums of the factorized display
 
@@ -63,22 +72,23 @@ class EHLagrangian:
             - 4 G_ir (G D_i G)_sj y_{rs,j} - 8 (G D_i G)_is V_s
 
         (G = g^-1, D_i = (y_{kl,i})_kl, trD_i = tr(G D_i), V_s = G_ki y_{ks,i},
-        W = G V).  G and rho are the jet's own, and the G products (Jets
-        over y alone) are formed first, the y' seed products multiplied in
-        last.  `l0_reference`, the literal display, pins the identity exactly
-        in the tests.
+        W = G V).  Each T_pq S_pqr multiplies a pair product by a small
+        quadratic in the y' seeds, and each largest slot r then costs one
+        product with G_r, N = n(n+1)/2 in all.  `l0_reference`, the literal
+        display, pins the identity exactly in the tests.
         """
-        ginv, rho = mj.ginv, mj.rho
+        gs = [mj.ginv[a][b] for a, b in self.pairs]
+        t = mj.rho_gpairs
         table, sa, sb = _l0_table(self.n)
-        gs = [ginv[a][b] for a, b in self.pairs]
         ys = [v for row in mj.dg for v in row]
         yy = [ys[a] * ys[b] for a, b in zip(sa, sb)]
         total = 0
-        for (p, q), rows in table:
-            gpq = gs[p] * gs[q]
-            for r, ks, cs in rows:
-                total = total + gpq * gs[r] * sum(c * yy[k] for k, c in zip(ks, cs))
-        return rho * total * (ring_unit(rho) / 8)
+        for r, rows in table:
+            inner = 0
+            for p, q, ks, cs in rows:
+                inner = inner + t[p][q] * sum(c * yy[k] for k, c in zip(ks, cs))
+            total = total + gs[r] * inner
+        return total * (ring_unit(mj.rho) / 8)
 
     def l0_reference(self, mj: MetricJet):
         """The zeroth-order part exactly as displayed (test oracle)."""
@@ -303,7 +313,7 @@ class EHLagrangian:
 @functools.cache
 def _l0_table(n: int):
     """The integers c of `EHLagrangian.l0` as (table, sa, sb): y'_A is
-    mj.dg[A // n][A % n], table lists ((p, q), [(r, ks, cs), ...]) and
+    mj.dg[A // n][A % n], table lists (r, [(p, q, ks, cs), ...]) and
     c_{(p,q,r), (sa[k], sb[k])} = c for k, c in zip(ks, cs), nonzero."""
     np_, ns = n * (n + 1) // 2, n * n * (n + 1) // 2    # G slots, y' slots
     pk = [[pair_index(n, a, b) for b in range(n)] for a in range(n)]
@@ -318,18 +328,19 @@ def _l0_table(n: int):
                      (-4, (pk[i][c], pk[d][a], pk[b][j])),
                      (-8, (pk[i][a], pk[b][d], pk[c][j]))):
             p, q, r = sorted(t)
-            key = ((p * np_ + q) * np_ + r) * ns * ns + ab
+            key = ((r * np_ + p) * np_ + q) * ns * ns + ab
             acc[key] = acc.get(key, 0) + w
     keys = sorted(key for key, c in acc.items() if c)
     index = {ab: k for k, ab in enumerate(sorted({key % (ns * ns) for key in keys}))}
     table: dict = {}
     for key in keys:
         t, ab = divmod(key, ns * ns)
-        ks, cs = table.setdefault(divmod(t // np_, np_), {}).setdefault(t % np_, ([], []))
+        r, pq = divmod(t, np_ * np_)
+        ks, cs = table.setdefault(r, {}).setdefault(divmod(pq, np_), ([], []))
         ks.append(index[ab])
         cs.append(acc[key])
-    return ([(pq, [(r, tuple(ks), tuple(cs)) for r, (ks, cs) in rows.items()])
-             for pq, rows in table.items()],
+    return ([(r, [(p, q, tuple(ks), tuple(cs)) for (p, q), (ks, cs) in rows.items()])
+             for r, rows in table.items()],
             tuple(ab // ns for ab in index), tuple(ab % ns for ab in index))
 
 

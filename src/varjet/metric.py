@@ -86,9 +86,11 @@ class MetricJet:
 
     g, dg, d2g, d3g are stored once per sorted component pair (a <= b);
     derivative slots are themselves symmetric in the differentiation indices.
-    `ginv` (g^-1 as a full n x n list) and `rho` (sqrt|det g|) are formed
+    `ginv` (g^-1 as a full n x n list), `rho` (sqrt|det g|) and
+    `rho_gpairs` (the products rho g^p g^q of its stored slots) are formed
     from g on first read and kept, so each metric row is inverted once per
-    jet; a singular row raises SingularMetricError there.
+    jet and each pair product formed once; a singular row raises
+    SingularMetricError there.
     """
 
     n: int
@@ -129,14 +131,29 @@ class MetricJet:
     def rho(self):
         return ring_sqrt(abs(mat_det(self.matrix())))
 
+    @cached_property
+    def rho_gpairs(self):
+        """rho g^p g^q for the stored slots p, q of g^-1 (the pairs a <= b
+        of `sym_pairs`), as an N x N list, N = n(n+1)/2, whose [p][q] and
+        [q][p] are one value: (rho g^p) g^q for p <= q, so N + N(N+1)/2
+        products.  The EH tables `l0` and `lij_rs` read only these."""
+        gs = [self.ginv[a][b] for a, b in sym_pairs(self.n)]
+        out = [[None] * len(gs) for _ in gs]
+        for p, gp in enumerate(gs):
+            rgp = self.rho * gp
+            for q in range(p, len(gs)):
+                out[p][q] = out[q][p] = rgp * gs[q]
+        return out
+
     def with_slots(self, **slots) -> MetricJet:
         """This jet with other derivative slots (dg, d2g, d3g).  g is kept,
-        so the copy shares g^-1 and rho, forming g^-1 here if it is not yet
-        formed."""
+        so the copy shares g^-1, forming it here if it is not yet formed,
+        and rho and the pair table if they are."""
         out = replace(self, **slots)
         out.__dict__["ginv"] = self.ginv
-        if "rho" in self.__dict__:
-            out.__dict__["rho"] = self.rho
+        for name in ("rho", "rho_gpairs"):
+            if name in self.__dict__:
+                out.__dict__[name] = self.__dict__[name]
         return out
 
     def validate(self) -> None:

@@ -642,18 +642,15 @@ def helmholtz_residuals(supplier, s: PolySection, x,
                 g_fn[(al, si, k, l)] = terms
 
     # TL1[al,si,i] = d^2L/dy^al dy'^si_i and TL0[al,si] = d^2L/dy^al dy^si
-    # at the order-2 jet of s; both affine in y''
-    def y2_affine(ids):
-        terms = [(1, data.l0, ids)]
-        for be in range(m):
-            for (k, l) in pairs:
-                terms.append(((2 - delta(k, l)) * p3.y2(be, k, l),
-                              data.lij_get(be, k, l), ids))
-        return terms
-
-    tl1_fn = {(al, si, i): y2_affine((jv.y(al), jv.y1(si, i)))
+    # at the order-2 jet of s: partials of the one Jet L^ = L_0 +
+    # sum (2 - delta_kl) y''^be_kl L^kl_be, L with the y'' of s put in
+    lhat = data.l0
+    for be in range(m):
+        for (k, l) in pairs:
+            lhat = lhat + data.lij_get(be, k, l) * ((2 - delta(k, l)) * p3.y2(be, k, l))
+    tl1_fn = {(al, si, i): [(1, lhat, (jv.y(al), jv.y1(si, i)))]
               for al in range(m) for si in range(m) for i in range(n)}
-    tl0_fn = {(al, si): y2_affine((jv.y(al), jv.y(si)))
+    tl0_fn = {(al, si): [(1, lhat, (jv.y(al), jv.y(si)))]
               for al in range(m) for si in range(m)}
     # V[al,si,i] = dA_al^i/dy^si ; W[al,si,j,i] = dA_al^j/dy'^si_i
     v_fn = {(al, si, i): [(1, data.a[(al, i)], (jv.y(si),))]

@@ -173,6 +173,76 @@ def test_affine_supplier_inverts_each_metric_row_once(monkeypatch):
                    for b, (i, j) in enumerate(eh.pairs)}
 
 
+def _seeded_metric_jet(mj):
+    """The metric row and y' of `mj` as order-2 Jets over Fractions, one
+    variable per slot as `pipeline` seeds them."""
+    n, m, one = mj.n, len(mj.g), Fraction(1)
+    row = tuple(Jet.variable(k, v, 2, one) for k, v in enumerate(mj.g))
+    drow = tuple(tuple(Jet.variable(m + n * k + i, v, 2, one) for i, v in enumerate(r))
+                 for k, r in enumerate(mj.dg))
+    return MetricJet(n, mj.signature, row, drow)
+
+
+@pytest.mark.parametrize("n, sig, seed", [(3, (2, 1), 67), (4, (1, 3), 71)])
+def test_lij_rs_on_seeded_exact_jets_equals_the_index_formula(n, sig, seed):
+    """Every entry of lij_rs equals rho (G^ir G^js + G^jr G^is
+    - 2 G^rs G^ij) / (1 + delta_rs), written here over the jet's own G and
+    rho, in every Taylor coefficient over Fractions."""
+    eh = EHLagrangian(n, sig)
+    mj = _rational_metric_jet(np.random.default_rng(seed), n, sig)
+    seeded = _seeded_metric_jet(mj)
+    G, rho = seeded.ginv, seeded.rho
+    tab, plain = eh.lij_rs(seeded), eh.lij_rs(mj)
+    for a, (i, j) in enumerate(eh.pairs):
+        for b, (r, s) in enumerate(eh.pairs):
+            want = rho * (G[i][r] * G[j][s] + G[j][r] * G[i][s]
+                          - 2 * G[r][s] * G[i][j]) * Fraction(1, 1 + (r == s))
+            got = tab[a][b]
+            assert got.order == 2
+            assert _nonzero_coefficients(got) == _nonzero_coefficients(want)
+            assert {type(c) for c in got.coef.values()} <= {Fraction}
+            assert got.value == plain[a][b]
+    # not an agreement of near-empty Jets: a full order-2 Jet over the row
+    full = (eh.npairs + 1) * (eh.npairs + 2) // 2
+    assert max(len(_nonzero_coefficients(v)) for row in tab for v in row) == full
+
+
+def test_pair_table_is_formed_once_and_read_without_products(monkeypatch):
+    """The pair table rho G_p G_q costs N + N(N+1)/2 Jet x Jet products, once
+    per metric jet: lij_rs forms none, a second read and a `with_slots`
+    copy reuse it, and one EH `tables` call forms it once."""
+    n, sig = 3, (2, 1)
+    eh = EHLagrangian(n, sig)
+    N = eh.npairs
+    mj = _rational_metric_jet(np.random.default_rng(73), n, sig)
+    products = []
+    inner = Jet.__mul__
+    monkeypatch.setattr(Jet, "__mul__", lambda a, b: (
+        isinstance(b, Jet) and products.append(1)) or inner(a, b))
+
+    def count(fn):
+        products.clear()
+        fn()
+        return len(products)
+
+    seeded = _seeded_metric_jet(mj)
+    n_inverse = count(lambda: (seeded.ginv, seeded.rho))
+    assert n_inverse > 0
+    assert count(lambda: seeded.rho_gpairs) == N + N * (N + 1) // 2
+    table = seeded.rho_gpairs
+    assert count(lambda: seeded.rho_gpairs) == 0
+    assert all(table[p][q] is table[q][p] for p in range(N) for q in range(N))
+    assert count(lambda: eh.lij_rs(seeded)) == 0
+    n_l0 = count(lambda: eh.l0(seeded))
+    copy = seeded.with_slots(dg=mj.dg)
+    assert copy.rho_gpairs is table
+    assert count(lambda: eh.lij_rs(copy)) == 0
+    # the supplier's own metric jet: its inverse, one pair table, then l0
+    fresh = _seeded_metric_jet(mj)
+    n_tables = count(lambda: affine_supplier(eh).tables((0,) * n, fresh.g, fresh.dg))
+    assert n_tables == n_inverse + N + N * (N + 1) // 2 + n_l0
+
+
 def _scalars(v):
     """The scalars of a value or a Jet."""
     return v.coef.values() if isinstance(v, Jet) else (v,)
