@@ -211,16 +211,13 @@ def lij_block(beta: BetaForm, mj: MetricJet):
     def full_coeff(a, b, c, d):
         # coefficient T^{(ab),(cd)} of y_{ab,cd} in the *full* sum over
         # k,l,i,j,h of (-1)^{k+l+1} beta_{kl,i}^j y^{ih} y_{hl,jk}
-        total = 0
-        # y_{hl,jk}: (h,l) realizes {a,b} in both orders, (j,k) realizes {c,d}
+        # y_{hl,jk}: (h,l) realizes {a,b} in both orders, (j,k) realizes
+        # {c,d}; sign1(kk + l) = (-1)^{k+l+1}, 1-based
         fibre_reals = ((a, b),) if a == b else ((a, b), (b, a))
         deriv_reals = ((c, d),) if c == d else ((c, d), (d, c))
-        for (h, l) in fibre_reals:
-            for (j, kk) in deriv_reals:
-                s = sign1(kk + l)    # (-1)^{k+l+1}, 1-based
-                for i in range(n):
-                    total = total + s * tab[kk][l][i][j] * ginv[i][h]
-        return total
+        return sum(sign1(kk + l) * tab[kk][l][i][j] * ginv[i][h]
+                   for (h, l) in fibre_reals for (j, kk) in deriv_reals
+                   for i in range(n))
 
     half = ring_unit(ginv[0][0]) / 2
     out = {}
@@ -236,9 +233,8 @@ def l_beta(beta: BetaForm, mj: MetricJet):
     `l_beta_zero` validates beta."""
     n = beta.n
     total = l_beta_zero(beta, mj)
-    for (ai, c, d), coef in lij_block(beta, mj).items():
-        total = total + (2 - delta(c, d)) * coef * mj.d2g[ai][pair_index(n, c, d)]
-    return total
+    return sum(((2 - delta(c, d)) * coef * mj.d2g[ai][pair_index(n, c, d)]
+                for (ai, c, d), coef in lij_block(beta, mj).items()), total)
 
 
 def l_beta_trace(beta: BetaForm, mj: MetricJet):
@@ -246,14 +242,10 @@ def l_beta_trace(beta: BetaForm, mj: MetricJet):
     n = beta.n
     cd = curvature(mj)
     tab = beta.table(mj)
-    total = 0
-    for k in range(n):
-        for l in range(k + 1, n):
-            s = sign1(k + l)    # (-1)^{(k+1)+(l+1)+1}
-            for i in range(n):
-                for j in range(n):
-                    total = total + s * tab[k][l][j][i] * cd.riemann[j][i][k][l]
-    return total
+    # sign1(k + l) = (-1)^{(k+1)+(l+1)+1}
+    return sum(sign1(k + l) * tab[k][l][j][i] * cd.riemann[j][i][k][l]
+               for k in range(n) for l in range(k + 1, n)
+               for i in range(n) for j in range(n))
 
 
 def jet_function(beta: BetaForm, n: int, signature) -> JetFunction:
@@ -307,25 +299,24 @@ def el_residual_beta(beta: BetaForm, s, x, signature):
         v = tab[k][l][i][j]
         if not isinstance(v, Jet):
             return 0
-        tot = 0
-        for w in range(npairs):
-            tot = tot + v.partial(jv.y(w)) * smj.dg[w][r]
-        return tot
+        return sum(v.partial(jv.y(w)) * smj.dg[w][r] for w in range(npairs))
 
-    phi = [[[0] * n for _ in range(n)] for _ in range(n)]  # [a][r][b]
+    # Phi_a^{rb} = sum_i psi[a][b][i] g^{ri}: the sum over k does not
+    # depend on r, so it is formed once per (a, b, i)
+    psi = [[[0] * n for _ in range(n)] for _ in range(n)]  # [a][b][i]
     for a in range(n):
-        for r in range(n):
-            for b in range(n):
+        for b in range(n):
+            for i in range(n):
                 tot = 0
                 for k in range(n):
-                    sk = sign1(k)    # (-1)^k, 1-based
-                    for i in range(n):
-                        inner = -dbog(k, a, i, b, k)
-                        for mm in range(n):
-                            inner = inner + tab[k][a][mm][b] * gam1[mm][k][i] \
-                                - tab[k][a][i][mm] * gam1[b][k][mm]
-                        tot = tot + sk * inner * ginv1[r][i]
-                phi[a][r][b] = tot
+                    inner = -dbog(k, a, i, b, k)
+                    for mm in range(n):
+                        inner = inner + tab[k][a][mm][b] * gam1[mm][k][i] \
+                            - tab[k][a][i][mm] * gam1[b][k][mm]
+                    tot = tot + sign1(k) * inner    # (-1)^k, 1-based
+                psi[a][b][i] = tot
+    phi = [[[sum(psi[a][b][i] * ginv1[r][i] for i in range(n)) for b in range(n)]
+            for r in range(n)] for a in range(n)]  # [a][r][b]
 
     st = [total_derivative_stencil(jv, p3, r) for r in range(n)]
 

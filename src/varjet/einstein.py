@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fwd import Jet, ring_unit, value_of
+from .fwd import Jet, jet_sum, ring_unit, value_of
 from .jets import JetFunction, JetPoint, delta, pair_index, sym_pairs
 from .metric import MetricJet, christoffel, curvature, metric_from_jet_point
 from .poly import Poly
@@ -82,13 +82,13 @@ class EHLagrangian:
         table, sa, sb = _l0_table(self.n)
         ys = [v for row in mj.dg for v in row]
         yy = [ys[a] * ys[b] for a, b in zip(sa, sb)]
-        total = 0
-        for r, rows in table:
-            inner = 0
-            for p, q, ks, cs in rows:
-                inner = inner + t[p][q] * sum(c * yy[k] for k, c in zip(ks, cs))
-            total = total + gs[r] * inner
-        return total * (ring_unit(mj.rho) / 8)
+        jets = [v.order for v in (mj.rho, *ys) if isinstance(v, Jet)]
+        order = max(jets, default=0)    # scalar data: sums of order-0 Jets
+        total = jet_sum(order, [
+            gs[r] * jet_sum(order, [t[p][q] * jet_sum(order, [yy[k] for k in ks], cs)
+                                    for p, q, ks, cs in rows])
+            for r, rows in table])
+        return (total if jets else total.value) * (ring_unit(mj.rho) / 8)
 
     def l0_reference(self, mj: MetricJet):
         """The zeroth-order part exactly as displayed (test oracle)."""
@@ -150,16 +150,9 @@ class EHLagrangian:
     def momenta(self, mj: MetricJet):
         """p_{kl}^i = sum_{r<=s} Y_{kl}^{i;rs,j} y_{rs,j}, as p[pair][i]."""
         ytab = self.y_table(mj)
-        n = self.n
-        out = [[0] * n for _ in range(self.npairs)]
-        for a in range(self.npairs):
-            for i in range(n):
-                s = 0
-                for b, (r, ss) in enumerate(self.pairs):
-                    for j in range(n):
-                        s = s + ytab[a][i][b][j] * mj.dg[b][j]
-                out[a][i] = s
-        return out
+        n, slots = self.n, range(self.npairs)
+        return [[sum(ytab[a][i][b][j] * mj.dg[b][j] for b in slots for j in range(n))
+                 for i in range(n)] for a in slots]
 
     def hamiltonian(self, mj: MetricJet):
         """H, quadratic in first derivatives (the displayed closed form)."""

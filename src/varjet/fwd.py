@@ -17,13 +17,20 @@ multiplicity factorial — so multiplication is a plain convolution.
 
 The class works over any scalar ring with ``+ - * /`` (floats, Fractions,
 complex, Gaussian rationals), which is what lets the exact-arithmetic paths
-share code with the float paths.  `Jet.variable` refuses a Jet value.
+share code with the float paths.  `Jet.variable` refuses a Jet value.  No
+operation changes a coefficient's type, and none multiplies by 1: a term of
+the shorter factor equal to the exact unit `Fraction(1)` (a seed's) passes
+its Fraction partners through unmultiplied, `partial` multiplies by exponent
+counts above 1 only, and `a - b` subtracts into one copy of a's dict.
+`jet_sum` is the one way to sum many Jets: one dict, truncated at its order,
+with the int weights 1 and -1 applied without a multiply.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 _DEG_MASK = 31
 _VAR_SHIFT = 5
@@ -108,7 +115,7 @@ class Jet:
             if not cnt:
                 continue
             nk = key - dec
-            nc = c * cnt
+            nc = c if cnt == 1 else c * cnt
             acc = out.get(nk)
             out[nk] = nc if acc is None else acc + nc
         return Jet(self.order - 1, out)
@@ -157,10 +164,18 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        out = dict(self.coef)
+        for k, c in o.coef.items():
+            acc = out.get(k)
+            s = -c if acc is None else acc - c
+            if s == 0:
+                out.pop(k, None)
+            else:
+                out[k] = s
+        return Jet(self.order, out)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return Jet.constant(other, self.order) - self
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
@@ -186,6 +201,14 @@ class Jet:
             if part is None:
                 part = partners[r] = [kc for kc in b.items()
                                       if kc[0] & _DEG_MASK <= r]
+            if type(c1) is Fraction and c1 == 1:
+                # the exact unit: c2 itself, but an int c2 still comes out a Fraction
+                for k2, c2 in part:
+                    key = k1 + k2
+                    p = c2 if type(c2) is Fraction else c1 * c2
+                    acc = get(key)
+                    out[key] = p if acc is None else acc + p
+                continue
             for k2, c2 in part:
                 key = k1 + k2
                 p = c1 * c2
@@ -286,6 +309,28 @@ def ring_unit(v):
     if isinstance(v, Jet):
         v = next(iter(v.coef.values()), 0)
     return Fraction(1) if isinstance(v, (int, Fraction)) else 1.0
+
+
+def jet_sum(order: int, terms, weights=None) -> Jet:
+    """sum_t w_t terms[t] as one Jet of `order`, summed in one dict, without
+    the terms above `order` or the sums that cancel to 0.  The weights
+    default to 1; an int weight 1 or -1 adds or subtracts each coefficient,
+    any other is applied as `term * w`.  A term that is not a Jet is a
+    constant."""
+    out: dict = {}
+    get = out.get
+    for term, w in zip(terms, repeat(1) if weights is None else weights):
+        neg = type(w) is int and w == -1
+        if not neg and not (type(w) is int and w == 1):
+            term = term * w
+        for k, c in (term.coef if isinstance(term, Jet) else {0: term}).items():
+            acc = get(k)
+            if neg:
+                out[k] = -c if acc is None else acc - c
+            else:
+                out[k] = c if acc is None else acc + c
+    return Jet(order, {k: c for k, c in out.items()
+                       if c != 0 and k & _DEG_MASK <= order})
 
 
 def value_of(x):

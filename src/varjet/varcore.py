@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fwd import Jet, ring_unit
+from .fwd import Jet, jet_sum, ring_unit
 from .jets import (JetFunction, JetOrderError, JetPoint, JetVars, PolySection,
                    contract, delta, jet_of_section, jet_partials, pair_index,
                    point_ring, sym_pairs, total_derivative2_stencil,
@@ -90,12 +90,8 @@ def projectability_check(lag: SecondOrderLagrangian, samples,
         for al in range(m):
             for be in range(m):
                 for ia in range(n):
-                    for ib in range(n):
-                        if ib < ia:
-                            continue
-                        for ic in range(n ):
-                            if ic < ib:
-                                continue
+                    for ib in range(ia, n):
+                        for ic in range(ib, n):
                             for i in range(n):
                                 r = (Fraction(1, 2 - delta(i, ib))
                                      * d2(("y2", be, _sp(ia, ic)), ("y2", al, _sp(i, ib)))
@@ -263,24 +259,16 @@ class PipelineData:
 
 
 def _jet_dist(a: Jet, b: Jet) -> float:
-    keys = set(a.coef) | set(b.coef)
-    worst = 0.0
-    for k in keys:
-        worst = max(worst, abs(float(a.coef.get(k, 0) - b.coef.get(k, 0))))
-    return worst
+    return max((abs(float(a.coef.get(k, 0) - b.coef.get(k, 0)))
+                for k in set(a.coef) | set(b.coef)), default=0.0)
 
 
 def _radial_contraction(lij: dict, dy, cap: int) -> list:
     """y^a_i L_a^{hi} for each h, as Jets truncated at `cap`."""
     m, n = len(dy), len(dy[0])
-    out = []
-    for h in range(n):
-        s = Jet(cap, {})
-        for a in range(m):
-            for i in range(n):
-                s = s + dy[a][i] * lij[(a,) + _sp(h, i)]
-        out.append(s)
-    return out
+    return [jet_sum(cap, [lij[(a,) + _sp(h, i)] * dy[a][i]
+                          for a in range(m) for i in range(n)])
+            for h in range(n)]
 
 
 def fibre_primitive_jets(supplier, x, y, dy, cap: int):
@@ -366,43 +354,32 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
     else:
         li, quad_res, method = _radial_contraction(lij, dy, cap + 1), 0.0, "closed_form"
 
-    def xv(i):
-        return jv.id_of[("x", i)]
-
-    def yv(a):
-        return jv.id_of[("y", a)]
-
-    def y1v(a, i):
-        return jv.id_of[("y1", a, i)]
+    # one `jet_sum` each; partial * seed has the partial's order, the sum's
+    def minus_sum(order, first, rest):
+        return jet_sum(order, [first, *rest], [1] + [-1] * len(rest))
 
     a_tab = {}
     for al in range(m):
         for i in range(n):
-            acc = l0.partial(y1v(al, i))
+            rest = []
             for k in range(n):
                 lik = lij[(al,) + _sp(i, k)]
-                acc = acc - lik.partial(xv(k))
-                for c in range(m):
-                    acc = acc - dy[c][k] * lik.partial(yv(c))
-            a_tab[(al, i)] = acc
+                rest.append(lik.partial(jv.x(k)))
+                rest += [lik.partial(jv.y(c)) * dy[c][k] for c in range(m)]
+            a_tab[(al, i)] = minus_sum(cap, l0.partial(jv.y1(al, i)), rest)
     if not with_primitives:
         return PipelineData(n, m, jv, cap, l0, lij, None, a_tab, None, None,
                             None, 0.0)
-    p_tab = {}
-    for al in range(m):
-        for i in range(n):
-            p_tab[(al, i)] = a_tab[(al, i)] - li[i].partial(yv(al))
-    h = Jet(cap + 1, dict(l0.coef))
-    for al in range(m):
-        for i in range(n):
-            h = h - dy[al][i] * a_tab[(al, i)]
+    p_tab = {(al, i): a_tab[(al, i)] - li[i].partial(jv.y(al))
+             for al in range(m) for i in range(n)}
+    dli = [li[i].partial(jv.x(i)) for i in range(n)]
+    h = minus_sum(cap + 1, l0, [a_tab[(al, i)] * dy[al][i]
+                                for al in range(m) for i in range(n)] + dli)
+    rest = []
     for i in range(n):
-        h = h - li[i].partial(xv(i))
-    lbar = Jet(cap + 1, dict(l0.coef))
-    for i in range(n):
-        lbar = lbar - li[i].partial(xv(i))
-        for al in range(m):
-            lbar = lbar - dy[al][i] * li[i].partial(yv(al))
+        rest.append(dli[i])
+        rest += [li[i].partial(jv.y(al)) * dy[al][i] for al in range(m)]
+    lbar = minus_sum(cap + 1, l0, rest)
     return PipelineData(n, m, jv, cap, l0, lij, li, a_tab, p_tab, h, lbar,
                         float(quad_res), method)
 
@@ -644,10 +621,9 @@ def helmholtz_residuals(supplier, s: PolySection, x,
     # TL1[al,si,i] = d^2L/dy^al dy'^si_i and TL0[al,si] = d^2L/dy^al dy^si
     # at the order-2 jet of s: partials of the one Jet L^ = L_0 +
     # sum (2 - delta_kl) y''^be_kl L^kl_be, L with the y'' of s put in
-    lhat = data.l0
-    for be in range(m):
-        for (k, l) in pairs:
-            lhat = lhat + data.lij_get(be, k, l) * ((2 - delta(k, l)) * p3.y2(be, k, l))
+    blocks = [(be, k, l) for be in range(m) for (k, l) in pairs]
+    lhat = jet_sum(data.l0.order, [data.l0] + [data.lij_get(*b) for b in blocks],
+                   [1] + [(2 - delta(k, l)) * p3.y2(be, k, l) for be, k, l in blocks])
     tl1_fn = {(al, si, i): [(1, lhat, (jv.y(al), jv.y1(si, i)))]
               for al in range(m) for si in range(m) for i in range(n)}
     tl0_fn = {(al, si): [(1, lhat, (jv.y(al), jv.y(si)))]
@@ -885,10 +861,9 @@ class TransformedSupplier:
                     acc = acc - lij[(al,) + _sp(r, j)] * du[i][r] \
                               - lij[(al,) + _sp(r, i)] * du[j][r]
                 lij_out[(al, i, j)] = acc
-        l0_out = dl0 + l0 * div
-        for be in range(m):
-            for k, (h, l) in enumerate(sym_pairs(n)):
-                l0_out = l0_out + lij[(be, h, l)] * ((2 - delta(h, l)) * pro.v2[be][k])
+        l0_out = sum((lij[(be, h, l)] * ((2 - delta(h, l)) * pro.v2[be][k])
+                      for be in range(m) for k, (h, l) in enumerate(sym_pairs(n))),
+                     dl0 + l0 * div)
         if scalar:
             return l0_out.value, {k: v.value for k, v in lij_out.items()}
         return l0_out, lij_out
@@ -900,11 +875,8 @@ def symmetry_transform(supplier, X: VectorField):
 
     def fn(p: JetPoint):
         l0, lij = tsup.tables(p.x, p.y, p.dy)
-        acc = l0
-        for al in range(X.m):
-            for (i, j) in sym_pairs(X.n):
-                acc = acc + (2 - delta(i, j)) * lij[(al, i, j)] * p.y2(al, i, j)
-        return acc
+        return sum(((2 - delta(i, j)) * lij[(al, i, j)] * p.y2(al, i, j)
+                    for al in range(X.m) for (i, j) in sym_pairs(X.n)), l0)
 
     return tsup, JetFunction(2, fn, name="transformed Lagrangian")
 
@@ -925,11 +897,8 @@ def noether_current(supplier, X: VectorField, s: PolySection, x) -> list:
     data = pipeline(supplier, p2.truncated(1), cap=1, with_primitives=False)
     pro = prolong(X, p2, order=1)
     u = pro.u
-    lval = data.l0.value
-    for al in range(m):
-        for (i, j) in sym_pairs(n):
-            lval = lval + (2 - delta(i, j)) * data.lij_get(al, i, j).value * p2.y2(al, i, j)
-    lval = ev(lval)
+    lval = ev(sum(((2 - delta(i, j)) * data.lij_get(al, i, j).value * p2.y2(al, i, j)
+                   for al in range(m) for (i, j) in sym_pairs(n)), data.l0.value))
     out = []
     for i in range(n):
         acc = u[i] * lval
@@ -996,10 +965,7 @@ def random_projectable_lagrangian(rng, n: int, m: int) -> SecondOrderLagrangian:
         pt = list(p.x) + t
         acc = l0p.eval(list(p.x) + list(p.y)
                        + [p.y1(a, i) for a in range(m) for i in range(n)])
-        for a in range(m):
-            for (i, j) in sym_pairs(n):
-                acc = acc + (2 - delta(i, j)) * c[a] * phi_tt[i][j].eval(pt) \
-                    * p.y2(a, i, j)
-        return acc
+        return sum(((2 - delta(i, j)) * c[a] * phi_tt[i][j].eval(pt) * p.y2(a, i, j)
+                    for a in range(m) for (i, j) in sym_pairs(n)), acc)
 
     return SecondOrderLagrangian(n, m, JetFunction(2, fn, name="random projectable"))

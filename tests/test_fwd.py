@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from varjet.fwd import Jet, key_from_vars, key_multiplicity, ring_sqrt
+from varjet.fwd import Jet, jet_sum, key_from_vars, key_multiplicity, ring_sqrt, ring_unit
 
 
 def test_product_rule_second_order():
@@ -223,3 +223,86 @@ def test_deriv_reads_the_packed_key_with_multiplicity():
     f = (Jet.variable(0, 1.0, 4) + Jet.variable(2, 0.0, 4)) ** 4   # (1 + x0 + x2)^4
     assert f.deriv(0, 2, 0, 2) == f.deriv(2, 2, 0, 0) == 24.0
     assert f.deriv(0, 0, 2) == 24.0 and f.deriv(1) == 0
+
+
+# -- the fast paths and the k-ary sum against plain references ---------------
+
+_RINGS = {"int": lambda p, q: p,
+          "Fraction": Fraction,
+          "float": lambda p, q: p / q,
+          "complex": lambda p, q: complex(p / q, q)}
+
+
+def _same_coefficients(got, want: dict):
+    """Equal keys and values, and each coefficient of the same type."""
+    assert got.coef == want
+    assert {k: type(c) for k, c in got.coef.items()} == {k: type(c) for k, c in want.items()}
+
+
+@pytest.mark.parametrize("ring", sorted(_RINGS))
+def test_fast_paths_keep_each_coefficient_type(ring):
+    """Unit products, partials with exponent 1 and direct subtraction give
+    the coefficients, and the coefficient types, of the plain operations:
+    the all-pairs product, c * count on every term, and negate-then-add."""
+    rng = random.Random(17)
+    mk = _RINGS[ring]
+    for _ in range(60):
+        order = rng.randrange(1, 5)
+        x = _random_jet(rng, order, mk, rng.randrange(1, 20))
+        y = _random_jet(rng, order, mk, rng.randrange(20))
+        # seeds with the unit coefficient of their ring, and the exact unit
+        # against a Jet of int coefficients (an int times Fraction(1) is a
+        # Fraction, with or without the fast path)
+        for value in (mk(3, 2), mk(0, 1)):
+            for one in (ring_unit(value), Fraction(1)):
+                seed = Jet.variable(rng.randrange(4), value, order, one)
+                for left, right in ((seed, x), (x, seed)):
+                    _same_coefficients(left * right, _all_pairs_product(left, right))
+        v = rng.randrange(4)
+        shift = 5 + 3 * v
+        want = {}
+        for k, c in x.coef.items():
+            cnt = (k >> shift) & 7
+            if cnt:
+                nk = k - (1 << shift) - 1
+                want[nk] = want[nk] + c * cnt if nk in want else c * cnt
+        _same_coefficients(x.partial(v), want)
+        _same_coefficients(x - y, (x + (-y)).coef)
+        for c in (mk(5, 4), 0, 2):
+            _same_coefficients(c - x, ((-x) + c).coef)
+            _same_coefficients(x - c, (x + (-c)).coef)
+    # a difference that cancels drops its keys, as the sum does
+    assert (x - x).coef == {}
+
+
+@pytest.mark.parametrize("ring", ["Fraction", "float", "complex"])
+def test_jet_sum_equals_repeated_addition_truncated(ring):
+    """Within a ring, one k-ary sum gives what repeated `+` of `t * w` gives
+    and then truncation at the order: the same keys, values and types."""
+    rng = random.Random(23)
+    mk = _RINGS[ring]
+    for _ in range(60):
+        order = rng.randrange(5)
+        terms = [_random_jet(rng, rng.randrange(5), mk, rng.randrange(12))
+                 for _ in range(rng.randrange(6))]
+        terms += [-t for t in terms[:2]]              # whole terms cancel
+        weights = [rng.choice((1, -1, 2, mk(3, 2), mk(1, 1))) for _ in terms]
+        for ws in (None, [rng.choice((1, -1)) for _ in terms], weights):
+            ref = Jet(order, {})
+            for t, w in zip(terms, ws or [1] * len(terms)):
+                ref = ref + t * w
+            want = {k: c for k, c in ref.coef.items() if k & 31 <= order and c != 0}
+            got = jet_sum(order, terms, ws)
+            assert got.order == order
+            _same_coefficients(got, want)
+    assert jet_sum(3, []).coef == {} and jet_sum(3, []).order == 3
+    x = Jet.variable(0, mk(1, 2), 2, ring_unit(mk(1, 2)))
+    # a scalar term is a constant; x^2 is dropped at order 1
+    assert jet_sum(1, [x * x, mk(1, 3)], [-1, 1]).coef == {0: mk(1, 3) - mk(1, 2) * mk(1, 2),
+                                                          key_from_vars([0]): -2 * mk(1, 2)}
+    assert jet_sum(2, [x, -x]).coef == {}
+    # only the int weights 1 and -1 skip the multiply: any other unit still
+    # moves int coefficients into its own ring
+    ints = Jet(2, {0: 3, key_from_vars([1]): -2})
+    for w in (Fraction(1), Fraction(-1), 1.0, -1.0, mk(1, 1)):
+        _same_coefficients(jet_sum(2, [ints], [w]), (ints * w).coef)
