@@ -82,13 +82,13 @@ class EHLagrangian:
         table, sa, sb = _l0_table(self.n)
         ys = [v for row in mj.dg for v in row]
         yy = [ys[a] * ys[b] for a, b in zip(sa, sb)]
-        jets = [v.order for v in (mj.rho, *ys) if isinstance(v, Jet)]
-        order = max(jets, default=0)    # scalar data: sums of order-0 Jets
+        orders = [v.order for v in (mj.rho, *ys) if isinstance(v, Jet)]
+        order = max(orders, default=0)    # scalar data: sums of order-0 Jets
         total = jet_sum(order, [
             gs[r] * jet_sum(order, [t[p][q] * jet_sum(order, [yy[k] for k in ks], cs)
                                     for p, q, ks, cs in rows])
             for r, rows in table])
-        return (total if jets else total.value) * (ring_unit(mj.rho) / 8)
+        return (total if orders else total.value) * (ring_unit(mj.rho) / 8)
 
     def l0_reference(self, mj: MetricJet):
         """The zeroth-order part exactly as displayed (test oracle)."""
