@@ -19,6 +19,7 @@ a black-box Lagrangian or closed-form coefficient tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from .poly import Poly
 
 
 class QuadratureError(RuntimeError):
-    """Fibre-primitive quadrature failed to converge."""
+    """The fibre-primitive integrand is not a polynomial of degree <= 7."""
 
 
 class NotProjectableError(ValueError):
@@ -175,7 +176,8 @@ class GenericAffineSupplier:
     0) at the order of the first-order Jets yields L_0 as the y''-free part
     and each L_a^{ij} as the coefficient series of the corresponding y''
     variable, one order lower, exactly, provided L is affine.  The block
-    may depend on y', so the fibre primitive samples it along the ray.
+    may depend on y', so `fibre_primitive_jets` calls `tables` again at
+    points t y' of the ray.
     """
 
     extra_cap = 1
@@ -232,12 +234,13 @@ class PipelineData:
 
     All entries are Jets over the coordinates of J^1, numbered by `jv`, a
     JetVars of order 1: `jets.contract` reads them as functions on J^1.
-    `cap` is the guaranteed truncation order of A, p, H, Lbar.
+    `cap` is the truncation order of A, p, H and Lbar (L^i have cap + 1).
     `primitive_method` says how the fibre primitives L^i were obtained:
-    "closed_form" (the contraction y^a_i L_a^{hi}, for a block without y'),
-    "sampled_constant" (the integrand agreed at t = 0, 1/2 and 1, which is
-    evidence of t-independence, not proof) or "quadrature" (Gauss-Legendre,
-    with `quad_residual` its last change); None without primitives.
+    "closed_form" (the contraction y^a_i L_a^{hi}, for a block without y')
+    or "polynomial" (`fibre_primitive_jets`), with `primitive_degree` the
+    degree in t of the integrand (0 for the closed form) and
+    `primitive_residual` the miss at the check node (0 over Fractions); the
+    method and degree are None without primitives.
     """
 
     n: int
@@ -251,16 +254,12 @@ class PipelineData:
     p: dict       # (alpha, i) -> Jet
     h: Jet
     lbar: Jet
-    quad_residual: float = 0.0
     primitive_method: str | None = None
+    primitive_degree: int | None = None
+    primitive_residual: float = 0.0
 
     def lij_get(self, alpha, i, j):
         return self.lij[(alpha,) + _sp(i, j)]
-
-
-def _jet_dist(a: Jet, b: Jet) -> float:
-    return max((abs(float(a.coef.get(k, 0) - b.coef.get(k, 0)))
-                for k in set(a.coef) | set(b.coef)), default=0.0)
 
 
 def _radial_contraction(lij: dict, dy, cap: int) -> list:
@@ -271,51 +270,53 @@ def _radial_contraction(lij: dict, dy, cap: int) -> list:
             for h in range(n)]
 
 
-def fibre_primitive_jets(supplier, x, y, dy, cap: int):
-    """L^h = int_0^1 y^a_i L_a^{hi}(x, y, t y') dt as Jets, with a residual
-    and the method (see `PipelineData.primitive_method`).
+# nested nodes 0, 1, 1/2, 1/4, 3/4, 1/8, 3/8, 5/8, 7/8: interpolants of
+# degree <= 7, each checked at the next node
+_NODES = (Fraction(0), Fraction(1)) + tuple(
+    Fraction(j, 2 ** e) for e in (1, 2, 3) for j in range(1, 2 ** e, 2))
 
-    The radial primitive from the zero section, for a supplier whose block
-    may depend on y'.  The integrand is sampled at t = 0, 1/2 and 1; when
-    the three samples agree it is taken to be t-independent and the t = 1
-    sample is returned ("sampled_constant": agreement at three points is
-    evidence, not proof).  Otherwise 16-node Gauss-Legendre with panel
-    doubling until the change is below 1e-10 relative ("quadrature"; up to
-    4 doublings, then a QuadratureError carries the residual).
+
+def fibre_primitive_jets(supplier, x, y, dy, lij: dict, cap: int):
+    """L^h = int_0^1 y^a_i L_a^{hi}(x, y, t y') dt as Jets of order `cap`,
+    with the miss at the check node and the degree in t (see `PipelineData`).
+
+    For a supplier whose block may depend on y'; `lij` is its block at
+    t = 1.  The integrand is sampled at the nested nodes and interpolated in
+    Newton form, coefficient by coefficient.  From the third sample on, the
+    interpolant through all but the last sample is accepted once it predicts
+    the last one, exactly over Fractions and within 1e-10 relative over
+    floats, and integrated with the exact weights int_0^1 prod (t - t_l) dt.
+    A polynomial integrand of degree d is accepted by degree d; an earlier
+    acceptance rests on one predicted node (degree 0: t = 0, 1/2 and 1
+    agree).  Past degree 7 a QuadratureError carries the miss.
     """
-    n = len(x)
-
-    def integrand(t):
-        dyt = [[t * v for v in row] for row in dy]
-        _, lij = supplier.tables(x, y, dyt)
-        return _radial_contraction(lij, dy, cap)
-
-    i0, imid, i1 = integrand(Fraction(0)), integrand(Fraction(1, 2)), integrand(Fraction(1))
-    if all(i0[h].coef == imid[h].coef == i1[h].coef for h in range(n)):
-        return i1, 0.0, "sampled_constant"
-
-    xs, ws = np.polynomial.legendre.leggauss(16)
-
-    def panels(k):
-        acc = [Jet(cap, {}) for _ in range(n)]
-        width = 1.0 / k
-        for p_i in range(k):
-            left = p_i * width
-            for t, w in zip(xs, ws):
-                vals = integrand(left + width * (t + 1) / 2)
-                for h in range(n):
-                    acc[h] = acc[h] + (w * width / 2) * vals[h]
-        return acc
-
-    prev = panels(1)
-    for k in (2, 4, 8, 16):
-        cur = panels(k)
-        change = max(_jet_dist(prev[h], cur[h]) for h in range(n))
-        scale = max(1.0, max(abs(float(cur[h].value)) for h in range(n)))
-        if change <= 1e-10 * scale:
-            return cur, change, "quadrature"
-        prev = cur
-    raise QuadratureError(f"fibre primitive quadrature stalled at residual {change:.3e}")
+    one = ring_unit(dy[0][0])
+    newton, diag, weights = [], [], []
+    basis = [Fraction(1)]   # prod_{l<k} (t - t_l), ascending in t
+    for k, t in enumerate(_NODES):
+        block = lij if t == 1 else \
+            supplier.tables(x, y, [[t * v for v in row] for row in dy])[1]
+        row = [_radial_contraction(block, dy, cap)]
+        for j, prev in enumerate(diag):     # row[j] = f[t_{k-j}, ..., t_k]
+            w = one / (t - _NODES[k - 1 - j])
+            row.append([(a - b) * w for a, b in zip(row[j], prev)])
+        diag = row
+        newton.append(row[k])
+        weights.append(one * sum(c / (i + 1) for i, c in enumerate(basis)))
+        basis = [lo - t * hi for lo, hi in zip([0, *basis], [*basis, 0])]
+        # the miss at t of the interpolant through the earlier nodes
+        miss = max((float(abs(c)) for g in row[k] for c in g.coef.values()),
+                   default=0.0) * float(abs(math.prod(t - s for s in _NODES[:k])))
+        scale = max(1.0, *(float(abs(g.value)) for g in row[0]))
+        if k >= 2 and (not any(g.coef for g in row[k]) if isinstance(one, Fraction)
+                       else miss <= 1e-10 * scale):
+            break
+    else:
+        raise QuadratureError(
+            f"fibre primitive is not a polynomial of degree <= 7 in t: miss {miss:.3e}")
+    degree = max((j for j in range(k) if any(g.coef for g in newton[j])), default=0)
+    return [jet_sum(cap, [c[h] for c in newton[:k]], weights[:k])
+            for h in range(len(x))], miss, degree
 
 
 def pipeline(supplier, q: JetPoint, cap: int = 1,
@@ -328,10 +329,10 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
     primitives L^i are taken from the zero section: for a supplier whose
     block sees no y' (`lij_sees_dy` false) they are the contraction
     y^a_i L_a^{hi} of the block in hand, otherwise `fibre_primitive_jets`
-    samples or integrates the block along the ray.  With
-    `with_primitives=False` they are skipped and only L_0, the coefficient
-    block and A are produced (enough for Euler-Lagrange, Helmholtz and
-    Noether work).
+    interpolates the contracted block along the ray, reusing the block in
+    hand at t = 1.  With `with_primitives=False` they are skipped and only
+    L_0, the coefficient block and A are produced (enough for
+    Euler-Lagrange, Helmholtz and Noether work).
     """
     n, m = q.n, q.m
     jv = JetVars(n, m, 1)
@@ -347,12 +348,6 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
         l0 = Jet.constant(l0, cap + 1)
     lij = {k: (v if isinstance(v, Jet) else Jet.constant(v, cap + 1))
            for k, v in lij.items()}
-    if not with_primitives:
-        li, quad_res, method = None, 0.0, None
-    elif supplier.lij_sees_dy:
-        li, quad_res, method = fibre_primitive_jets(supplier, x, y, dy, cap + 1)
-    else:
-        li, quad_res, method = _radial_contraction(lij, dy, cap + 1), 0.0, "closed_form"
 
     # one `jet_sum` each; partial * seed has the partial's order, the sum's
     def minus_sum(order, first, rest):
@@ -368,20 +363,24 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
                 rest += [lik.partial(jv.y(c)) * dy[c][k] for c in range(m)]
             a_tab[(al, i)] = minus_sum(cap, l0.partial(jv.y1(al, i)), rest)
     if not with_primitives:
-        return PipelineData(n, m, jv, cap, l0, lij, None, a_tab, None, None,
-                            None, 0.0)
+        return PipelineData(n, m, jv, cap, l0, lij, None, a_tab, None, None, None)
+    if supplier.lij_sees_dy:
+        li, residual, degree = fibre_primitive_jets(supplier, x, y, dy, lij, cap + 1)
+    else:
+        li, residual, degree = _radial_contraction(lij, dy, cap + 1), 0.0, 0
+    method = "polynomial" if supplier.lij_sees_dy else "closed_form"
     p_tab = {(al, i): a_tab[(al, i)] - li[i].partial(jv.y(al))
              for al in range(m) for i in range(n)}
     dli = [li[i].partial(jv.x(i)) for i in range(n)]
-    h = minus_sum(cap + 1, l0, [a_tab[(al, i)] * dy[al][i]
-                                for al in range(m) for i in range(n)] + dli)
+    h = minus_sum(cap, l0, [a_tab[(al, i)] * dy[al][i]
+                            for al in range(m) for i in range(n)] + dli)
     rest = []
     for i in range(n):
         rest.append(dli[i])
         rest += [li[i].partial(jv.y(al)) * dy[al][i] for al in range(m)]
-    lbar = minus_sum(cap + 1, l0, rest)
+    lbar = minus_sum(cap, l0, rest)
     return PipelineData(n, m, jv, cap, l0, lij, li, a_tab, p_tab, h, lbar,
-                        float(quad_res), method)
+                        method, degree, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from varjet.einstein import EHLagrangian, affine_supplier
-from varjet.fwd import value_of
-from varjet.jets import (JetFunction, JetPoint, PolySection, jet_of_section,
-                         pair_index, sym_pairs)
+from varjet.fwd import Jet, jet_sum, value_of
+from varjet.jets import (JetFunction, JetPoint, PolySection, delta,
+                         jet_of_section, pair_index, sym_pairs)
 from varjet.metric import metric_from_jet_point, random_metric_jet
 from varjet.poly import Poly, parse_poly
-from varjet.varcore import (GenericAffineSupplier, SecondOrderLagrangian,
-                            TableAffineSupplier, bar_lagrangian,
-                            bilinear_form_b, euler_lagrange,
+from varjet.varcore import (GenericAffineSupplier, QuadratureError,
+                            SecondOrderLagrangian, TableAffineSupplier,
+                            bar_lagrangian, bilinear_form_b, euler_lagrange,
                             euler_lagrange_first_order, hc_residual,
                             legendre_coefficients, momenta_hamiltonian,
                             pipeline, projectability_check,
@@ -199,6 +199,20 @@ def _gap(a, b, order):
     return max((abs(a.coef.get(k, 0) - b.coef.get(k, 0)) for k in keys), default=0)
 
 
+def _rational_eh_point():
+    """An exact order-1 jet of an n = 3 metric of signature (2, 1):
+    g = A^T diag(1, 1, -1) A, so rho = |det A| is rational."""
+    F = Fraction
+    n = 3
+    a = [[F(1), F(1, 2), F(0)], [F(0), F(1), F(1, 3)], [F(1, 4), F(0), F(2)]]
+    eta = (1, 1, -1)
+    g = tuple(sum(a[c][i] * eta[c] * a[c][j] for c in range(n))
+              for i, j in sym_pairs(n))
+    dg = tuple(tuple(F((3 * k + 5 * i) % 7 - 3, 5) for i in range(n))
+               for k in range(len(g)))
+    return JetPoint(n, len(g), 1, (F(1, 3), F(-1, 2), F(1, 5)), g, dg)
+
+
 def test_closed_form_primitives_equal_the_sampled_path():
     """The EH supplier's fibre primitives, the contraction y^a_i L_a^{hi},
     against the generic supplier of the same Lagrangian, which samples its
@@ -206,25 +220,18 @@ def test_closed_form_primitives_equal_the_sampled_path():
     (at cap 0, the values and the first partials of L^i) and to 1e-12 over
     floats (at cap 1), both satisfy dL^h/dy^a_i = L_a^{hi}, and each
     pipeline says how it got L^i."""
-    F = Fraction
-    n, sig = 3, (2, 1)
-    eh, lag = eh_lagrangian(n, sig)
+    n = 3
+    eh, lag = eh_lagrangian(n, (2, 1))
     closed, gen = affine_supplier(eh), GenericAffineSupplier(lag)
-    # g = A^T diag(1, 1, -1) A, so rho = |det A| is rational
-    a = [[F(1), F(1, 2), F(0)], [F(0), F(1), F(1, 3)], [F(1, 4), F(0), F(2)]]
-    eta = (1, 1, -1)
-    g = tuple(sum(a[c][i] * eta[c] * a[c][j] for c in range(n))
-              for i, j in sym_pairs(n))
-    dg = tuple(tuple(F((3 * k + 5 * i) % 7 - 3, 5) for i in range(n))
-               for k in range(len(g)))
-    x = (F(1, 3), F(-1, 2), F(1, 5))
-    exact = JetPoint(n, len(g), 1, x, g, dg)
+    exact = _rational_eh_point()
+    x, g, dg = exact.x, exact.y, exact.dy
     floats = JetPoint(n, len(g), 1, tuple(map(float, x)), tuple(map(float, g)),
                       tuple(tuple(map(float, r)) for r in dg))
     for q, cap, tol in ((exact, 0, 0), (floats, 1, 1e-12)):
         dc, ds = pipeline(closed, q, cap=cap), pipeline(gen, q, cap=cap)
         assert (dc.primitive_method, ds.primitive_method) == \
-            ("closed_form", "sampled_constant")
+            ("closed_form", "polynomial")
+        assert ds.primitive_degree == 0
         pairs = [(dc.li[h], ds.li[h], cap + 1) for h in range(n)]
         pairs += [(dc.p[k], ds.p[k], cap) for k in dc.p]
         pairs += [(dc.h, ds.h, cap), (dc.lbar, ds.lbar, cap)]
@@ -237,6 +244,113 @@ def test_closed_form_primitives_equal_the_sampled_path():
         if tol == 0:
             assert all(isinstance(c, Fraction) for u, _, _ in pairs
                        for c in u.coef.values())
+
+
+def test_h_and_lbar_are_truncated_at_cap():
+    """A and dL^i/dx^i are known to order cap only, so H and Lbar are
+    returned at order cap, and a cap-1 pipeline gives the degree <= 1 part
+    of a cap-2 one, coefficient by coefficient."""
+    eh, _ = eh_lagrangian(3, (2, 1))
+    sup, q = affine_supplier(eh), _rational_eh_point()
+    d1, d2 = pipeline(sup, q, cap=1), pipeline(sup, q, cap=2)
+    for d in (d1, d2):
+        assert d.h.order == d.lbar.order == d.cap
+    assert d1.h.coef == d2.h.truncated(1).coef
+    assert d1.lbar.coef == d2.lbar.truncated(1).coef
+
+
+def _quartic_potential_lagrangian():
+    """n = 2, m = 1: L = L^{ij} y_(ij) + L_0 with L^{ij} = d^2 Phi/dy'_i dy'_j
+    for a rational Phi(x, y, y') quartic in y'; returns it with Phi."""
+    names = {"x1": 0, "x2": 1, "y": 2, "u": 3, "v": 4}    # u, v = y'_1, y'_2
+    phi = parse_poly("u^4/3 + u^2*v^2/2 - 2*u*v^3/5 + x1*u^3 + y*v^3/7"
+                     " + x2*y*u*v", names, 5)
+    l0 = parse_poly("x1*y + u*v - x2*y^2/3", names, 5)
+    hess = [[phi.diff(3 + i).diff(3 + j) for j in range(2)] for i in range(2)]
+
+    def fn(p):
+        pt = [p.x[0], p.x[1], p.y[0], p.y1(0, 0), p.y1(0, 1)]
+        return sum(((2 - delta(i, j)) * hess[i][j].eval(pt) * p.y2(0, i, j)
+                    for (i, j) in sym_pairs(2)), l0.eval(pt))
+
+    return SecondOrderLagrangian(2, 1, JetFunction(2, fn)), phi
+
+
+def test_generic_primitives_are_exact_for_a_polynomial_block():
+    """Over Fractions the interpolated fibre primitive of a block quadratic
+    in y' is exact: L^h = Phi_h(x, y, y') - Phi_h(x, y, 0) as Jets, checked
+    against Poly evaluation, with dL^h/dy'_i = L^{hi}, and p, H and Lbar
+    come back in Fractions."""
+    F = Fraction
+    lag, phi = _quartic_potential_lagrangian()
+    q = JetPoint(2, 1, 1, (F(1, 3), F(-2, 5)), (F(3, 7),), ((F(1, 2), F(-4, 3)),))
+    data = pipeline(GenericAffineSupplier(lag), q, cap=1)
+    assert (data.primitive_method, data.primitive_degree) == ("polynomial", 2)
+    assert data.primitive_residual == 0
+    jv, order = data.jv, data.cap + 1
+    one = F(1)
+    xs = [Jet.variable(jv.x(i), q.x[i], order, one) for i in range(2)]
+    ys = [Jet.variable(jv.y(0), q.y[0], order, one)]
+    dys = [Jet.variable(jv.y1(0, i), q.dy[0][i], order, one) for i in range(2)]
+    for h in range(2):
+        phi_h = phi.diff(3 + h)
+        oracle = phi_h.eval(xs + ys + dys) - phi_h.eval(xs + ys + [0, 0])
+        assert data.li[h].value == phi_h.eval(list(q.x) + list(q.y) + list(q.dy[0])) \
+            - phi_h.eval(list(q.x) + list(q.y) + [0, 0])
+        assert not jet_sum(order, [data.li[h], oracle], [1, -1]).coef
+        for i in range(2):
+            assert data.li[h].deriv(jv.y1(0, i)) == data.lij_get(0, h, i).value
+    jets = data.li + list(data.p.values()) + [data.h, data.lbar]
+    assert all(type(c) is Fraction for g in jets for c in g.coef.values())
+
+
+def test_primitive_takes_three_samples_before_accepting():
+    """n = m = 1, L^{11} = g(y') = y'(y' - 1)^2 at y' = 1 and cap 0: the
+    order-1 integrand y' g(t y') is the same Jet at t = 0 and t = 1 but not
+    at t = 1/2, so a constant is refused and the exact cubic is integrated:
+    L^1 = int_0^1 g = 1/12."""
+    F = Fraction
+    lag = SecondOrderLagrangian(1, 1, JetFunction(
+        2, lambda p: p.y2(0, 0, 0) * p.y1(0, 0) * (p.y1(0, 0) - 1) ** 2))
+    q = JetPoint(1, 1, 1, (F(0),), (F(0),), ((F(1),),))
+    data = pipeline(GenericAffineSupplier(lag), q, cap=0)
+    assert data.primitive_degree == 3
+    assert data.li[0].value == F(1, 12)
+    assert data.li[0].deriv(data.jv.y1(0, 0)) == 0
+
+
+def test_non_polynomial_block_raises_with_a_float_residual():
+    """L = y''/(1 + y'^2) has no polynomial fibre primitive: over Fractions
+    the interpolation runs past degree 7 and raises, and the message carries
+    the miss as a float."""
+    F = Fraction
+    lag = SecondOrderLagrangian(1, 1, JetFunction(
+        2, lambda p: p.y2(0, 0, 0) / (1 + p.y1(0, 0) ** 2)))
+    q = JetPoint(1, 1, 1, (F(0),), (F(0),), ((F(1),),))
+    with pytest.raises(QuadratureError, match=r"miss \d\.\d{3}e[+-]\d+$"):
+        pipeline(GenericAffineSupplier(lag), q, cap=1)
+
+
+def test_generic_pipeline_calls_tables_three_times(monkeypatch):
+    """Cost pin: a cap-1 pipeline on the random projectable family calls
+    the supplier's tables once itself and twice for the primitive (t = 0
+    and 1/2, whose three samples lie on a line); t = 1 is the block in
+    hand."""
+    rng = np.random.default_rng(10)
+    lag = random_projectable_lagrangian(rng, 2, 2)
+    q = random_jet_points(rng, lag, 1, order=1)[0]
+    calls = []
+    tables = GenericAffineSupplier.tables
+
+    def counted(self, *args):
+        calls.append(1)
+        return tables(self, *args)
+
+    monkeypatch.setattr(GenericAffineSupplier, "tables", counted)
+    data = pipeline(GenericAffineSupplier(lag), q, cap=1)
+    assert len(calls) == 3
+    assert (data.primitive_method, data.primitive_degree) == ("polynomial", 1)
+    assert data.primitive_residual <= 1e-12
 
 
 def test_lbar_is_minus_h_for_eh_and_momenta_identity():
