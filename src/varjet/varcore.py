@@ -176,8 +176,9 @@ class GenericAffineSupplier:
     0) at the order of the first-order Jets yields L_0 as the y''-free part
     and each L_a^{ij} as the coefficient series of the corresponding y''
     variable, one order lower, exactly, provided L is affine.  The block
-    may depend on y', so `fibre_primitive_jets` calls `tables` again at
-    points t y' of the ray.
+    may depend on y', so the fibre primitive samples it along the ray; it
+    must be a polynomial of degree <= 7 in y' (for L = y''/(1 + y'^2) at
+    n = 1, `pipeline` raises QuadratureError unless `with_primitives=False`).
     """
 
     extra_cap = 1
@@ -237,10 +238,11 @@ class PipelineData:
     `cap` is the truncation order of A, p, H and Lbar (L^i have cap + 1).
     `primitive_method` says how the fibre primitives L^i were obtained:
     "closed_form" (the contraction y^a_i L_a^{hi}, for a block without y')
-    or "polynomial" (`fibre_primitive_jets`), with `primitive_degree` the
-    degree in t of the integrand (0 for the closed form) and
-    `primitive_residual` the miss at the check node (0 over Fractions); the
-    method and degree are None without primitives.
+    or "polynomial" (`fibre_primitive_jets`: exact over Fractions for a
+    block of degree <= 7 in y', evidence, not proof, beyond), with
+    `primitive_degree` the degree in t of the integrand and
+    `primitive_residual` its miss at the check node (method and degree are
+    None without primitives).
     """
 
     n: int
@@ -270,53 +272,51 @@ def _radial_contraction(lij: dict, dy, cap: int) -> list:
             for h in range(n)]
 
 
-# nested nodes 0, 1, 1/2, 1/4, 3/4, 1/8, 3/8, 5/8, 7/8: interpolants of
-# degree <= 7, each checked at the next node
+# the nodes 0, 1, 1/2, 1/4, 3/4, 1/8, 3/8, 5/8, 7/8 and the Newton basis
+# prod_{l<k} (t - t_l): its integral over [0, 1] weighs f[t_0..t_k], and its
+# value at t_k makes f[t_0..t_k] the miss at t_k of the interpolant one lower
 _NODES = (Fraction(0), Fraction(1)) + tuple(
     Fraction(j, 2 ** e) for e in (1, 2, 3) for j in range(1, 2 ** e, 2))
+_BASES = [math.prod((Poly.variable(1, 0) - s for s in _NODES[:k]), start=Poly.constant(1, 1))
+          for k in range(len(_NODES))]
+_WEIGHTS = tuple(sum(c / (e + 1) for (e,), c in b.terms.items()) for b in _BASES[:-1])
+_SPANS = tuple(b.eval([t]) for b, t in zip(_BASES, _NODES))
 
 
 def fibre_primitive_jets(supplier, x, y, dy, lij: dict, cap: int):
     """L^h = int_0^1 y^a_i L_a^{hi}(x, y, t y') dt as Jets of order `cap`,
     with the miss at the check node and the degree in t (see `PipelineData`).
 
-    For a supplier whose block may depend on y'; `lij` is its block at
-    t = 1.  The integrand is sampled at the nested nodes and interpolated in
-    Newton form, coefficient by coefficient.  From the third sample on, the
-    interpolant through all but the last sample is accepted once it predicts
-    the last one, exactly over Fractions and within 1e-10 relative over
-    floats, and integrated with the exact weights int_0^1 prod (t - t_l) dt.
-    A polynomial integrand of degree d is accepted by degree d; an earlier
-    acceptance rests on one predicted node (degree 0: t = 0, 1/2 and 1
-    agree).  Past degree 7 a QuadratureError carries the miss.
+    `lij` is the block at t = 1.  The Newton interpolant through the first
+    eight nodes is integrated exactly if it predicts the ninth sample
+    (exactly over Fractions, to 1e-10 relative over floats), else a
+    QuadratureError carries the miss as a float.  The rule is exact for a
+    block of degree <= 7 in y'; over Fractions degree 8 always misses, and
+    a higher degree or a non-polynomial block passes only by coincidence.
     """
     one = ring_unit(dy[0][0])
-    newton, diag, weights = [], [], []
-    basis = [Fraction(1)]   # prod_{l<k} (t - t_l), ascending in t
-    for k, t in enumerate(_NODES):
-        block = lij if t == 1 else \
-            supplier.tables(x, y, [[t * v for v in row] for row in dy])[1]
-        row = [_radial_contraction(block, dy, cap)]
-        for j, prev in enumerate(diag):     # row[j] = f[t_{k-j}, ..., t_k]
-            w = one / (t - _NODES[k - 1 - j])
-            row.append([(a - b) * w for a, b in zip(row[j], prev)])
-        diag = row
-        newton.append(row[k])
-        weights.append(one * sum(c / (i + 1) for i, c in enumerate(basis)))
-        basis = [lo - t * hi for lo, hi in zip([0, *basis], [*basis, 0])]
-        # the miss at t of the interpolant through the earlier nodes
-        miss = max((float(abs(c)) for g in row[k] for c in g.coef.values()),
-                   default=0.0) * float(abs(math.prod(t - s for s in _NODES[:k])))
-        scale = max(1.0, *(float(abs(g.value)) for g in row[0]))
-        if k >= 2 and (not any(g.coef for g in row[k]) if isinstance(one, Fraction)
-                       else miss <= 1e-10 * scale):
-            break
-    else:
+    exact = isinstance(one, Fraction)
+    f = [_radial_contraction(lij if t == 1 else supplier.tables(
+        x, y, [[t * v for v in row] for row in dy])[1], dy, cap) for t in _NODES]
+    tol = 0.0 if exact else 1e-10 * max(1.0, *(abs(g.value) for s in f for g in s))
+    for j in range(1, len(f)):      # in place: f[k] becomes f[t_0, ..., t_k]
+        for k in range(len(f) - 1, j - 1, -1):
+            w = one / (_NODES[k] - _NODES[k - j])
+            f[k] = [(a - b) * w for a, b in zip(f[k], f[k - 1])]
+
+    def miss(k):    # at t_k, of the interpolant through t_0, ..., t_{k-1}
+        return float(abs(_SPANS[k])) * max(
+            (float(abs(c)) for g in f[k] for c in g.coef.values()), default=0.0)
+
+    def off(k):
+        return any(g.coef for g in f[k]) if exact else miss(k) > tol
+
+    if off(8):
         raise QuadratureError(
-            f"fibre primitive is not a polynomial of degree <= 7 in t: miss {miss:.3e}")
-    degree = max((j for j in range(k) if any(g.coef for g in newton[j])), default=0)
-    return [jet_sum(cap, [c[h] for c in newton[:k]], weights[:k])
-            for h in range(len(x))], miss, degree
+            f"fibre primitive is not a polynomial of degree <= 7 in t: miss {miss(8):.3e}")
+    degree = max((k for k in range(1, 8) if off(k)), default=0)
+    return ([jet_sum(cap, [fk[h] for fk in f[:8]], _WEIGHTS) for h in range(len(x))],
+            miss(8), degree)
 
 
 def pipeline(supplier, q: JetPoint, cap: int = 1,
@@ -329,9 +329,9 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
     primitives L^i are taken from the zero section: for a supplier whose
     block sees no y' (`lij_sees_dy` false) they are the contraction
     y^a_i L_a^{hi} of the block in hand, otherwise `fibre_primitive_jets`
-    interpolates the contracted block along the ray, reusing the block in
-    hand at t = 1.  With `with_primitives=False` they are skipped and only
-    L_0, the coefficient block and A are produced (enough for
+    interpolates it along the ray (a block of degree > 7 in y' raises
+    QuadratureError).  With `with_primitives=False` they are skipped and
+    only L_0, the coefficient block and A are produced (enough for
     Euler-Lagrange, Helmholtz and Noether work).
     """
     n, m = q.n, q.m

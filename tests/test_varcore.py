@@ -304,38 +304,52 @@ def test_generic_primitives_are_exact_for_a_polynomial_block():
     assert all(type(c) is Fraction for g in jets for c in g.coef.values())
 
 
-def test_primitive_takes_three_samples_before_accepting():
-    """n = m = 1, L^{11} = g(y') = y'(y' - 1)^2 at y' = 1 and cap 0: the
-    order-1 integrand y' g(t y') is the same Jet at t = 0 and t = 1 but not
-    at t = 1/2, so a constant is refused and the exact cubic is integrated:
-    L^1 = int_0^1 g = 1/12."""
-    F = Fraction
-    lag = SecondOrderLagrangian(1, 1, JetFunction(
-        2, lambda p: p.y2(0, 0, 0) * p.y1(0, 0) * (p.y1(0, 0) - 1) ** 2))
-    q = JetPoint(1, 1, 1, (F(0),), (F(0),), ((F(1),),))
-    data = pipeline(GenericAffineSupplier(lag), q, cap=0)
-    assert data.primitive_degree == 3
-    assert data.li[0].value == F(1, 12)
-    assert data.li[0].deriv(data.jv.y1(0, 0)) == 0
+def _one_dim_block_lagrangian(g):
+    """n = m = 1: L = y'' g(y'), so L^{11} = g and at y' = 1 the fibre
+    primitive is L^1 = int_0^1 g(t) dt with dL^1/dy' = g(1)."""
+    return SecondOrderLagrangian(1, 1, JetFunction(
+        2, lambda p: p.y2(0, 0, 0) * g(p.y1(0, 0))))
 
 
-def test_non_polynomial_block_raises_with_a_float_residual():
-    """L = y''/(1 + y'^2) has no polynomial fibre primitive: over Fractions
-    the interpolation runs past degree 7 and raises, and the message carries
-    the miss as a float."""
-    F = Fraction
-    lag = SecondOrderLagrangian(1, 1, JetFunction(
-        2, lambda p: p.y2(0, 0, 0) / (1 + p.y1(0, 0) ** 2)))
-    q = JetPoint(1, 1, 1, (F(0),), (F(0),), ((F(1),),))
+@pytest.mark.parametrize("g, integral, degree", [
+    # the t = 0 and t = 1 samples are the same Jet
+    (lambda s: s * (s - 1) ** 2, Fraction(1, 12), 3),
+    # a quadratic through t = 0, 1, 1/2 also predicts t = 1/4
+    (lambda s: 35 * s ** 3 - 40 * s ** 4 + 16 * s ** 5, Fraction(41, 12), 5),
+    (lambda s: s ** 7, Fraction(1, 8), 7),
+])
+def test_generic_primitive_is_exact_up_to_degree_7(g, integral, degree):
+    """A block polynomial of degree <= 7 in y' is integrated exactly over
+    Fractions and to 1e-12 over floats, whatever a lower-degree interpolant
+    through the first nodes predicts: L^1 = int_0^1 g and dL^1/dy' = g(1)
+    (cap 0, y' = 1)."""
+    sup = GenericAffineSupplier(_one_dim_block_lagrangian(g))
+    for one, tol in ((Fraction(1), 0), (1.0, 1e-12)):
+        q = JetPoint(1, 1, 1, (0 * one,), (0 * one,), ((one,),))
+        data = pipeline(sup, q, cap=0)
+        assert data.primitive_degree == degree
+        li, dli = data.li[0].value, data.li[0].deriv(data.jv.y1(0, 0))
+        if tol == 0:
+            assert (li, dli, data.primitive_residual) == (integral, g(one), 0)
+        else:
+            assert abs(li - integral) <= tol and abs(dli - g(one)) <= tol * abs(g(one))
+
+
+@pytest.mark.parametrize("g", [lambda s: 1 / (1 + s ** 2), lambda s: s ** 8])
+def test_block_beyond_degree_7_raises_with_a_float_residual(g):
+    """L = y''/(1 + y'^2) has no polynomial fibre primitive and L = y'' y'^8
+    one of degree 8: over Fractions the check node misses for both, and the
+    message carries the miss as a float."""
+    q = JetPoint(1, 1, 1, (Fraction(0),), (Fraction(0),), ((Fraction(1),),))
     with pytest.raises(QuadratureError, match=r"miss \d\.\d{3}e[+-]\d+$"):
-        pipeline(GenericAffineSupplier(lag), q, cap=1)
+        pipeline(GenericAffineSupplier(_one_dim_block_lagrangian(g)), q, cap=1)
 
 
-def test_generic_pipeline_calls_tables_three_times(monkeypatch):
+def test_generic_pipeline_calls_tables_nine_times(monkeypatch):
     """Cost pin: a cap-1 pipeline on the random projectable family calls
-    the supplier's tables once itself and twice for the primitive (t = 0
-    and 1/2, whose three samples lie on a line); t = 1 is the block in
-    hand."""
+    the supplier's tables once itself and once for each of the eight
+    primitive nodes other than t = 1, whose block is the one in hand (the
+    parent rule with Gauss-Legendre panels made 52 calls)."""
     rng = np.random.default_rng(10)
     lag = random_projectable_lagrangian(rng, 2, 2)
     q = random_jet_points(rng, lag, 1, order=1)[0]
@@ -348,7 +362,7 @@ def test_generic_pipeline_calls_tables_three_times(monkeypatch):
 
     monkeypatch.setattr(GenericAffineSupplier, "tables", counted)
     data = pipeline(GenericAffineSupplier(lag), q, cap=1)
-    assert len(calls) == 3
+    assert len(calls) == 9
     assert (data.primitive_method, data.primitive_degree) == ("polynomial", 1)
     assert data.primitive_residual <= 1e-12
 
