@@ -329,8 +329,8 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
     primitives L^i are taken from the zero section: for a supplier whose
     block sees no y' (`lij_sees_dy` false) they are the contraction
     y^a_i L_a^{hi} of the block in hand, otherwise `fibre_primitive_jets`
-    interpolates it along the ray (a block of degree > 7 in y' raises
-    QuadratureError).  With `with_primitives=False` they are skipped and
+    interpolates it along the ray (exact for a block of degree <= 7 in
+    y', see there).  With `with_primitives=False` they are skipped and
     only L_0, the coefficient block and A are produced (enough for
     Euler-Lagrange, Helmholtz and Noether work).
     """

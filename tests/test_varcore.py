@@ -317,7 +317,7 @@ def _one_dim_block_lagrangian(g):
     # a quadratic through t = 0, 1, 1/2 also predicts t = 1/4
     (lambda s: 35 * s ** 3 - 40 * s ** 4 + 16 * s ** 5, Fraction(41, 12), 5),
     (lambda s: s ** 7, Fraction(1, 8), 7),
-])
+], ids=["cubic", "quintic", "septic"])
 def test_generic_primitive_is_exact_up_to_degree_7(g, integral, degree):
     """A block polynomial of degree <= 7 in y' is integrated exactly over
     Fractions and to 1e-12 over floats, whatever a lower-degree interpolant
@@ -335,7 +335,8 @@ def test_generic_primitive_is_exact_up_to_degree_7(g, integral, degree):
             assert abs(li - integral) <= tol and abs(dli - g(one)) <= tol * abs(g(one))
 
 
-@pytest.mark.parametrize("g", [lambda s: 1 / (1 + s ** 2), lambda s: s ** 8])
+@pytest.mark.parametrize("g", [lambda s: 1 / (1 + s ** 2), lambda s: s ** 8],
+                         ids=["rational", "octic"])
 def test_block_beyond_degree_7_raises_with_a_float_residual(g):
     """L = y''/(1 + y'^2) has no polynomial fibre primitive and L = y'' y'^8
     one of degree 8: over Fractions the check node misses for both, and the
