@@ -349,8 +349,8 @@ def test_block_beyond_degree_7_raises_with_a_float_residual(g):
 def test_generic_pipeline_calls_tables_nine_times(monkeypatch):
     """Cost pin: a cap-1 pipeline on the random projectable family calls
     the supplier's tables once itself and once for each of the eight
-    primitive nodes other than t = 1, whose block is the one in hand (the
-    parent rule with Gauss-Legendre panels made 52 calls)."""
+    primitive nodes other than t = 1, whose block is the one in hand
+    (Gauss-Legendre panels took 52 calls here)."""
     rng = np.random.default_rng(10)
     lag = random_projectable_lagrangian(rng, 2, 2)
     q = random_jet_points(rng, lag, 1, order=1)[0]
