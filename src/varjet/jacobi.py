@@ -65,8 +65,7 @@ class JacobiCoefficients:
         v0 = [ev(p.eval(x)) for p in v_polys]
         d1 = [[p.diff(i) for i in range(n)] for p in v_polys]
         v1 = [[ev(d.eval(x)) for d in row] for row in d1]
-        v2 = [[[ev(row[min(i, j)].diff(max(i, j)).eval(x)) for j in range(n)]
-               for i in range(n)] for row in d1]
+        v2 = [[ev(row[i].diff(j).eval(x)) for i, j in sym_pairs(n)] for row in d1]
         out = []
         for c2, c1, c0 in zip(self.c2, self.c1, self.c0):
             acc = 0
@@ -74,7 +73,7 @@ class JacobiCoefficients:
                 for i in range(n):
                     for j, k in enumerate(c2[c][i]):
                         if k:
-                            acc = acc + v2[c][i][j] * k
+                            acc = acc + v2[c][pair_index(n, i, j)] * k
             for c, k in enumerate(c0):
                 if k:
                     acc = acc + v0[c] * k

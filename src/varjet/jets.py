@@ -169,9 +169,6 @@ class PolySection:
     def m(self) -> int:
         return len(self.polys)
 
-    def value(self, x) -> list:
-        return [p.eval(x) for p in self.polys]
-
 
 def point_ring(x):
     """The conversion for polynomial values at x: `float` when a coordinate
@@ -275,10 +272,11 @@ def seed_point(p: JetPoint, cap: int) -> tuple[JetPoint, JetVars]:
     """Replace every coordinate of `p` by a Jet seed.
 
     Each coordinate becomes an independent AD variable truncated at total
-    order `cap`, numbered by the returned JetVars of order `p.order`.
+    order `cap`, with the unit of the ring of y (x may hold int 0 at float
+    data), numbered by the returned JetVars of order `p.order`.
     """
     jv = JetVars(p.n, p.m, p.order)
-    one = ring_unit(p.x[0] if p.n else 1)
+    one = ring_unit(p.y[0])
 
     def seed(lab, val):
         return Jet.variable(jv.id_of[lab], val, cap, one)

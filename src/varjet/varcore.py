@@ -13,22 +13,24 @@ all functions on the first-order jet bundle.  Everything downstream
 (Hamilton-Cartan residuals, Euler-Lagrange and Helmholtz checks, the
 regularity form, Noether currents) is assembled from truncated Taylor
 expansions of L_0 and the L^{ij} block at a point, so the same code runs on
-floats and exact rationals, and with either the generic bump extraction from
-a black-box Lagrangian or closed-form coefficient tables.
+floats and exact rationals, and with either a black-box Lagrangian, whose
+supplier seeds y'' and reads off its coefficients, or closed-form
+coefficient tables.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .fwd import Jet, jet_sum, ring_unit
 from .jets import (JetFunction, JetOrderError, JetPoint, JetVars, PolySection,
                    contract, delta, jet_of_section, jet_partials, pair_index,
-                   point_ring, sym_pairs, total_derivative2_stencil,
+                   point_ring, seed_point, sym_pairs, total_derivative2_stencil,
                    total_derivative_stencil)
 from .poly import Poly
 
@@ -169,19 +171,27 @@ def legendre_coefficients(lag: SecondOrderLagrangian, p: JetPoint) -> LegendreCo
 # affine coefficient suppliers
 
 
+def _raised(v, order: int) -> Jet:
+    """v with the same coefficients as a Jet of `order` (a scalar as a
+    constant).  Exact for an affine v; a table truncated below `order`
+    never reads the missing terms of any other."""
+    return Jet(order, dict(v.coef)) if isinstance(v, Jet) else Jet.constant(v, order)
+
+
 class GenericAffineSupplier:
     """Extract (L_0, L^{ij}) Taylor data from a black-box affine Lagrangian.
 
-    One evaluation of L with every stored second-order slot seeded (value
-    0) at the order of the first-order Jets yields L_0 as the y''-free part
-    and each L_a^{ij} as the coefficient series of the corresponding y''
-    variable, one order lower, exactly, provided L is affine.  The block
-    may depend on y', so the fibre primitive samples it along the ray; it
-    must be a polynomial of degree <= 7 in y' (for L = y''/(1 + y'^2) at
-    n = 1, `pipeline` raises QuadratureError unless `with_primitives=False`).
+    `tables` raises its first-order Jets one order and evaluates L once,
+    with every stored second-order slot seeded (value 0) at that order: L_0
+    is the y''-free part and each L_a^{ij} the coefficient series of the
+    corresponding y'' variable, both at the order of the arguments and
+    exact, provided L is affine.  The block may depend on y', so the fibre
+    primitive interpolates it along the ray; it must be a polynomial of
+    degree <= 7 in y'.  For L = y''/(1 + y'^2) at n = 1, A and the
+    regularity form are formed, and reading L^i, p, H or Lbar of the
+    pipeline raises QuadratureError.
     """
 
-    extra_cap = 1
     lij_sees_dy = True
 
     def __init__(self, lag: SecondOrderLagrangian):
@@ -190,7 +200,9 @@ class GenericAffineSupplier:
 
     def tables(self, x, y, dy):
         n, m, jv = self.lag.n, self.lag.m, self.jv
-        top = y[0].order
+        top = y[0].order + 1
+        x, y = [_raised(v, top) for v in x], [_raised(v, top) for v in y]
+        dy = [[_raised(v, top) for v in row] for row in dy]
         one = ring_unit(y[0])
         half = one / 2
         d2y = tuple(
@@ -218,7 +230,6 @@ class TableAffineSupplier:
     primitive is the contraction y^a_i L_a^{hi} of the block in hand.
     """
 
-    extra_cap = 0
     lij_sees_dy = False
 
     def __init__(self, n: int, m: int, tables):
@@ -235,14 +246,16 @@ class PipelineData:
 
     All entries are Jets over the coordinates of J^1, numbered by `jv`, a
     JetVars of order 1: `jets.contract` reads them as functions on J^1.
-    `cap` is the truncation order of A, p, H and Lbar (L^i have cap + 1).
-    `primitive_method` says how the fibre primitives L^i were obtained:
+    `cap` is the truncation order of A, p, H and Lbar (L_0, the block and
+    L^i have cap + 1).  `pipeline` forms L_0, the block and A; L^i, p, H,
+    Lbar and the three primitive fields are formed on first read, once,
+    from `supplier` and `seeds`, and raise QuadratureError for a block the
+    rule cannot integrate.  `primitive_method` says how L^i were obtained:
     "closed_form" (the contraction y^a_i L_a^{hi}, for a block without y')
     or "polynomial" (`fibre_primitive_jets`: exact over Fractions for a
     block of degree <= 7 in y', evidence, not proof, beyond), with
     `primitive_degree` the degree in t of the integrand and
-    `primitive_residual` its miss at the check node (method and degree are
-    None without primitives).
+    `primitive_residual` its miss at the check node.
     """
 
     n: int
@@ -251,17 +264,56 @@ class PipelineData:
     cap: int
     l0: Jet
     lij: dict
-    li: list
     a: dict       # (alpha, i) -> Jet, the reduced L_a^{i0}
-    p: dict       # (alpha, i) -> Jet
-    h: Jet
-    lbar: Jet
-    primitive_method: str | None = None
-    primitive_degree: int | None = None
-    primitive_residual: float = 0.0
+    supplier: object = field(repr=False)
+    seeds: JetPoint = field(repr=False)     # x, y and y' as Jets of cap + 1
 
     def lij_get(self, alpha, i, j):
         return self.lij[(alpha,) + _sp(i, j)]
+
+    @cached_property
+    def _primitives(self) -> tuple:
+        """(L^i, method, degree, residual), read by the four fields below."""
+        s, order = self.seeds, self.cap + 1
+        if not self.supplier.lij_sees_dy:
+            return _radial_contraction(self.lij, s.dy, order), "closed_form", 0, 0.0
+        li, residual, degree = fibre_primitive_jets(self.supplier, s.x, s.y, s.dy,
+                                                    self.lij, order)
+        return li, "polynomial", degree, residual
+
+    li = cached_property(lambda self: self._primitives[0])
+    primitive_method = cached_property(lambda self: self._primitives[1])
+    primitive_degree = cached_property(lambda self: self._primitives[2])
+    primitive_residual = cached_property(lambda self: self._primitives[3])
+
+    @cached_property
+    def p(self) -> dict:
+        """(alpha, i) -> p_a^i = A_a^i - dL^i/dy^a."""
+        return {(al, i): self.a[(al, i)] - self.li[i].partial(self.jv.y(al))
+                for al in range(self.m) for i in range(self.n)}
+
+    @cached_property
+    def h(self) -> Jet:
+        """H = L_0 - y^a_i A_a^i - dL^i/dx^i."""
+        n, m, dy = self.n, self.m, self.seeds.dy
+        dli = [self.li[i].partial(self.jv.x(i)) for i in range(n)]
+        return _minus_sum(self.cap, self.l0, [self.a[(al, i)] * dy[al][i]
+                                             for al in range(m) for i in range(n)] + dli)
+
+    @cached_property
+    def lbar(self) -> Jet:
+        """Lbar = L_0 - dL^i/dx^i - y^a_i dL^i/dy^a."""
+        jv, dy, li = self.jv, self.seeds.dy, self.li
+        rest = []
+        for i in range(self.n):
+            rest.append(li[i].partial(jv.x(i)))
+            rest += [li[i].partial(jv.y(al)) * dy[al][i] for al in range(self.m)]
+        return _minus_sum(self.cap, self.l0, rest)
+
+
+# one `jet_sum` each; partial * seed has the partial's order, the sum's
+def _minus_sum(order, first, rest):
+    return jet_sum(order, [first, *rest], [1] + [-1] * len(rest))
 
 
 def _radial_contraction(lij: dict, dy, cap: int) -> list:
@@ -319,40 +371,24 @@ def fibre_primitive_jets(supplier, x, y, dy, lij: dict, cap: int):
             miss(8), degree)
 
 
-def pipeline(supplier, q: JetPoint, cap: int = 1,
-             with_primitives: bool = True) -> PipelineData:
-    """Assemble the first-order data (A, p, H, Lbar) at the order-1 jet q.
+def pipeline(supplier, q: JetPoint, cap: int = 1) -> PipelineData:
+    """The first-order data at the order-1 jet q: L_0, the block and A,
+    with the fibre primitives L^i, p, H and Lbar formed on first read.
 
-    `cap` is the Taylor order retained for A/p/H/Lbar.  The seeds have order
-    cap + 1 + `supplier.extra_cap`, and `supplier.tables(x, y, dy)` returns
-    L_0 and the block `extra_cap` orders below its arguments.  The fibre
-    primitives L^i are taken from the zero section: for a supplier whose
-    block sees no y' (`lij_sees_dy` false) they are the contraction
-    y^a_i L_a^{hi} of the block in hand, otherwise `fibre_primitive_jets`
-    interpolates it along the ray (exact for a block of degree <= 7 in
-    y', see there).  With `with_primitives=False` they are skipped and
-    only L_0, the coefficient block and A are produced (enough for
-    Euler-Lagrange, Helmholtz and Noether work).
+    `cap` is the Taylor order retained for A, p, H and Lbar.  The seeds are
+    those of `jets.seed_point` at order cap + 1, and `supplier.tables(x, y,
+    dy)` returns L_0 and the block at the order of its arguments.  L^i are
+    taken from the zero section: the contraction y^a_i L_a^{hi} of the
+    block in hand when it sees no y' (`lij_sees_dy` false), otherwise
+    `fibre_primitive_jets` of the block along the ray (see there).
     """
     n, m = q.n, q.m
-    jv = JetVars(n, m, 1)
-    seed_cap = cap + 1 + supplier.extra_cap
-    one = ring_unit(q.y[0])
-    x = [Jet.variable(jv.id_of[("x", i)], q.x[i], seed_cap, one) for i in range(n)]
-    y = [Jet.variable(jv.id_of[("y", a)], q.y[a], seed_cap, one) for a in range(m)]
-    dy = [[Jet.variable(jv.id_of[("y1", a, i)], q.dy[a][i], seed_cap, one)
-           for i in range(n)] for a in range(m)]
-
-    l0, lij = supplier.tables(x, y, dy)
+    seeds, jv = seed_point(q.truncated(1), cap + 1)
+    l0, lij = supplier.tables(seeds.x, seeds.y, seeds.dy)
     if not isinstance(l0, Jet):
         l0 = Jet.constant(l0, cap + 1)
     lij = {k: (v if isinstance(v, Jet) else Jet.constant(v, cap + 1))
            for k, v in lij.items()}
-
-    # one `jet_sum` each; partial * seed has the partial's order, the sum's
-    def minus_sum(order, first, rest):
-        return jet_sum(order, [first, *rest], [1] + [-1] * len(rest))
-
     a_tab = {}
     for al in range(m):
         for i in range(n):
@@ -360,27 +396,9 @@ def pipeline(supplier, q: JetPoint, cap: int = 1,
             for k in range(n):
                 lik = lij[(al,) + _sp(i, k)]
                 rest.append(lik.partial(jv.x(k)))
-                rest += [lik.partial(jv.y(c)) * dy[c][k] for c in range(m)]
-            a_tab[(al, i)] = minus_sum(cap, l0.partial(jv.y1(al, i)), rest)
-    if not with_primitives:
-        return PipelineData(n, m, jv, cap, l0, lij, None, a_tab, None, None, None)
-    if supplier.lij_sees_dy:
-        li, residual, degree = fibre_primitive_jets(supplier, x, y, dy, lij, cap + 1)
-    else:
-        li, residual, degree = _radial_contraction(lij, dy, cap + 1), 0.0, 0
-    method = "polynomial" if supplier.lij_sees_dy else "closed_form"
-    p_tab = {(al, i): a_tab[(al, i)] - li[i].partial(jv.y(al))
-             for al in range(m) for i in range(n)}
-    dli = [li[i].partial(jv.x(i)) for i in range(n)]
-    h = minus_sum(cap, l0, [a_tab[(al, i)] * dy[al][i]
-                            for al in range(m) for i in range(n)] + dli)
-    rest = []
-    for i in range(n):
-        rest.append(dli[i])
-        rest += [li[i].partial(jv.y(al)) * dy[al][i] for al in range(m)]
-    lbar = minus_sum(cap, l0, rest)
-    return PipelineData(n, m, jv, cap, l0, lij, li, a_tab, p_tab, h, lbar,
-                        method, degree, residual)
+                rest += [lik.partial(jv.y(c)) * seeds.dy[c][k] for c in range(m)]
+            a_tab[(al, i)] = _minus_sum(cap, l0.partial(jv.y1(al, i)), rest)
+    return PipelineData(n, m, jv, cap, l0, lij, a_tab, supplier, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +544,7 @@ def euler_lagrange(supplier, s: PolySection, x) -> list:
     n, m = s.n, s.m
     ev = point_ring(x)
     p2 = jet_of_section(s, x, 2)
-    data = pipeline(supplier, p2.truncated(1), cap=1, with_primitives=False)
+    data = pipeline(supplier, p2.truncated(1), cap=1)
     jv = data.jv
     st = [total_derivative_stencil(jv, p2, i) for i in range(n)]
     out = []
@@ -600,7 +618,7 @@ def helmholtz_residuals(supplier, s: PolySection, x,
     n, m = s.n, s.m
     pairs = sym_pairs(n)
     p3 = jet_of_section(s, x, 3)
-    data = pipeline(supplier, p3.truncated(1), cap=3, with_primitives=False)
+    data = pipeline(supplier, p3.truncated(1), cap=3)
     jv = data.jv
 
     # Each coefficient is a function on J^1 written as its terms (c, jet, ids),
@@ -811,8 +829,6 @@ class TransformedSupplier:
     The block takes y' only if the base block does.
     """
 
-    extra_cap = 0
-
     def __init__(self, base, X: VectorField):
         self.base = base
         self.X = X
@@ -823,13 +839,9 @@ class TransformedSupplier:
         n, m, e_id = self.X.n, self.X.m, self.e_id
         scalar = not isinstance(y[0], Jet)
         order = 0 if scalar else y[0].order
-        top = order + 1 + self.base.extra_cap
-
-        def raised(v):
-            return Jet(top, dict(v.coef)) if isinstance(v, Jet) else Jet.constant(v, top)
-
-        x, y = [raised(v) for v in x], [raised(v) for v in y]
-        dy = [[raised(v) for v in row] for row in dy]
+        top = order + 1
+        x, y = [_raised(v, top) for v in x], [_raised(v, top) for v in y]
+        dy = [[_raised(v, top) for v in row] for row in dy]
         # pr X at (x, y, y'); the y'' terms of v^a_(ij) go into the L' block
         pro = _prolongation(self.X, x, y, dy, 2)
         e = Jet.variable(e_id, 0, top, ring_unit(y[0]))
@@ -893,7 +905,7 @@ def noether_current(supplier, X: VectorField, s: PolySection, x) -> list:
     n, m = s.n, s.m
     ev = point_ring(x)
     p2 = jet_of_section(s, x, 2)
-    data = pipeline(supplier, p2.truncated(1), cap=1, with_primitives=False)
+    data = pipeline(supplier, p2.truncated(1), cap=1)
     pro = prolong(X, p2, order=1)
     u = pro.u
     lval = ev(sum(((2 - delta(i, j)) * data.lij_get(al, i, j).value * p2.y2(al, i, j)

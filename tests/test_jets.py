@@ -3,6 +3,7 @@
 from fractions import Fraction
 import random
 
+import numpy as np
 import pytest
 
 from varjet.fwd import Jet
@@ -11,6 +12,7 @@ from varjet.jets import (JetFunction, JetOrderError, JetPoint, MultiIndex,
                          pair_index, seed_point, sym_pairs, total_derivative,
                          total_derivative2, total_derivative2_stencil,
                          total_derivative_stencil)
+from varjet.metric import random_metric_jet
 from varjet.poly import Poly, parse_poly
 
 
@@ -284,6 +286,17 @@ def test_seed_point_partial_symmetry():
             a = F.deriv(jv.id_of[lab1], jv.id_of[lab2])
             b = F.deriv(jv.id_of[lab2], jv.id_of[lab1])
             assert a == b
+
+
+def test_seed_point_takes_its_unit_from_the_fibre_values():
+    """A metric jet puts int 0 in x under float values: every seed, x
+    included, still has float coefficients, so a pipeline at such a point
+    runs in floats."""
+    rng = np.random.default_rng(3)
+    p = random_metric_jet(rng, 3, (2, 1), order=1).to_jet_point()
+    seeded, _ = seed_point(p, 2)
+    seeds = [*seeded.x, *seeded.y, *(v for row in seeded.dy for v in row)]
+    assert all(isinstance(c, float) for s in seeds for c in s.coef.values())
 
 
 def test_multi_index():

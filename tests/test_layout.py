@@ -6,12 +6,16 @@ need is public in one of them.  Only `metric` inverts a matrix or takes a
 determinant: everything else reads g^-1 and rho from its MetricJet.  Only
 `fwd.Jet` defines `deriv`: a function's partials are read from its Jet, and
 a total derivative of a partial is `jets.contract(G, stencil, *ids)`.
+`varcore.pipeline` has one signature, and no class binds an order offset
+(a name ending in `_cap`).
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import varjet
+from varjet import varcore
 
 SOURCES = sorted(Path(varjet.__file__).parent.glob("*.py"))
 
@@ -49,6 +53,20 @@ def deriv_methods(source: str, name: str) -> list[str]:
     return [f"{name}:{node.name}" for node in ast.walk(ast.parse(source, filename=name))
             if isinstance(node, ast.ClassDef)
             and any(isinstance(f, ast.FunctionDef) and f.name == "deriv" for f in node.body)]
+
+
+def cap_bindings(source: str, name: str) -> list[str]:
+    """Classes that bind a name ending in `_cap` (an order offset): as a
+    class attribute, a method, a local or on an instance."""
+    found = []
+    for cls in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(cls, ast.ClassDef) and any(
+                isinstance(node, ast.FunctionDef) and node.name.endswith("_cap")
+                or isinstance(getattr(node, "ctx", None), ast.Store)
+                and (getattr(node, "id", None) or getattr(node, "attr", "")).endswith("_cap")
+                for node in ast.walk(cls)):
+            found.append(f"{name}:{cls.name}")
+    return found
 
 
 def test_no_function_level_or_private_sibling_imports():
@@ -92,3 +110,28 @@ def test_deriv_guard_flags_a_class_method_only():
            "def deriv(f):\n"
            "    return f\n")
     assert deriv_methods(src, "m.py") == ["m.py:_Partials"]
+
+
+def test_pipeline_has_one_signature_and_no_supplier_order_offset():
+    """`pipeline` takes no switch for the layers it forms, and no class
+    declares an order offset: every supplier returns its tables at the
+    order of its arguments."""
+    params = inspect.signature(varcore.pipeline).parameters.values()
+    assert [(p.name, p.default) for p in params] == [
+        ("supplier", inspect.Parameter.empty), ("q", inspect.Parameter.empty), ("cap", 1)]
+    assert [f for p in SOURCES for f in cap_bindings(p.read_text(), p.name)] == []
+
+
+def test_cap_guard_flags_every_binding():
+    src = ("class A:\n"
+           "    seed_cap = 1\n"
+           "class B:\n"
+           "    def __init__(self):\n"
+           "        self.top_cap = 0\n"
+           "class C:\n"
+           "    def order_cap(self):\n"
+           "        return 0\n"
+           "class D:\n"
+           "    def f(self, s, cap):\n"
+           "        return s.top_cap + cap\n")
+    assert cap_bindings(src, "m.py") == ["m.py:A", "m.py:B", "m.py:C"]

@@ -416,7 +416,7 @@ def test_transformed_eh_supplier_runs_through_the_pipeline():
     F = Fraction
     q = JetPoint(n, m, 1, (F(1, 3), F(-1, 2)), (F(5, 4), F(1, 2), F(1)),
                  ((F(1, 3), F(-2, 7)), (F(1, 5), F(1, 2)), (F(-1, 4), F(2, 3))))
-    data = pipeline(tsup, q, cap=0, with_primitives=False)
+    data = pipeline(tsup, q, cap=0)
     l0, lij = tsup.tables(q.x, q.y, q.dy)
     assert isinstance(l0, Fraction) and l0 != 0 and data.l0.value == l0
     assert lij.keys() == data.lij.keys()
@@ -450,8 +450,7 @@ def test_transformed_eh_tables_vanish_coefficientwise_for_a_natural_lift():
     sup = affine_supplier(EHLagrangian(2, (2, 0)))
     for cap in (0, 1):
         for X, vanishes in ((lift, True), (control, False)):
-            data = pipeline(symmetry_transform(sup, X)[0], q, cap=cap,
-                            with_primitives=False)
+            data = pipeline(symmetry_transform(sup, X)[0], q, cap=cap)
             coefs = [c for jet in [data.l0, *data.lij.values()]
                      for c in jet.coef.values()]
             assert all(isinstance(c, Fraction) for c in coefs)

@@ -339,21 +339,15 @@ def test_generic_primitive_is_exact_up_to_degree_7(g, integral, degree):
                          ids=["rational", "octic"])
 def test_block_beyond_degree_7_raises_with_a_float_residual(g):
     """L = y''/(1 + y'^2) has no polynomial fibre primitive and L = y'' y'^8
-    one of degree 8: over Fractions the check node misses for both, and the
-    message carries the miss as a float."""
+    one of degree 8: over Fractions the check node misses for both when
+    L^i is first read, and the message carries the miss as a float."""
     q = JetPoint(1, 1, 1, (Fraction(0),), (Fraction(0),), ((Fraction(1),),))
     with pytest.raises(QuadratureError, match=r"miss \d\.\d{3}e[+-]\d+$"):
-        pipeline(GenericAffineSupplier(_one_dim_block_lagrangian(g)), q, cap=1)
+        pipeline(GenericAffineSupplier(_one_dim_block_lagrangian(g)), q, cap=1).li
 
 
-def test_generic_pipeline_calls_tables_nine_times(monkeypatch):
-    """Cost pin: a cap-1 pipeline on the random projectable family calls
-    the supplier's tables once itself and once for each of the eight
-    primitive nodes other than t = 1, whose block is the one in hand
-    (Gauss-Legendre panels took 52 calls here)."""
-    rng = np.random.default_rng(10)
-    lag = random_projectable_lagrangian(rng, 2, 2)
-    q = random_jet_points(rng, lag, 1, order=1)[0]
+def _counted_tables(monkeypatch) -> list:
+    """Wrap `GenericAffineSupplier.tables` to append 1 per call to the list."""
     calls = []
     tables = GenericAffineSupplier.tables
 
@@ -362,10 +356,42 @@ def test_generic_pipeline_calls_tables_nine_times(monkeypatch):
         return tables(self, *args)
 
     monkeypatch.setattr(GenericAffineSupplier, "tables", counted)
+    return calls
+
+
+def test_regularity_form_needs_no_fibre_primitive(monkeypatch):
+    """L = y''/(1 + y'^2) at n = 1 has no polynomial fibre primitive, but
+    its regularity form reads only A and the block: one `tables` call gives
+    b = dA/dy' - dL^{11}/dy = 0, while the momenta still raise."""
+    sup = GenericAffineSupplier(_one_dim_block_lagrangian(lambda s: 1 / (1 + s ** 2)))
+    q = JetPoint(1, 1, 1, (Fraction(0),), (Fraction(0),), ((Fraction(1),),))
+    calls = _counted_tables(monkeypatch)
+    b, defect, _, _ = bilinear_form_b(sup, q)
+    assert len(calls) == 1
+    assert b.tolist() == [[0]] and defect == 0
+    with pytest.raises(QuadratureError):
+        momenta_hamiltonian(sup, q)
+
+
+def test_generic_pipeline_calls_tables_nine_times(monkeypatch):
+    """Cost pin: a cap-1 pipeline on the random projectable family calls
+    the supplier's tables once itself, and the first read of a fibre
+    primitive once for each of the eight primitive nodes other than t = 1,
+    whose block is the one in hand (Gauss-Legendre panels took 52 calls
+    here).  Later reads of L^i, p, H and Lbar call none and return the
+    objects formed before."""
+    rng = np.random.default_rng(10)
+    lag = random_projectable_lagrangian(rng, 2, 2)
+    q = random_jet_points(rng, lag, 1, order=1)[0]
+    calls = _counted_tables(monkeypatch)
     data = pipeline(GenericAffineSupplier(lag), q, cap=1)
-    assert len(calls) == 9
+    assert len(calls) == 1
     assert (data.primitive_method, data.primitive_degree) == ("polynomial", 1)
+    assert len(calls) == 9
     assert data.primitive_residual <= 1e-12
+    first = [data.li, data.p, data.h, data.lbar]
+    assert all(u is v for u, v in zip(first, [data.li, data.p, data.h, data.lbar]))
+    assert len(calls) == 9
 
 
 def test_lbar_is_minus_h_for_eh_and_momenta_identity():
