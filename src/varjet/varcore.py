@@ -201,14 +201,14 @@ class GenericAffineSupplier:
     def tables(self, x, y, dy):
         n, m, jv = self.lag.n, self.lag.m, self.jv
         top = y[0].order + 1
-        x, y = [_raised(v, top) for v in x], [_raised(v, top) for v in y]
-        dy = [[_raised(v, top) for v in row] for row in dy]
+        x, y = tuple(_raised(v, top) for v in x), tuple(_raised(v, top) for v in y)
+        dy = tuple(tuple(_raised(v, top) for v in row) for row in dy)
         one = ring_unit(y[0])
         half = one / 2
         d2y = tuple(
             tuple(Jet.variable(jv.id_of[("y2", a, pr)], 0, top, one)
                   for pr in sym_pairs(n)) for a in range(m))
-        p2 = JetPoint(n, m, 2, tuple(x), tuple(y), tuple(tuple(r) for r in dy), d2y)
+        p2 = JetPoint(n, m, 2, x, y, dy, d2y)
         out = self.lag.L(p2)
         y2_ids = range(jv.id_of[("y2", 0, (0, 0))], len(jv))
         lij = {}
