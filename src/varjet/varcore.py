@@ -172,9 +172,9 @@ def legendre_coefficients(lag: SecondOrderLagrangian, p: JetPoint) -> LegendreCo
 
 
 def _raised(v, order: int) -> Jet:
-    """v with the same coefficients as a Jet of `order` (a scalar as a
-    constant).  Exact for an affine v; a table truncated below `order`
-    never reads the missing terms of any other."""
+    """v as a Jet of `order` with v's coefficients (a scalar as a constant):
+    exact for an affine v; otherwise only the terms of degree `order` are
+    missing, and a table truncated below `order` never reads them."""
     return Jet(order, dict(v.coef)) if isinstance(v, Jet) else Jet.constant(v, order)
 
 
