@@ -15,8 +15,8 @@ Coefficients are stored in the *normalized* (Taylor) convention — the
 coefficient on a monomial is the partial derivative divided by the monomial's
 multiplicity factorial — so multiplication is a plain convolution.
 
-The class works over any scalar ring with ``+ - * /`` (floats, Fractions,
-complex, Gaussian rationals), which is what lets the exact-arithmetic paths
+The class works over any scalar ring with ``+ - * /`` (the tests run
+Fractions, floats and complex numbers), which is what lets the exact paths
 share code with the float paths.  `Jet.variable` refuses a Jet value.  No
 operation changes a coefficient's type, and none multiplies by 1: a term of
 the shorter factor equal to the exact unit `Fraction(1)` (a seed's) passes

@@ -36,9 +36,8 @@ from functools import cached_property
 from itertools import chain, combinations_with_replacement
 from math import lcm
 
-from .jets import (JetPoint, MultiIndex, PolySection, contract, delta,
-                   jet_of_section, pair_index, point_ring, sym_pairs,
-                   total_derivative_stencil)
+from .jets import (JetPoint, PolySection, contract, delta, jet_of_section,
+                   pair_index, point_ring, sym_pairs, total_derivative_stencil)
 from .linalg import nullspace
 from .metric import curvature, metric_from_jet_point
 from .poly import Poly
@@ -393,17 +392,9 @@ def polynomial_solves(op: DiffOpMatrix, v_polys: list) -> bool:
     return all(p.is_zero() for p in op.apply_poly(v_polys))
 
 
-def derivative_shift_check(op: DiffOpMatrix, v_polys: list,
-                           index: MultiIndex, quad_constraints=None) -> bool:
-    """Shift a homogeneous degree-r solution down by the multi-index of
-    order r-2 and check the resulting quadratic field: it must solve the
-    operator, and satisfy any supplied quadratic constraint functionals
-    (the stated factorial weights are produced by the exact polynomial
-    differentiation)."""
-    shifted = [p.diff_multi(index.entries) for p in v_polys]
-    if not polynomial_solves(op, shifted):
-        return False
-    if quad_constraints is not None:
-        if any(abs(float(cf(shifted))) > 0 for cf in quad_constraints):
-            return False
-    return True
+def derivative_shift_check(op: DiffOpMatrix, v_polys: list, exponents: tuple) -> bool:
+    """Shift a homogeneous degree-r solution down by the exponent tuple
+    (I_1, ..., I_n) of order r - 2, d^|I|/dx^I, and check that the
+    resulting quadratic field solves the operator (the factorial weights
+    come from the exact polynomial differentiation)."""
+    return polynomial_solves(op, [p.diff_multi(exponents) for p in v_polys])

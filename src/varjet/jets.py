@@ -69,46 +69,6 @@ def triple_index(n: int, i: int, j: int, k: int) -> int:
     raise IndexError((i, j, k))
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Multi-index I = (i_1, ..., i_n) of partial-derivative exponents."""
-
-    entries: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return sum(self.entries)
-
-    @staticmethod
-    def unit(n: int, j: int) -> "MultiIndex":
-        e = [0] * n
-        e[j] = 1
-        return MultiIndex(tuple(e))
-
-    @staticmethod
-    def from_indices(n: int, indices) -> "MultiIndex":
-        e = [0] * n
-        for j in indices:
-            e[j] += 1
-        return MultiIndex(tuple(e))
-
-    def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        return MultiIndex(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def indices(self) -> tuple[int, ...]:
-        out = []
-        for i, k in enumerate(self.entries):
-            out.extend([i] * k)
-        return tuple(out)
-
-    def factorial(self) -> int:
-        f = 1
-        for k in self.entries:
-            for j in range(2, k + 1):
-                f *= j
-        return f
-
-
 # ---------------------------------------------------------------------------
 # jet points
 

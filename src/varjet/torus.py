@@ -9,8 +9,8 @@ k_1^2 = k_2^2 + k_3^2 + k_4^2 these exhaust it (dimension 4), on the null
 cone two wave polarizations join (dimension 6).  The literature's mode-3
 basis fields are particular gauge directions and are validated against the
 kernel.  The presymplectic pairing of two mode fields is assembled from the
-momentum-coefficient table at the flat metric and is exact in Gaussian
-rational arithmetic.
+momentum-coefficient table at the flat metric; each component is i times
+an exact rational, and the rational is what it returns.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cache
 from .einstein import EHLagrangian
 from .jacobi import DiffOpMatrix, flat_operator_matrix
 from .jets import delta, pair_index, sym_pairs
-from .linalg import QC, QC_I, in_row_space, nullspace, rank
+from .linalg import in_row_space, nullspace, rank
 from .metric import constant_metric_jet
 
 LORENTZ_EPS = (-1, 1, 1, 1)
@@ -40,9 +40,6 @@ class ModeVector:
 
     def __add__(self, other):
         return ModeVector(tuple(a + b for a, b in zip(self.k, other.k)))
-
-    def is_zero(self):
-        return all(v == 0 for v in self.k)
 
     def is_null(self):
         return self.k[0] ** 2 == sum(v * v for v in self.k[1:])
@@ -206,16 +203,16 @@ def basis_field_as_tabulated(h: int, k) -> BasisField:
 
 @dataclass
 class PresymplecticValue:
-    """omega_2^i(X, Y) = coeff[i] * exp(i mode . x) for i = 1..4."""
+    """omega_2^i(X, Y) = i coeff[i] exp(i mode . x) for i = 1..4 (the
+    overall i factor is not stored)."""
 
     mode: ModeVector
-    coeff: tuple   # four QC values
+    coeff: tuple   # four Fractions
 
-    def closedness_defect(self) -> QC:
-        acc = QC.of(0)
-        for i in range(4):
-            acc = acc + self.mode[i] * self.coeff[i]
-        return acc
+    def closedness_defect(self) -> Fraction:
+        """sum_i mode_i coeff_i; it vanishes exactly when the pairing is
+        closed."""
+        return sum((self.mode[i] * self.coeff[i] for i in range(4)), Fraction(0))
 
 
 @cache
@@ -231,8 +228,9 @@ def presymplectic_pair(x_field: BasisField, y_field: BasisField) -> Presymplecti
         sum_{kl<=, ab<=} Y_{ab}^{i;kl,j} (dV^{kl}/dx^j W^{ab}
                                           - V^{ab} dW^{kl}/dx^j),
 
-    exact in Gaussian rationals; the result is a single Fourier mode.  Only
-    pairs of nonzero amplitudes of X and Y are visited."""
+    a single Fourier mode i c_i exp(i (k + l) . x) with c_i an exact
+    Fraction; the coefficients c_i are returned.  Only pairs of nonzero
+    amplitudes of X and Y are visited."""
     ytab = y_table_flat()
     kv, lv = x_field.mode, y_field.mode
     a_nz = [(p, v) for p, v in enumerate(x_field.amp) if v != 0]
@@ -246,12 +244,13 @@ def presymplectic_pair(x_field: BasisField, y_field: BasisField) -> Presymplecti
             for q, bv in b_nz:
                 acc += av * bv * sum(ytab[q][i][p][j] * kv[j] - ytab[p][i][q][j] * lv[j]
                                      for j in range(4))
-        coeff.append(QC_I * acc)
+        coeff.append(acc)
     return PresymplecticValue(kv + lv, tuple(coeff))
 
 
 def cohomology_class(w: PresymplecticValue) -> tuple:
-    """Per direction i: the coefficient of the i-th cycle class.
+    """Per direction i: the coefficient of the i-th cycle class, without
+    the overall factor i (as in `PresymplecticValue`).
 
     The component on [v_i] survives exactly when every mode component other
     than the i-th vanishes (integration over the i-th coordinate 3-cycle
@@ -262,7 +261,7 @@ def cohomology_class(w: PresymplecticValue) -> tuple:
         if all(w.mode[j] == 0 for j in range(4) if j != i):
             out.append(w.coeff[i])
         else:
-            out.append(QC.of(0))
+            out.append(Fraction(0))
     return tuple(out)
 
 
@@ -300,7 +299,7 @@ def upsilon_natural_flat():
 @dataclass
 class RadicalProbeReport:
     fields: list
-    pair_matrix: list          # pointwise values at x = 0: [a][b] -> 4 QC
+    pair_matrix: list          # i-coefficients at x = 0: [a][b] -> 4 Fractions
     kernel_dimension: int
     kernel: list
     upsilon_rank: int
@@ -317,7 +316,8 @@ def radical_probe(modes: dict) -> RadicalProbeReport:
     the kernel of the available block, it does not assert zero."""
     fields = [basis_field(h, modes.get(h, modes.get("default"))) for h in range(1, 9)]
     mat = [[presymplectic_pair(fa, fb) for fb in fields] for fa in fields]
-    # pointwise value at x = 0: the coefficient vector itself
+    # pointwise value at x = 0: i times the coefficient vector; the common
+    # factor i leaves the kernel unchanged
     rows = []
     for a in range(8):
         # stack the 4 components of omega_2(X_a, X_b) for all b

@@ -405,10 +405,10 @@ def pipeline(supplier, q: JetPoint, cap: int = 1) -> PipelineData:
 # derived objects
 
 
-def momenta_hamiltonian(supplier, q: JetPoint, cap: int = 1):
+def momenta_hamiltonian(supplier, q: JetPoint):
     """Momenta p_a^i, Hamiltonian H and the velocity Hessian dp = dp/dy';
     p and H are in the ring of the point (an exact zero is `Fraction(0)`)."""
-    data = pipeline(supplier, q, cap=max(cap, 1))
+    data = pipeline(supplier, q, cap=1)
     n, m = data.n, data.m
     one = ring_unit(q.y[0])
     p = [[data.p[(al, i)].value * one for i in range(n)] for al in range(m)]

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from varjet.fwd import Jet
-from varjet.jets import (JetFunction, JetOrderError, JetPoint, MultiIndex,
-                         PolySection, contract, jet_of_section, jet_partials,
-                         pair_index, seed_point, sym_pairs, total_derivative,
+from varjet.jets import (JetFunction, JetOrderError, JetPoint, PolySection,
+                         contract, jet_of_section, jet_partials, pair_index,
+                         seed_point, sym_pairs, total_derivative,
                          total_derivative2, total_derivative2_stencil,
                          total_derivative_stencil)
 from varjet.metric import random_metric_jet
@@ -297,13 +297,3 @@ def test_seed_point_takes_its_unit_from_the_fibre_values():
     seeded, _ = seed_point(p, 2)
     seeds = [*seeded.x, *seeded.y, *(v for row in seeded.dy for v in row)]
     assert all(isinstance(c, float) for s in seeds for c in s.coef.values())
-
-
-def test_multi_index():
-    I = MultiIndex.from_indices(4, (0, 0, 3))
-    assert I.order == 3
-    assert I.entries == (2, 0, 0, 1)
-    assert I.factorial() == 2
-    J = I + MultiIndex.unit(4, 1)
-    assert J.entries == (2, 1, 0, 1)
-    assert J.indices() == (0, 0, 1, 3)

@@ -1,14 +1,15 @@
 """Exact row reduction: the integer path of `rref` against plain field
-elimination, and the field path for other rings."""
+elimination, and the entries it refuses."""
 
 import random
+import re
 from fractions import Fraction as F
 from math import gcd, lcm
 
 import pytest
 
 from varjet import linalg
-from varjet.linalg import QC, nullspace, rank, rref, solve_exact
+from varjet.linalg import in_row_space, nullspace, rank, rref, solve_exact
 
 
 def field_rref(rows):
@@ -142,21 +143,26 @@ def test_solve_exact_over_int_rows():
     assert solve_exact([[1, 1], [2, 2]], [1, 3]) is None
 
 
-def test_gaussian_rationals_take_the_field_path(monkeypatch):
-    rng = random.Random(11)
-    mats = [[[QC.of(F(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
-              for _ in range(5)] for _ in range(4)] for _ in range(10)]
-    mats.append([[QC.of(1, 1), QC.of(0, 2)], [QC.of(2), QC.of(-2, 2)]])
+@pytest.mark.parametrize("entry", [0.5, 1j])
+def test_non_rational_entries_raise(entry):
+    """Floats and complex numbers are refused, with the entry named."""
+    with pytest.raises(TypeError, match=re.escape(repr(entry))):
+        rref([[F(1), entry]])
 
-    def no_integer_path(rows):
-        raise AssertionError("QC rows reached the integer elimination")
 
-    monkeypatch.setattr(linalg, "_integer_rref", no_integer_path)
-    for m in mats:
-        red, pivots = rref(m)
-        want, want_pivots = field_rref(m)
-        assert pivots == want_pivots
-        assert typed(red) == typed(want)
-        assert all(type(v) is QC for row in red for v in row)
-    with pytest.raises(AssertionError, match="integer elimination"):
-        rref([[F(1), F(2)]])
+def test_every_exact_routine_takes_the_integer_path(monkeypatch):
+    calls = []
+    integer_rref = linalg._integer_rref
+
+    def counted(m):
+        calls.append(m)
+        return integer_rref(m)
+
+    monkeypatch.setattr(linalg, "_integer_rref", counted)
+    m = [[1, F(1, 2), 0], [2, 1, F(3)]]
+    for routine in (lambda: rank(m), lambda: nullspace(m),
+                    lambda: in_row_space(m, [0, 0, 3]),
+                    lambda: solve_exact(m, [1, 2])):
+        calls.clear()
+        routine()
+        assert calls, routine

@@ -10,7 +10,7 @@ import pytest
 from test_linalg import field_nullspace, field_rref, typed
 
 from varjet.jets import pair_index
-from varjet.linalg import QC, QC_I, rank
+from varjet.linalg import rank
 from varjet.torus import (BasisField, ModeVector, SideConditionError,
                           basis_field, basis_field_as_tabulated,
                           cohomology_class, gauge_mode_amplitudes,
@@ -179,7 +179,8 @@ def test_tabulated_x1_x6_variants_not_in_kernel():
 
 def _printed_tables(k, l):
     """Every printed pairing family: key (a, b, component-or-selector) ->
-    exact value (the i-coefficient as a Fraction; QC built by the caller)."""
+    exact value (the i-coefficient as a Fraction, as `presymplectic_pair`
+    returns it)."""
     k1, k2, k3, k4 = k
     l1, l2, l3, l4 = l
     E = {}
@@ -268,7 +269,7 @@ def _sample_kl(rng):
 
 def test_all_printed_pairing_families_reproduced_exactly():
     """Each of the 73 printed pairing families is reproduced exactly in
-    Gaussian-rational arithmetic under the tabulated field convention (the
+    rational arithmetic under the tabulated field convention (the
     literature's tables use X_1 with the +k1^2/k3^2 sign, contradicting its
     own field list, and the printed non-kernel X_6)."""
     rng = np.random.default_rng(64)
@@ -286,12 +287,11 @@ def test_all_printed_pairing_families_reproduced_exactly():
             elif comp == "ix2":
                 assert all(not w.coeff[i] for i in (0, 2, 3)), (a, b, k, l)
             else:
-                expected = QC_I * val if val != 0 else QC.of(0)
-                assert w.coeff[comp - 1] == expected, (a, b, comp, k, l)
+                assert w.coeff[comp - 1] == val, (a, b, comp, k, l)
 
 
 def _dense_pair(x_field, y_field):
-    """The pairing coefficients by the full 10x10x4x4 contraction."""
+    """The pairing i-coefficients by the full 10x10x4x4 contraction."""
     ytab = y_table_flat()
     kv, lv, a_amp, b_amp = x_field.mode, y_field.mode, x_field.amp, y_field.amp
     coeff = []
@@ -302,7 +302,7 @@ def _dense_pair(x_field, y_field):
             if y != 0:
                 acc += y * (kv[j] * a_amp[klp] * b_amp[abp]
                             - lv[j] * a_amp[abp] * b_amp[klp])
-        coeff.append(QC_I * acc)
+        coeff.append(acc)
     return coeff
 
 
@@ -316,8 +316,7 @@ def test_pairing_matches_dense_contraction():
         w = presymplectic_pair(x_field, y_field)
         want = _dense_pair(x_field, y_field)
         assert w.mode == x_field.mode + y_field.mode
-        assert [(c, type(c.re), type(c.im)) for c in w.coeff] == \
-            [(c, type(c.re), type(c.im)) for c in want]
+        assert [(c, type(c) is F) for c in w.coeff] == [(c, True) for c in want]
 
 
 def test_pairing_mode_is_sum_of_modes():
@@ -340,7 +339,7 @@ def test_antisymmetry_exact():
         w1 = presymplectic_pair(X, Y)
         w2 = presymplectic_pair(Y, X)
         for i in range(4):
-            assert w1.coeff[i] + w2.coeff[i] == QC.of(0)
+            assert w1.coeff[i] + w2.coeff[i] == 0
 
 
 def test_fourier_closedness_exact():
@@ -389,7 +388,7 @@ def test_class_x6_x4_v2_entry():
         w = presymplectic_pair(basis_field_as_tabulated(6, k),
                                basis_field_as_tabulated(4, l))
         cls = cohomology_class(w)
-        expected = QC_I * F(-(k3 * (k3 ** 2 - k1)), l2)
+        expected = F(-(k3 * (k3 ** 2 - k1)), l2)
         assert cls[1] == expected
         assert all(not cls[i] for i in (0, 2, 3))
 
@@ -406,9 +405,9 @@ def test_class_x4_x1_v2_entry_with_volume_factor():
         w = presymplectic_pair(basis_field_as_tabulated(4, k),
                                basis_field_as_tabulated(1, l))
         cls = cohomology_class(w)
-        assert cls[1] == QC_I * F(k1 * k1, k2)
+        assert cls[1] == F(k1 * k1, k2)
         vol = float(2 * np.pi) ** 3
-        assert abs(vol * float(cls[1].im) - 8 * np.pi ** 3 * k1 ** 2 / k2) < 1e-9
+        assert abs(vol * float(cls[1]) - 8 * np.pi ** 3 * k1 ** 2 / k2) < 1e-9
 
 
 def test_class_x5_x4_v4_entry_via_l2_independence():
@@ -426,7 +425,7 @@ def test_class_x5_x4_v4_entry_via_l2_independence():
             w = presymplectic_pair(basis_field_as_tabulated(5, k),
                                    basis_field_as_tabulated(4, l))
             vals.add(w.coeff[3])
-        assert vals == {QC_I * F(k1)}
+        assert vals == {F(k1)}
 
 
 def test_class_x8_x4_entries_via_limits():
@@ -441,19 +440,19 @@ def test_class_x8_x4_entries_via_limits():
             basis_field_as_tabulated(8, (k1, 0, 0, 0)),
             basis_field_as_tabulated(4, (l1, l2, 0, 0))).coeff[0]
             for l2 in (1, 2, 3)}
-        assert vals == {QC_I * F(l1, 4)}
+        assert vals == {F(l1, 4)}
         # v3 entry: k1 + l1 = l4 = 0
         vals = {presymplectic_pair(
             basis_field_as_tabulated(8, (k1, 0, 0, 0)),
             basis_field_as_tabulated(4, (-k1, l2, l3, 0))).coeff[2]
             for l2 in (1, 2, 3)}
-        assert vals == {QC_I * F(l3, 4)}
+        assert vals == {F(l3, 4)}
         # v4 entry: k1 + l1 = l3 = 0
         vals = {presymplectic_pair(
             basis_field_as_tabulated(8, (k1, 0, 0, 0)),
             basis_field_as_tabulated(4, (-k1, l2, 0, l4))).coeff[3]
             for l2 in (1, 2, 3)}
-        assert vals == {QC_I * F(l4, 4)}
+        assert vals == {F(l4, 4)}
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +466,7 @@ def test_radical_probe_regularity_and_kernel():
     assert rep.criterion_surjective
     assert 0 <= rep.kernel_dimension <= 8
     # the zero field is always in the kernel of the pairing map
-    assert rank([[QC.of(1) if i == j else QC.of(0) for j in range(8)]
+    assert rank([[F(1) if i == j else F(0) for j in range(8)]
                  for i in range(8)]) == 8
 
 
