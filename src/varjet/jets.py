@@ -11,9 +11,10 @@ Equations, GTM 107)
     D_j = d/dx^j + sum_{|I| <= r}  y^a_{I+(j)} d/dy^a_I
 
 is written once, as the stencil of `total_derivative_stencil`, and D_iD_j
-as that of `total_derivative2_stencil`: the (coefficient, partial) pairs of
-the operator at one jet point.  `contract` applies a stencil to a function
-G, or to a partial of G, and `total_derivative` and `total_derivative2` are
+as that of `total_derivative2_stencil`: the (coefficient, partial ids, key)
+triples of the operator at one jet point.  `contract` applies a stencil to
+a function G, or to a partial of G, by one keyed lookup in G's coefficients
+per term, and `total_derivative` and `total_derivative2` are
 stencil + contract; G is a `Jet` over the coordinates of a `JetVars`, and
 the order r of that `JetVars` is the domain J^r of G.  At a jet of order
 >= r + 1 (r + 2 for D_iD_j) the chain rule ``D_j G (j^{r+1} s) = d/dx^j [G(j^r s)]`` holds
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .fwd import Jet, ring_unit
+from .fwd import Jet, key_from_vars, key_multiplicity, ring_unit
 
 
 # ---------------------------------------------------------------------------
@@ -292,22 +293,37 @@ def jet_partials(F: JetFunction, p: JetPoint, cap: int = 2) -> PartialTable:
 # evaluation).  D_j G and D_iD_j G at a jet point are then contractions of
 # those partials with the jet coordinates of the next orders.  A stencil is
 # that contraction written out once per point: a list of (coefficient,
-# partial ids) pairs, with D G = sum c G.deriv(*ids) and no pair whose
-# coefficient is 0.  A caller that applies one D to many functions, or to
-# many partials of one function, at the same point builds the stencil once
-# and passes it to `contract`.
+# partial ids, packed key of the ids) triples, with D G = sum c G.deriv(*ids)
+# and no term whose coefficient is 0.  A caller that applies one D to many
+# functions, or to many partials of one function, at the same point builds
+# the stencil once and passes it to `contract`.
 
 
 def contract(G, stencil, *ids):
-    """sum_t c_t G.deriv(*ids, *ids_t) over the (c_t, ids_t) of a stencil:
-    the stencil's operator applied to the partial dG/d(ids), read from G's
-    own coefficients (no partial Jet is built).  With no ids, the operator
-    applied to G."""
-    d = G.deriv
+    """sum_t c_t G.deriv(*ids, *ids_t) over the (c_t, ids_t, key_t) of a
+    stencil: the stencil's operator applied to the partial dG/d(ids), read
+    from G's own coefficients by one lookup at key(ids) + key_t per term (no
+    partial Jet is built).  A hit is scaled by the multiplicity of
+    ids + ids_t when that is not 1; a miss adds c_t * 0, so the sum keeps
+    the ring that `G.deriv` gives it.  A read past `G.order` raises
+    `ValueError`.  With no ids, the operator applied to G."""
+    get, room, base = G.coef.get, G.order - len(ids), key_from_vars(ids)
     total = 0
-    for c, t in stencil:
-        total = total + c * d(*ids, *t)
+    for c, t, k in stencil:
+        if len(t) > room:
+            raise ValueError(f"jet truncated at order {G.order}, asked {ids + t}")
+        g = get(base + k)
+        if g is None:
+            total = total + c * 0
+        else:
+            m = key_multiplicity(ids + t)
+            total = total + c * (g if m == 1 else g * m)
     return total
+
+
+def _stencil(terms: dict) -> list:
+    """The (c, ids, key) triples of the terms {ids: c} with c != 0."""
+    return [(c, ids, key_from_vars(ids)) for ids, c in terms.items() if c != 0]
 
 
 def total_derivative_stencil(jv: JetVars, p: JetPoint, j: int) -> list:
@@ -325,7 +341,7 @@ def total_derivative_stencil(jv: JetVars, p: JetPoint, j: int) -> list:
         if r >= 2:
             for (i, k) in sym_pairs(p.n):
                 terms[(jv.y2(a, i, k),)] = p.y3(a, i, k, j)
-    return [(c, ids) for ids, c in terms.items() if c != 0]
+    return _stencil(terms)
 
 
 def total_derivative2_stencil(jv: JetVars, p: JetPoint, i: int, j: int) -> list:
@@ -365,7 +381,7 @@ def total_derivative2_stencil(jv: JetVars, p: JetPoint, i: int, j: int) -> list:
             for l in range(n):
                 for b in range(m):
                     add(yak_j * p.y2(b, i, l), jv.y1(a, k), jv.y1(b, l))
-    return [(c, ids) for ids, c in terms.items() if c != 0]
+    return _stencil(terms)
 
 
 def total_derivative(G, jv: JetVars, p: JetPoint, j: int):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from varjet import jacobi, varcore
 from varjet.einstein import EHLagrangian, affine_supplier
 from varjet.fwd import Jet
 from varjet.jacobi import (DiffOpMatrix, JacobiCoefficients,
@@ -14,7 +15,8 @@ from varjet.jacobi import (DiffOpMatrix, JacobiCoefficients,
                            flat_operator_matrix, jacobi_coefficients,
                            jacobi_residual, polynomial_solution_space,
                            polynomial_solves)
-from varjet.jets import PolySection, jet_of_section, pair_index, sym_pairs
+from varjet.jets import (PolySection, contract, jet_of_section, pair_index,
+                         sym_pairs)
 from varjet.linalg import in_row_space
 from varjet.poly import Poly, parse_poly
 from varjet.varcore import TableAffineSupplier
@@ -608,8 +610,9 @@ def test_generic_residual_memo_is_ring_safe():
 def test_generic_coefficients_read_few_partials_at_a_constant_background(monkeypatch):
     """At the constant Minkowski metric, n = 4 over Fractions, y' and y''
     vanish, so the brackets read only the x-terms of each D_i stencil:
-    one `jacobi_coefficients` build reads 5,350 partials through `Jet.deriv`
-    (the hand-written D_i sums read 125,350) and every hc gap is 0."""
+    one `jacobi_coefficients` build reads 5,350 partials, through `Jet.deriv`
+    or as one coefficient lookup per stencil term in `contract` (the
+    hand-written D_i sums read 125,350), and every hc gap is 0."""
     eps = (-1, 1, 1, 1)
     sup = affine_supplier(EHLagrangian(4, (1, 3)))
     s = PolySection(4, [Poly.constant(4, F(eps[a]) if a == b else F(0))
@@ -621,7 +624,13 @@ def test_generic_coefficients_read_few_partials_at_a_constant_background(monkeyp
         reads[0] += 1
         return deriv(self, *ids)
 
+    def counted_contract(G, stencil, *ids):
+        reads[0] += len(stencil)
+        return contract(G, stencil, *ids)
+
     monkeypatch.setattr(Jet, "deriv", counted)
+    for module in (jacobi, varcore):
+        monkeypatch.setattr(module, "contract", counted_contract)
     coef = jacobi_coefficients(sup, s, (F(0),) * 4)
     assert reads[0] == 5350
     assert coef.hc_gap == 0

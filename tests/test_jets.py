@@ -234,9 +234,9 @@ def test_stencil_built_once_contracts_every_function_exactly():
                for i in range(n)]
         for i in range(n):
             for j in range(n):
-                ids = [tuple(sorted(t)) for _, t in st2[i][j]]
+                ids = [tuple(sorted(t)) for _, t, _ in st2[i][j]]
                 assert len(ids) == len(set(ids))
-                assert all(c != 0 for c, _ in st2[i][j] + st1[j])
+                assert all(c != 0 for c, _, _ in st2[i][j] + st1[j])
         for G, A in zip(fns, along):
             for j in range(n):
                 d1 = contract(G, st1[j])
@@ -274,6 +274,61 @@ def test_contract_with_ids_is_the_stencil_applied_to_the_partial():
             for j in range(n):
                 assert contract(G, st1[j], a, b) == contract(Ga.partial(b), st1[j])
     assert any(contract(G, st2[1][0], a) != 0 for a in range(len(jv)))
+
+
+def _contract_by_deriv(G, stencil, *ids):
+    """sum_t c_t G.deriv(*ids, *ids_t), one `Jet.deriv` read per term."""
+    total = 0
+    for c, t, _ in stencil:
+        total = total + c * G.deriv(*ids, *t)
+    return total
+
+
+@pytest.mark.parametrize("ring", [Fraction, float, complex])
+def test_contract_equals_the_deriv_sum_in_value_and_type(ring):
+    """The keyed `contract` equals sum_t c_t G.deriv(*ids, *t) in value and
+    type over Fraction, float and complex jets: with reads that hit at
+    multiplicity 2 (ids = (v,) against a term in v, and the y^a y^a and
+    y'^a_k y'^a_k terms of D_iD_j), with stencils whose every read misses
+    (the zero of the ring, not int 0), and with a read past G.order, which
+    raises `ValueError`."""
+    n, m = 2, 2
+    names = {"x1": 0, "x2": 1}
+    s = PolySection(n, [_poly("1/2 + x1 - 3/4*x1*x2 + x2^2 + x1^3/3", names, 2),
+                        _poly("-2 + x2/3 + 5/4*x1^2 - x1^2*x2", names, 2)])
+    x = {Fraction: (Fraction(3, 8), Fraction(-5, 8)), float: (0.375, -0.625),
+         complex: (0.375 + 0.25j, -0.625 - 0.5j)}[ring]
+    q, jv = seed_point(jet_of_section(s, x, 1), cap=3)
+    assert type(q.y[0].value) is ring
+    G = (q.y[0] ** 2 * q.y1(1, 0) + q.y1(0, 1) ** 2 * q.y[1]
+         + q.x[0] * q.y[0] * q.y1(1, 1) + q.y1(1, 0) ** 3)
+    ya, yak = jv.y(0), jv.y1(1, 0)
+    assert G.deriv(ya, ya) != 0 and G.deriv(yak, yak) != 0
+    p = jet_of_section(s, x, 3)
+    st1 = [total_derivative_stencil(jv, p, j) for j in range(n)]
+    st2 = [[total_derivative2_stencil(jv, p, i, j) for j in range(n)] for i in range(n)]
+    for st in (st for row in st2 for st in row):
+        terms = {t for _, t, _ in st}
+        assert (ya, ya) in terms and (yak, yak) in terms
+    flat = Jet.constant(ring(2), 3)
+    singles = [()] + [(v,) for v in range(len(jv))]
+    pairs = [(v, w) for v in range(len(jv)) for w in range(v, len(jv))]
+    for st, id_sets in ([(st, singles + pairs) for st in st1]
+                        + [(st, singles) for row in st2 for st in row]):
+        for ids in id_sets:
+            got, want = contract(G, st, *ids), _contract_by_deriv(G, st, *ids)
+            assert got == want and type(got) is type(want), (ids, got, want)
+        for ids in ((), (ya,)):
+            got = contract(flat, st, *ids)
+            assert got == 0 and type(got) is ring
+            assert type(got) is type(_contract_by_deriv(flat, st, *ids))
+    assert contract(G, st1[0], ya) != 0 and contract(G, st2[0][1], yak) != 0
+    G2 = G.truncated(2)
+    for ids in ((ya,), (yak,), (jv.x(0),)):
+        with pytest.raises(ValueError):
+            _contract_by_deriv(G2, st2[0][1], *ids)
+        with pytest.raises(ValueError):
+            contract(G2, st2[0][1], *ids)
 
 
 def test_seed_point_partial_symmetry():

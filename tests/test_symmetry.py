@@ -48,6 +48,16 @@ def test_helmholtz_eh_small_dims():
             assert res.max_all <= 1e-12, (n, res)
 
 
+def test_helmholtz_eh_lorentzian_n4():
+    """The Helmholtz conditions of the n = 4 Lorentzian EH operator at one
+    seeded curved point, to the tolerance of the small dimensions."""
+    rng = np.random.default_rng(21)
+    s = random_metric_section(rng, 4, [-1.0, 1.0, 1.0, 1.0])
+    x = [rng.uniform(-0.3, 0.3) for _ in range(4)]
+    res = helmholtz_residuals(affine_supplier(EHLagrangian(4, (3, 1))), s, x)
+    assert res.max_all <= 1e-12, res
+
+
 def _eh_flat_pullback_n2():
     """The n = 2 Euclidean metric pulled back by a polynomial chart map,
     with Fraction coefficients: a solution of the EH equations."""

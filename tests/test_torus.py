@@ -126,9 +126,11 @@ def test_spec_example_mode_3_0_2_0():
     v1[pair_index(4, 1, 2)] = F(1)
     assert res.contains(v1)
     v2 = [F(0)] * 10
-    v2[pair_index(4, 0, 0)] = F(-3) * (F(3) - F(0)) / F(4) if False else F(6)
-    v2[pair_index(4, 0, 2)] = F(2)
-    # U3 = 2, U8 = 0 -> U1 = -3(0 - 8)/4 = 6
+    u3, u8 = F(2), F(0)
+    v2[pair_index(4, 0, 2)] = u3
+    v2[pair_index(4, 2, 2)] = u8
+    v2[pair_index(4, 0, 0)] = u1 = F(-3) * (3 * u8 - 4 * u3) / 4
+    assert u1 == 6
     assert res.contains(v2)
 
 
