@@ -83,7 +83,7 @@ class EHLagrangian:
         ys = [v for row in mj.dg for v in row]
         yy = [ys[a] * ys[b] for a, b in zip(sa, sb)]
         orders = [v.order for v in (mj.rho, *ys) if isinstance(v, Jet)]
-        order = max(orders, default=0)    # scalar data: sums of order-0 Jets
+        order = min(orders, default=0)    # the products' order; scalar data: 0
         total = jet_sum(order, [
             gs[r] * jet_sum(order, [t[p][q] * jet_sum(order, [yy[k] for k in ks], cs)
                                     for p, q, ks, cs in rows])
@@ -393,7 +393,7 @@ def covariant_noether_current(n: int, u_polys: list[Poly], mj: MetricJet, x):
             for h in range(n)] for c in range(n)]
     # (nabla^2 u)_{a h}^c = d_a(nabla_h u^c) - Gamma^e_{ah} nabla_e u^c
     #                      + Gamma^c_{ae} nabla_h u^e
-    nab2 = [[[0.0] * n for _ in range(n)] for _ in range(n)]  # [a][h][c]
+    nab2 = [[[0] * n for _ in range(n)] for _ in range(n)]  # [a][h][c]
     for a in range(n):
         for h in range(n):
             for c in range(n):
@@ -404,8 +404,8 @@ def covariant_noether_current(n: int, u_polys: list[Poly], mj: MetricJet, x):
                 nab2[a][h][c] = s
     out = []
     for i in range(n):
-        c12 = 0.0
-        c11 = 0.0
+        c12 = 0
+        c11 = 0
         for ap in range(n):
             for cc in range(n):
                 c12 = c12 + ginv[i][ap] * nab2[ap][cc][cc]

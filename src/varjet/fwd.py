@@ -4,16 +4,21 @@ A :class:`Jet` is a multivariate Taylor expansion truncated at a fixed total
 order.  Coefficients are stored sparsely in a dict keyed by packed integer
 monomials: bits 0..4 hold the total degree, and variable ``v`` occupies the
 3-bit field starting at bit ``5 + 3 v``.  Multiplying monomials is then a
-single integer addition.  A product has the order of its left operand and
-keeps a pair of terms only when their degrees sum to at most that order, so
-it never scans the pairs it would drop: each term of the shorter operand, of
-degree d, visits only the longer operand's terms of degree <= order - d,
-listed once per product for each such bound.  A 3-bit field holds
-exponents up to 7, so a Jet of order above 7 is refused (exponent 8 would
-carry into the next variable's field).
-Coefficients are stored in the *normalized* (Taylor) convention — the
-coefficient on a monomial is the partial derivative divided by the monomial's
-multiplicity factorial — so multiplication is a plain convolution.
+single integer addition.  A 3-bit field holds exponents up to 7, so a Jet
+of order above 7 is refused (exponent 8 would carry into the next variable's
+field).  Coefficients are stored in the *normalized* (Taylor) convention —
+the coefficient on a monomial is the partial derivative divided by the
+monomial's multiplicity factorial — so multiplication is a plain convolution.
+
+Jet arithmetic has one order rule, that of truncated Taylor arithmetic
+(Griewank and Walther, *Evaluating Derivatives*, 2nd ed., ch. 13): a sum,
+difference or product of two Jets has the lower of their orders, above which
+nothing is determined, and stores no key of degree above it.  A sum filters
+only the higher operand.  A product keeps a pair of terms only when their
+degrees sum to at most the order, so it never scans the pairs it would drop:
+each term of the shorter operand, of degree d, visits only the longer
+operand's terms of degree <= order - d, listed once per product for each
+such bound.
 
 The class works over any scalar ring with ``+ - * /`` (the tests run
 Fractions, floats and complex numbers), which is what lets the exact paths
@@ -22,8 +27,8 @@ operation changes a coefficient's type, and none multiplies by 1: a term of
 the shorter factor equal to the exact unit `Fraction(1)` (a seed's) passes
 its Fraction partners through unmultiplied, `partial` multiplies by exponent
 counts above 1 only, and `a - b` subtracts into one copy of a's dict.
-`jet_sum` is the one way to sum many Jets: one dict, truncated at its order,
-with the int weights 1 and -1 applied without a multiply.
+`jet_sum` is the one way to sum many Jets: one dict, truncated at the order
+it is given, with the int weights 1 and -1 applied without a multiply.
 """
 
 from __future__ import annotations
@@ -145,15 +150,16 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.coef)
-        for k, c in o.coef.items():
+        order = min(self.order, o.order)
+        out = dict(self.coef) if self.order == order else self.truncated(order).coef
+        for k, c in (o.coef if o.order == order else o.truncated(order).coef).items():
             acc = out.get(k)
             s = c if acc is None else acc + c
             if s == 0:
                 out.pop(k, None)
             else:
                 out[k] = s
-        return Jet(self.order, out)
+        return Jet(order, out)
 
     __radd__ = __add__
 
@@ -164,15 +170,16 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.coef)
-        for k, c in o.coef.items():
+        order = min(self.order, o.order)
+        out = dict(self.coef) if self.order == order else self.truncated(order).coef
+        for k, c in (o.coef if o.order == order else o.truncated(order).coef).items():
             acc = out.get(k)
             s = -c if acc is None else acc - c
             if s == 0:
                 out.pop(k, None)
             else:
                 out[k] = s
-        return Jet(self.order, out)
+        return Jet(order, out)
 
     def __rsub__(self, other):
         return Jet.constant(other, self.order) - self
@@ -184,7 +191,7 @@ class Jet:
                     return Jet(self.order, {})
                 return Jet(self.order, {k: c * other for k, c in self.coef.items()})
             return NotImplemented
-        cap = self.order
+        cap = min(self.order, other.order)
         a, b = self.coef, other.coef
         if len(a) > len(b):
             a, b = b, a

@@ -311,7 +311,6 @@ class PipelineData:
         return _minus_sum(self.cap, self.l0, rest)
 
 
-# one `jet_sum` each; partial * seed has the partial's order, the sum's
 def _minus_sum(order, first, rest):
     return jet_sum(order, [first, *rest], [1] + [-1] * len(rest))
 
@@ -593,12 +592,14 @@ def euler_lagrange_first_order(supplier, s: PolySection, x) -> list:
 
 @dataclass
 class HelmholtzResult:
-    max_a: float
-    max_b: float
-    max_c: float
+    """The largest |residual| of each family, in the ring of x: an exact
+    zero over Fractions is `Fraction(0)`, and a float point gives floats."""
+    max_a: Fraction | float
+    max_b: Fraction | float
+    max_c: Fraction | float
 
     @property
-    def max_all(self) -> float:
+    def max_all(self) -> Fraction | float:
         return max(self.max_a, self.max_b, self.max_c)
 
 
@@ -675,7 +676,7 @@ def helmholtz_residuals(supplier, s: PolySection, x,
             acc = acc + c * contract(jet, st, *ids)
         return acc
 
-    worst_a = worst_b = worst_c = 0
+    worst_a = worst_b = worst_c = ring_unit(p3.y[0]) * 0
     for al in range(m):
         for si in range(m):
             for (k, l) in pairs:
@@ -715,7 +716,7 @@ def helmholtz_residuals(supplier, s: PolySection, x,
             for (i, j) in pairs:
                 r = r - d(g_fn[(si, al, i, j)], st2[i][j])
             worst_c = max(worst_c, abs(r))
-    return HelmholtzResult(float(worst_a), float(worst_b), float(worst_c))
+    return HelmholtzResult(worst_a, worst_b, worst_c)
 
 
 # ---------------------------------------------------------------------------
@@ -925,7 +926,14 @@ def noether_current(supplier, X: VectorField, s: PolySection, x) -> list:
 
 def noether_divergence(supplier, X: VectorField, s: PolySection, x,
                        h: float = 1e-3) -> float:
-    """sum_i dJ^i/dx^i by Richardson central differences."""
+    """sum_i dJ^i/dx^i by Richardson central differences of
+    `noether_current` at step `h`: a float estimate in every ring of x, with
+    an error of order h^4 that it does not report.  At a Fraction point it
+    is not the exact -E_a Q^a of Noether's identity: on a curved section
+    with rational rho the two differ by about 1e-12.  An exact divergence,
+    built from the pipeline and the D_j stencils, would no longer call
+    `noether_current`, so it waits on a benchmark change that stops
+    requiring that call's span."""
     n = s.n
     total = 0.0
     for i in range(n):

@@ -15,7 +15,7 @@ from varjet.bf import (BetaConstraintError, BetaForm, beta_eh, beta_from_antisym
 from varjet.bf import affine_supplier as bf_supplier
 from varjet.einstein import EHLagrangian
 from varjet.einstein import affine_supplier as eh_supplier
-from varjet.jets import PolySection, jet_of_section, pair_index, sym_pairs
+from varjet.jets import PolySection, contract, jet_of_section, pair_index, sym_pairs
 from varjet.metric import (MetricJet, constant_metric_jet, curvature,
                            metric_from_jet_point, random_metric_jet,
                            signature_diagonal)
@@ -417,6 +417,33 @@ def test_el_bf_beta_eh_exact_zero_on_flat_pullback():
     cov = el_residual_beta(beta_eh(n, sig), s, x, sig)
     assert list(cov.values()) == [0] * 6
     assert all(isinstance(v, Fraction) for v in cov.values())
+
+
+def test_el_residual_beta_contracts_only_first_order_jets(monkeypatch):
+    """D_r Phi reads Phi's degree <= 1 coefficients only, and Phi is formed
+    as a J^1 Jet: every Jet that `el_residual_beta` contracts has order
+    <= 1, over Fractions for beta_EH and over floats for random beta."""
+    orders = []
+
+    def recorded(G, stencil, *ids):
+        orders.append(G.order)
+        return contract(G, stencil, *ids)
+
+    monkeypatch.setattr("varjet.bf.contract", recorded)
+    n = 3
+    names = {f"x{i+1}": i for i in range(n)}
+    phi = [parse_poly("x1 + x2^2/9", names, n),
+           parse_poly("x2 + x1*x3/8", names, n),
+           parse_poly("x3 - x1^2/7", names, n)]
+    s = flat_pullback_section(n, [Fraction(-1), Fraction(1), Fraction(1)], phi)
+    el_residual_beta(beta_eh(n, (1, 2)), s, (Fraction(1, 8), Fraction(-1, 4),
+                                             Fraction(3, 16)), (1, 2))
+    rng = np.random.default_rng(35)
+    for linear in (False, True):
+        el_residual_beta(random_constrained_beta(rng, n, linear_in_g=linear),
+                         flat_pullback_section(n, [1.0, 1.0, 1.0], phi),
+                         (0.1, -0.2, 0.15), (3, 0))
+    assert set(orders) == {1}
 
 
 def test_flat_corollary_expression_exact():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import math
+import operator
 import random
 
 import pytest
@@ -135,9 +136,9 @@ def test_order_above_packed_key_limit_is_refused():
 
 def _all_pairs_product(x, y, prune=True):
     """Truncated convolution scanning every pair of terms: the result has
-    x's order, pairs whose degrees sum above it are dropped, and zeros are
-    pruned once the result outgrows twice the operands."""
-    cap = x.order
+    the lower order of x and y, pairs whose degrees sum above it are dropped,
+    and zeros are pruned once the result outgrows twice the operands."""
+    cap = min(x.order, y.order)
     a, b = x.coef, y.coef
     if len(a) > len(b):
         a, b = b, a
@@ -184,7 +185,7 @@ def test_mul_matches_all_pairs_reference(ring):
     for x, y in pairs:
         for left, right in ((x, y), (y, x)):
             got = left * right
-            assert got.order == left.order
+            assert got.order == min(left.order, right.order)
             # same coefficients, and even the same key order
             assert list(got.coef.items()) == list(_all_pairs_product(left, right).items())
             orders.add((left.order > right.order, len(left.coef) > len(right.coef)))
@@ -198,7 +199,7 @@ def test_mul_matches_all_pairs_reference(ring):
     assert (x * Jet.constant(c, 2)).coef == _all_pairs_product(x, Jet.constant(c, 2))
     for empty in (x * 0, x * Jet(5, {}), Jet(5, {}) * x):
         assert empty.coef == {}
-    assert (x * Jet(5, {})).order == 2 and (Jet(5, {}) * x).order == 5
+    assert (x * Jet(5, {})).order == (Jet(5, {}) * x).order == 2
 
 
 def test_mul_over_jet_coefficients_matches_all_pairs_reference():
@@ -277,8 +278,10 @@ def test_fast_paths_keep_each_coefficient_type(ring):
 
 @pytest.mark.parametrize("ring", ["Fraction", "float", "complex"])
 def test_jet_sum_equals_repeated_addition_truncated(ring):
-    """Within a ring, one k-ary sum gives what repeated `+` of `t * w` gives
-    and then truncation at the order: the same keys, values and types."""
+    """Within a ring, one k-ary sum equals repeated `+` of the `t * w`, each
+    relabelled at the sum's order, then truncated at it: the same keys,
+    values and types.  So `jet_sum` adds every stored coefficient of a term,
+    whatever the term's order."""
     rng = random.Random(23)
     mk = _RINGS[ring]
     for _ in range(60):
@@ -290,7 +293,7 @@ def test_jet_sum_equals_repeated_addition_truncated(ring):
         for ws in (None, [rng.choice((1, -1)) for _ in terms], weights):
             ref = Jet(order, {})
             for t, w in zip(terms, ws or [1] * len(terms)):
-                ref = ref + t * w
+                ref = ref + Jet(order, (t * w).coef)
             want = {k: c for k, c in ref.coef.items() if k & 31 <= order and c != 0}
             got = jet_sum(order, terms, ws)
             assert got.order == order
@@ -306,3 +309,72 @@ def test_jet_sum_equals_repeated_addition_truncated(ring):
     ints = Jet(2, {0: 3, key_from_vars([1]): -2})
     for w in (Fraction(1), Fraction(-1), 1.0, -1.0, mk(1, 1)):
         _same_coefficients(jet_sum(2, [ints], [w]), (ints * w).coef)
+
+
+# -- one order rule: a sum, difference or product has the lower order ---------
+
+def _determined_jet(rng, order, ring, nterms):
+    """A sparse random jet that stores no key above its order."""
+    return _random_jet(rng, order, ring, nterms).truncated(order)
+
+
+@pytest.mark.parametrize("ring", ["Fraction", "float", "complex"])
+def test_mixed_orders_give_the_lower_order_either_way_round(ring):
+    """For operands of different orders, a * b and b * a, and a + b and
+    b + a, have the order min(a.order, b.order) and the same coefficients
+    (dyadic data, so float sums are exact in any order), and a - b is
+    a + (-b), whichever operand is the higher."""
+    rng = random.Random(29)
+    mk = _RINGS[ring]
+    for _ in range(150):
+        oa, ob = rng.sample(range(5), 2)
+        a = _determined_jet(rng, oa, mk, rng.randrange(20))
+        b = _determined_jet(rng, ob, mk, rng.randrange(20))
+        for op in (operator.mul, operator.add):
+            ab, ba = op(a, b), op(b, a)
+            assert ab.order == ba.order == min(oa, ob)
+            _same_coefficients(ab, ba.coef)
+        for x, y in ((a, b), (b, a)):
+            assert (x - y).order == min(oa, ob)
+            _same_coefficients(x - y, (x + (-y)).coef)
+
+
+@pytest.mark.parametrize("ring", ["Fraction", "float", "complex"])
+def test_no_result_stores_a_key_above_its_order(ring):
+    """Sums, differences and products of determined jets, with Jet or
+    scalar partners on either side, store only keys of degree <= their
+    order."""
+    rng = random.Random(37)
+    mk = _RINGS[ring]
+    for _ in range(150):
+        a = _determined_jet(rng, rng.randrange(5), mk, rng.randrange(20))
+        b = _determined_jet(rng, rng.randrange(5), mk, rng.randrange(20))
+        c = mk(3, 2)
+        for got in (a + b, b + a, a - b, b - a, a * b, b * a, a + c, c - a, a * c):
+            assert all(k & 31 <= got.order for k in got.coef), got
+    # the right operand's terms above the left operand's order are dropped
+    f = Jet.variable(0, 1.0, 1) + Jet.variable(1, 2.0, 3) ** 3
+    assert f.order == 1
+    assert f.coef == {0: 9.0, key_from_vars([0]): 1, key_from_vars([1]): 12.0}
+
+
+@pytest.mark.parametrize("ring", ["Fraction", "float", "complex"])
+def test_jet_sum_equals_the_fold_of_addition(ring):
+    """When no term is below the sum's order, `jet_sum(order, terms, ws)`
+    is the fold of `+` of `t * w` from `Jet(order, {})`: the same order,
+    keys, values and types."""
+    rng = random.Random(41)
+    mk = _RINGS[ring]
+    for _ in range(60):
+        order = rng.randrange(5)
+        terms = [_determined_jet(rng, rng.randrange(order, 5), mk, rng.randrange(12))
+                 for _ in range(rng.randrange(6))]
+        terms += [-t for t in terms[:2]]              # whole terms cancel
+        weights = [rng.choice((1, -1, 2, mk(3, 2), mk(1, 1))) for _ in terms]
+        for ws in (None, [rng.choice((1, -1)) for _ in terms], weights):
+            fold = Jet(order, {})
+            for t, w in zip(terms, ws or [1] * len(terms)):
+                fold = fold + t * w
+            got = jet_sum(order, terms, ws)
+            assert got.order == fold.order == order
+            _same_coefficients(got, fold.coef)

@@ -78,6 +78,7 @@ def test_helmholtz_eh_exact_over_fractions():
     sup = affine_supplier(EHLagrangian(2, (2, 0)))
     res = helmholtz_residuals(sup, s, [Fraction(1, 10), Fraction(-1, 5)])
     assert res.max_all == 0, res
+    assert type(res.max_all) is Fraction
 
 
 def test_euler_lagrange_eh_exact_over_fractions():
@@ -358,10 +359,9 @@ def test_noether_jet_vs_covariant_flat_backgrounds():
                 assert abs(a - b) <= 1e-7 * max(1.0, abs(a))
 
 
-def test_noether_current_in_the_ring_of_x():
-    """At a Fraction point on an exact flat pullback the jet-coefficient
-    current of the natural lift is a list of Fractions, and the float call
-    at the same point agrees to 1e-15."""
+def _exact_lift_on_flat_pullback():
+    """A natural lift on an exact n = 3 flat Lorentzian pullback, its EH
+    supplier and a Fraction point."""
     n = 3
     sup = affine_supplier(EHLagrangian(n, (1, 2)))
     names = {f"x{i+1}": i for i in range(n)}
@@ -380,12 +380,30 @@ def test_noether_current_in_the_ring_of_x():
         polys.append(acc)
     s = PolySection(n, polys)
     x = (Fraction(1, 8), Fraction(-1, 4), Fraction(3, 16))
+    return sup, u, X, s, x
+
+
+def test_noether_current_in_the_ring_of_x():
+    """At a Fraction point on an exact flat pullback the jet-coefficient
+    current of the natural lift is a list of Fractions, and the float call
+    at the same point agrees to 1e-15."""
+    sup, _, X, s, x = _exact_lift_on_flat_pullback()
     exact = noether_current(sup, X, s, x)
     approx = noether_current(sup, X, s, tuple(map(float, x)))
     assert all(isinstance(v, Fraction) for v in exact)
     assert all(isinstance(v, float) for v in approx)
     for a, b in zip(exact, approx):
         assert abs(float(a) - b) <= 1e-15 * max(1.0, abs(b))
+
+
+def test_covariant_noether_current_in_the_ring_of_x():
+    """At the same Fraction point the covariant current keeps the ring of
+    x: each component is a Fraction equal to the jet-coefficient current."""
+    sup, u, X, s, x = _exact_lift_on_flat_pullback()
+    mj = metric_from_jet_point(jet_of_section(s, x, 3), (1, 2))
+    cov = covariant_noether_current(3, u, mj, x)
+    assert cov == noether_current(sup, X, s, x)
+    assert all(type(v) is Fraction for v in cov), cov
 
 
 def test_noether_minkowski_hand_component():
