@@ -19,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-import numpy as np
-
 from .fwd import Jet, ring_unit, value_of
 from .jets import (JetFunction, contract, delta, jet_of_section, pair_index,
                    point_ring, seed_point, sign1, sym_pairs,
@@ -289,10 +287,12 @@ def el_residual_beta(beta: BetaForm, s, x, signature):
     npairs = len(sym_pairs(n))
 
     # beta o g and its formal x-derivatives D_r(beta o g) = y_w,r dbeta/dy_w,
-    # as Jets over J^1 (cap 2, so the partials keep first-order data)
+    # as Jets over J^1 (cap 2, so the partials keep first-order data); Phi
+    # is read to first order, so Gamma is truncated there
     seeded, jv = seed_point(p3.truncated(1), cap=2)
     smj = metric_from_jet_point(seeded, signature)
-    gam1, ginv1 = christoffel(smj), smj.ginv
+    gam1 = [[[v.truncated(1) for v in row] for row in plane] for plane in christoffel(smj)]
+    ginv1 = smj.ginv
     tab = beta.table(smj)
 
     def dbog(k, l, i, j, r):   # D_r (beta o g)_{kl,i}^j
@@ -351,69 +351,45 @@ def el_residual_beta(beta: BetaForm, s, x, signature):
 
 def bilinear_form_beta(beta: BetaForm, mj: MetricJet):
     """The matrix (F_beta)_{r<=s;i, a<=b,j} of the regularity bilinear form,
-    per the displayed closed formula; rows (rs, i), columns (ab, j)."""
+    per the displayed closed formula; rows (rs, i), columns (ab, j), as
+    nested lists in the ring of g (exact at a metric with rational entries
+    and rational rho).  Each term reads its sum over t from the symmetric
+    pair sym(x, y, p, q) = c[x][y][p][q] + c[y][x][p][q], c = (-1)^x
+    beta_{xt}^{pq} g^{ty}, formed once for beta and once per g-partial."""
     n = beta.n
     pairs = sym_pairs(n)
-    npairs = len(pairs)
+    one = ring_unit(mj.g[0])
     seeded = MetricJet(n, mj.signature,
-                       tuple(Jet.variable(w, mj.g[w], 1, 1.0) for w in range(npairs)))
+                       tuple(Jet.variable(w, mj.g[w], 1, one) for w in range(len(pairs))))
     tab_seeded = beta.table(seeded)
-    tab = [[[[float(value_of(tab_seeded[k][l][j][i]))
-              for i in range(n)] for j in range(n)]
-            for l in range(n)] for k in range(n)]
-    giv = [[float(value_of(v)) for v in row] for row in seeded.ginv]
+    g = [[value_of(v) for v in row] for row in seeded.ginv]
+    idx = range(n)
 
-    # d beta / d g_w, one table per stored slot w
-    dtabs = [[[[[float(v.deriv(w)) if isinstance(v, Jet) else 0.0 for v in row]
-                for row in plane] for plane in block] for block in tab_seeded]
-             for w in range(npairs)]
-    aux = partial(_beta_aux, tab)
-    daux = [partial(_beta_aux, dt) for dt in dtabs]
+    def contracted(f):    # sym for the table f(beta entry)
+        tab = [[[[f(v) for v in row] for row in plane] for plane in block]
+               for block in tab_seeded]
+        c = [[[[sign1(x) * sum(_beta_aux(tab, x, t, p, q) * g[t][y] for t in idx)
+                for q in idx] for p in idx] for y in idx] for x in idx]
+        return lambda x, y, p, q: c[x][y][p][q] + c[y][x][p][q]
 
-    mat = np.zeros((npairs * n, npairs * n))
-    for rs_i, (r, s) in enumerate(pairs):
-        for i in range(n):
-            for ab_i, (a, b) in enumerate(pairs):
-                for j in range(n):
-                    tot = 0.0
-                    for t in range(n):
-                        tot += -(sign1(a) * aux(a, t, r, s) * giv[t][b]
-                                 + sign1(b) * aux(b, t, r, s) * giv[t][a]) * giv[i][j]
-                        tot += (sign1(j) * aux(j, t, r, s) * giv[t][b]
-                                + sign1(b) * aux(b, t, r, s) * giv[t][j]) * giv[i][a]
-                        tot += (sign1(a) * aux(a, t, r, s) * giv[t][j]
-                                + sign1(j) * aux(j, t, r, s) * giv[t][a]) * giv[i][b]
-                        tot += (sign1(i) * aux(i, t, a, b) * giv[t][s]
-                                + sign1(s) * aux(s, t, a, b) * giv[t][i]) * giv[r][j]
-                        tot += (sign1(i) * aux(i, t, a, b) * giv[t][r]
-                                + sign1(r) * aux(r, t, a, b) * giv[t][i]) * giv[s][j]
-                        tot -= (sign1(b) * aux(b, t, i, s) * giv[t][j]
-                                + sign1(j) * aux(j, t, i, s) * giv[t][b]) * giv[r][a]
-                        tot -= (sign1(b) * aux(b, t, i, r) * giv[t][j]
-                                + sign1(j) * aux(j, t, i, r) * giv[t][b]) * giv[s][a]
-                        tot -= (sign1(a) * aux(a, t, i, s) * giv[t][j]
-                                + sign1(j) * aux(j, t, i, s) * giv[t][a]) * giv[r][b]
-                        tot -= (sign1(a) * aux(a, t, i, r) * giv[t][j]
-                                + sign1(j) * aux(j, t, i, r) * giv[t][a]) * giv[s][b]
-                        tot -= sign1(a) * aux(a, t, i, j) \
-                            * (giv[t][r] * giv[b][s] + giv[t][s] * giv[b][r])
-                        tot -= sign1(b) * aux(b, t, i, j) \
-                            * (giv[t][r] * giv[a][s] + giv[t][s] * giv[a][r])
-                        tot -= sign1(r) * aux(r, t, i, j) \
-                            * (giv[t][a] * giv[b][s] + giv[t][b] * giv[a][s])
-                        tot -= sign1(s) * aux(s, t, i, j) \
-                            * (giv[t][a] * giv[b][r] + giv[t][b] * giv[a][r])
-                    for t in range(n):
-                        w_rs = pair_index(n, r, s)
-                        w_ab = pair_index(n, a, b)
-                        tot += (1 + delta(r, s)) * (
-                            sign1(a) * daux[w_rs](a, t, i, j) * giv[t][b]
-                            + sign1(b) * daux[w_rs](b, t, i, j) * giv[t][a])
-                        tot += (1 + delta(a, b)) * (
-                            sign1(r) * daux[w_ab](r, t, i, j) * giv[t][s]
-                            + sign1(s) * daux[w_ab](s, t, i, j) * giv[t][r])
-                    w = 0.5 / ((1 + delta(a, b)) * (1 + delta(r, s)))
-                    mat[rs_i * n + i][ab_i * n + j] = w * tot
+    sym = contracted(value_of)
+    # the same with d beta / d g_w, one per stored slot w
+    dsym = [contracted(lambda v: v.deriv(w) if isinstance(v, Jet) else 0)
+            for w in range(len(pairs))]
+    mat = []
+    for r, s in pairs:
+        for i in idx:
+            mat.append([one / (2 * (1 + delta(a, b)) * (1 + delta(r, s))) * (
+                -sym(a, b, r, s) * g[i][j] + sym(j, b, r, s) * g[i][a]
+                + sym(a, j, r, s) * g[i][b] + sym(i, s, a, b) * g[r][j]
+                + sym(i, r, a, b) * g[s][j] - sym(b, j, i, s) * g[r][a]
+                - sym(b, j, i, r) * g[s][a] - sym(a, j, i, s) * g[r][b]
+                - sym(a, j, i, r) * g[s][b] - sym(a, r, i, j) * g[b][s]
+                - sym(a, s, i, j) * g[b][r] - sym(b, r, i, j) * g[a][s]
+                - sym(b, s, i, j) * g[a][r]
+                + (1 + delta(r, s)) * dsym[pair_index(n, r, s)](a, b, i, j)
+                + (1 + delta(a, b)) * dsym[pair_index(n, a, b)](r, s, i, j))
+                for a, b in pairs for j in idx])
     return mat
 
 

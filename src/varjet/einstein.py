@@ -14,10 +14,10 @@ import functools
 import itertools
 from fractions import Fraction
 
-import numpy as np
-
+from . import linalg
 from .fwd import Jet, jet_sum, ring_unit, value_of
-from .jets import JetFunction, JetPoint, delta, pair_index, sym_pairs
+from .jets import (JetFunction, JetPoint, PolySection, delta, jet_of_section,
+                   pair_index, sym_pairs)
 from .metric import MetricJet, christoffel, curvature, metric_from_jet_point
 from .poly import Poly
 from .varcore import TableAffineSupplier
@@ -195,29 +195,25 @@ class EHLagrangian:
     # -- regularity ----------------------------------------------------------
 
     def regularity_determinant(self, mj: MetricJet):
-        """Numeric det of the (L_EH)^{ij}_{rs} matrix and its closed form.
+        """Exact det of the (L_EH)^{ij}_{rs} matrix (`linalg.det`: the metric
+        must be exact, with rational rho) and its closed form, (det, pred):
 
-        Returns (det, predicted) with
+            pred = -(n-1) * sign(det g)^{n+1} * rho^{(n+1)(n-4)/2},
 
-            predicted = -(n-1) * sign(det g)^{n+1} * rho^{(n+1)(n-4)/2}.
-
-        The exponent and sign factor are forced by the table itself: each
-        entry scales like lambda^{n/2-2} under g -> lambda g, so the
-        determinant scales as rho^{(n+1)(n-4)/2}, and the entries are
-        polynomial in the *signed* inverse metric while rho carries |det g|.
+        sign(det g) = (-1)^{n_minus} from the jet's signature.  The exponent
+        and sign factor are forced by the table itself: each entry scales
+        like lambda^{n/2-2} under g -> lambda g, so the determinant scales
+        as rho^{(n+1)(n-4)/2}, and the entries are polynomial in the
+        *signed* inverse metric while rho carries |det g|.
         (The literature prints the exponent with n+4 and no sign factor,
         which already fails under uniform scaling of the metric; see the
-        regularity tests for the numeric refutation.)
+        regularity tests for the refutation.)
         """
-        lij = self.lij_rs(mj)
-        mat = np.array([[float(value_of(v)) for v in row] for row in lij])
-        det = float(np.linalg.det(mat))
-        gm = [[float(value_of(v)) for v in row] for row in mj.matrix()]
-        sgn = 1.0 if np.linalg.det(np.array(gm)) > 0 else -1.0
-        rho_f = float(value_of(mj.rho))
+        n = self.n
+        det = linalg.det([[value_of(v) for v in row] for row in self.lij_rs(mj)])
         # (n+1)(n-4) = n(n-3) - 4 is even: an integer power of rho
-        mag = (self.n - 1) * rho_f ** ((self.n + 1) * (self.n - 4) // 2)
-        pred = -sgn ** (self.n + 1) * mag
+        pred = -(n - 1) * (-1) ** (mj.signature[1] * (n + 1)) \
+            * value_of(mj.rho) ** ((n + 1) * (n - 4) // 2)
         return det, pred
 
     # -- the Lagrangian as a generic jet function ---------------------------
@@ -244,63 +240,67 @@ class EHLagrangian:
         return self.lij_rs(MetricJet(self.n, self.signature, seeds))
 
     def _phi_arrays(self, mj: MetricJet):
-        """d1[r, c, w] and d2[r, c, w, v], the first and second partials of
+        """d1[r][c][w] and d2[r][c][w][v], the first and second partials of
         the (L_EH)^{ij}_{rs} table entries (row r, column c) over the metric
-        slots w, v at the jet's metric value, and Lambda, the inverse of the
-        table's value."""
+        slots w, v at the jet's metric value, and ld[w] = Lambda d1[:][w][:],
+        Lambda the inverse of the table's value, read off one `linalg.rref`
+        of [table | d1[:][0][:] | ... | d1[:][N-1][:]].  The data must be
+        exact; a singular table raises ValueError."""
         table = self.lij_rs_with_partials(mj.g)
         slots = range(self.npairs)
-        d1 = np.array([[[float(t.deriv(w)) for w in slots] for t in row]
-                       for row in table])
-        d2 = np.array([[[[float(t.deriv(w, v)) for v in slots] for w in slots]
-                        for t in row] for row in table])
-        lam = np.linalg.inv(np.array([[float(t.value) for t in row] for row in table]))
-        return d1, d2, lam
+        d1 = [[[t.deriv(w) for w in slots] for t in row] for row in table]
+        d2 = [[[[t.deriv(w, v) for v in slots] for w in slots] for t in row]
+              for row in table]
+        red, pivots = linalg.rref([[t.value for t in row]
+                                   + [d1[r][w][c] for w in slots for c in slots]
+                                   for r, row in enumerate(table)])
+        if pivots[:self.npairs] != list(slots):
+            raise ValueError("the (L_EH)^{ij}_{rs} table is singular")
+        ld = [[row[self.npairs * (w + 1):self.npairs * (w + 2)] for row in red]
+              for w in slots]
+        return d1, d2, ld
 
     @staticmethod
     def _phi(arrays, st: int, uv: int):
         """(Phi_{st,uv})^{jk}_{cd} for the stored pairs st, uv:
 
-            d2[jk, st, cd, uv] - d2[jk, uv, cd, st]
-            + sum_{ab,pq} X_st[jk, ab] Lambda[ab, pq] d1[pq, uv, cd]
-            + sum_{ab,pq} X_uv[jk, ab] Lambda[ab, pq] d1[pq, st, cd],
+            d2[jk][st][cd][uv] - d2[jk][uv][cd][st]
+            + sum_{ab} X_st[jk][ab] (Lambda d1[:][uv][:])[ab][cd]
+            + sum_{ab} X_uv[jk][ab] (Lambda d1[:][st][:])[ab][cd],
 
-        X_st[jk, ab] = d1[jk, ab, st] - d1[jk, st, ab] and X_uv[jk, ab] =
-        d1[jk, uv, ab] - d1[jk, ab, uv]: two matrix products each."""
-        d1, d2, lam = arrays
-        x_st = d1[:, :, st] - d1[:, st, :]
-        x_uv = d1[:, uv, :] - d1[:, :, uv]
-        return (d2[:, st, :, uv] - d2[:, uv, :, st]
-                + x_st @ lam @ d1[:, uv, :] + x_uv @ lam @ d1[:, st, :])
+        X_st[jk][ab] = d1[jk][ab][st] - d1[jk][st][ab] and X_uv[jk][ab] =
+        d1[jk][uv][ab] - d1[jk][ab][uv]: two matrix products, as lists."""
+        d1, d2, ld = arrays
+        slots = range(len(d1))
+        out = []
+        for jk in slots:
+            x_st = [d1[jk][ab][st] - d1[jk][st][ab] for ab in slots]
+            x_uv = [d1[jk][uv][ab] - d1[jk][ab][uv] for ab in slots]
+            out.append([d2[jk][st][cd][uv] - d2[jk][uv][cd][st]
+                        + sum(x_st[ab] * ld[uv][ab][cd] + x_uv[ab] * ld[st][ab][cd]
+                              for ab in slots) for cd in slots])
+        return out
 
     def phi_matrix(self, mj: MetricJet, st: tuple[int, int], uv: tuple[int, int]):
         """The matrix (Phi_{st,uv})^{jk}_{cd} from the vertical-symmetry
-        integrability conditions; rows (jk), columns (cd)."""
+        integrability conditions, exact, as lists; rows (jk), columns (cd)."""
         return self._phi(self._phi_arrays(mj), self.pair_pos[tuple(sorted(st))],
                          self.pair_pos[tuple(sorted(uv))])
 
     def phi_nondegeneracy(self, mj: MetricJet, st, uv):
-        """Report on the matrix Phi_{st,uv}: max entry, determinant, rank."""
+        """Phi_{st,uv}, its exact rank (det Phi = 0 exactly when the rank is
+        below n(n+1)/2) and whether any entry is nonzero."""
         mat = self.phi_matrix(mj, st, uv)
-        scale = max(1.0, float(np.max(np.abs(
-            [[float(value_of(v)) for v in row] for row in self.lij_rs(mj)]))))
-        return {
-            "matrix": mat,
-            "max_abs": float(np.max(np.abs(mat))),
-            "det": float(np.linalg.det(mat)),
-            "rank": int(np.linalg.matrix_rank(mat, tol=1e-8)),
-            "scale": scale,
-            "nonzero": bool(np.max(np.abs(mat)) > 1e-10),
-        }
+        return {"matrix": mat, "rank": linalg.rank(mat), "nonzero": any(map(any, mat))}
 
     def vertical_symmetry_stacked_rank(self, mj: MetricJet) -> int:
-        """Rank of the integrability system stacked over every pair of
-        fibre-coordinate pairs; full rank n(n+1)/2 forces the vertical
+        """Exact rank of the integrability system stacked over every pair
+        of fibre-coordinate pairs; full rank n(n+1)/2 forces the vertical
         symmetry components V^{cd} to vanish."""
         arrays = self._phi_arrays(mj)
-        rows = [self._phi(arrays, a, b) for a in range(self.npairs)
-                for b in range(a + 1, self.npairs)]
-        return int(np.linalg.matrix_rank(np.vstack(rows), tol=1e-8))
+        return linalg.rank([row for a in range(self.npairs)
+                            for b in range(a + 1, self.npairs)
+                            for row in self._phi(arrays, a, b)])
 
 
 @functools.cache
@@ -384,10 +384,8 @@ def covariant_noether_current(n: int, u_polys: list[Poly], mj: MetricJet, x):
     """
     cd = curvature(mj)
     gam, ginv, dgam = cd.gamma, mj.ginv, cd.dgamma
-    u = [p.eval(x) for p in u_polys]
-    du = [[u_polys[c].diff(h).eval(x) for h in range(n)] for c in range(n)]
-    d2u = [[[u_polys[c].diff(h).diff(a).eval(x) for a in range(n)]
-            for h in range(n)] for c in range(n)]
+    ju = jet_of_section(PolySection(n, u_polys), x, 2)    # du[c][h] = d_h u^c
+    u, du = ju.y, ju.dy
     # nabla_h u^c
     nab = [[du[c][h] + sum(gam[c][h][e] * u[e] for e in range(n))
             for h in range(n)] for c in range(n)]
@@ -397,7 +395,7 @@ def covariant_noether_current(n: int, u_polys: list[Poly], mj: MetricJet, x):
     for a in range(n):
         for h in range(n):
             for c in range(n):
-                s = d2u[c][h][a]
+                s = ju.y2(c, h, a)
                 for e in range(n):
                     s = s + dgam[c][h][e][a] * u[e] + gam[c][h][e] * du[e][a]
                     s = s - gam[e][a][h] * nab[c][e] + gam[c][a][e] * nab[e][h]

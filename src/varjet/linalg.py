@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Row reduction, rank and nullspace with int and Fraction entries; the Jacobi
-dimension counts and the Fourier mode classification must be exact rank
-statements, not numerical-rank guesses.
+Row reduction, rank, nullspace and determinant with int and Fraction
+entries; the Jacobi dimension counts, the Fourier mode classification and
+the EH regularity and symmetry checks must be exact rank statements, not
+numerical-rank guesses.
 
 Rows are reduced fraction-free: each row is scaled to integers by the lcm
 of its denominators, a row is eliminated against the pivot row as
@@ -11,7 +12,8 @@ row is divided by its pivot once at the end (E. H. Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math.
 Comp. 22, 1968, for integer-preserving elimination).  The RREF is unique,
 so this equals field elimination, entry for entry, and its entries are
-Fractions.  Any other entry type raises `TypeError`.
+Fractions.  `det` runs Bareiss's elimination, every division exact, on
+the rows scaled to integers.  Any other entry type raises `TypeError`.
 """
 
 from __future__ import annotations
@@ -20,15 +22,19 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
+def _check_entries(rows: list[list], routine: str) -> None:
+    for r in rows:
+        for v in r:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"{routine} takes int and Fraction entries, not "
+                                f"{type(v).__name__} {v!r}")
+
+
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form (a new matrix of Fractions) and pivot
     columns.  Entries must be ints or Fractions; any other raises
     `TypeError`."""
-    for r in rows:
-        for v in r:
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError(f"rref takes int and Fraction entries, not "
-                                f"{type(v).__name__} {v!r}")
+    _check_entries(rows, "rref")
     m, pivots = _integer_rref([_integer_row(r) for r in rows])
     ncols = len(m[0]) if m else 0
     red = [[Fraction(v, row[c]) for v in row] for row, c in zip(m, pivots)]
@@ -75,6 +81,28 @@ def _integer_rref(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         if r == nrows:
             break
     return m, pivots
+
+
+def det(rows: list[list]) -> Fraction:
+    """Determinant of a square matrix of ints and Fractions (any other
+    entry raises `TypeError`): Bareiss's elimination on the rows scaled to
+    integers by the lcm of all denominators, whose k-th pivot is a k x k
+    minor, so every division by the previous pivot is exact."""
+    _check_entries(rows, "det")
+    den = lcm(*(v.denominator for r in rows for v in r))
+    m = [[v.numerator * (den // v.denominator) for v in r] for r in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        swap = next((i for i in range(k, n) if m[i][k]), None)
+        if swap is None:
+            return Fraction(0)
+        if swap != k:
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for ri in m[k + 1:]:
+            ri[k + 1:] = [(m[k][k] * a - ri[k] * b) // prev
+                          for a, b in zip(ri[k + 1:], m[k][k + 1:])]
+        prev = m[k][k]
+    return Fraction(sign * m[-1][-1] if n else 1, den ** n)
 
 
 def rank(rows) -> int:

@@ -31,7 +31,8 @@ class SingularMetricError(ValueError):
 
 
 def mat_det(a):
-    """Determinant by fraction-free expansion for n <= 4, cofactor otherwise."""
+    """Determinant by cofactor expansion along the first row (n = 1 and 2
+    written out), in the ring of the entries: no division."""
     n = len(a)
     if n == 1:
         return a[0][0]

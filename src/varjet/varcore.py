@@ -415,9 +415,13 @@ def momenta_hamiltonian(supplier, q: JetPoint):
 
 
 def _velocity_hessian(data: PipelineData) -> np.ndarray:
-    """dp_a^i/dy'^b_j as a float matrix, rows (a, i) and columns (b, j)."""
+    """dp_a^i/dy'^b_j = dA_a^i/dy'^b_j - dL_b^{ij}/dy^a, the regularity
+    form, as a float matrix, rows (a, i) and columns (b, j).  The y'
+    partial of dL^i/dy^a is dL_b^{ij}/dy^a, so no fibre primitive is
+    formed."""
     n, m, jv = data.n, data.m, data.jv
-    return np.array([[float(data.p[(al, i)].deriv(jv.y1(be, j)))
+    return np.array([[float(data.a[(al, i)].deriv(jv.y1(be, j))
+                            - data.lij_get(be, i, j).deriv(jv.y(al)))
                       for be in range(m) for j in range(n)]
                      for al in range(m) for i in range(n)])
 
@@ -439,15 +443,7 @@ def bilinear_form_b(supplier, q: JetPoint):
     """The regularity bilinear form b[(i,a),(j,b)] = dA_a^i/dy^b_j
     - dL_b^{ij}/dy^a, its symmetry defect and condition number."""
     data = pipeline(supplier, q, cap=1)
-    n, m = data.n, data.m
-    b = np.zeros((m * n, m * n))
-    for al in range(m):
-        for i in range(n):
-            for be in range(m):
-                for j in range(n):
-                    v = data.a[(al, i)].deriv(data.jv.id_of[("y1", be, j)]) \
-                        - data.lij_get(be, i, j).deriv(data.jv.id_of[("y", al)])
-                    b[al * n + i][be * n + j] = float(v)
+    b = _velocity_hessian(data)
     defect = float(np.max(np.abs(b - b.T)))
     try:
         cond = float(np.linalg.cond(b))

@@ -161,18 +161,15 @@ def test_el_beta_eh_matches_eh_euler_lagrange():
 
 def test_bilinear_form_beta_eh_is_y_table():
     rng = np.random.default_rng(37)
-    n, sig = 3, (3, 0)
-    b = beta_eh(n, sig)
-    eh = EHLagrangian(n, sig)
-    mj = random_metric_jet(rng, n, sig, order=1)
-    f = bilinear_form_beta(b, mj)
-    y = eh.y_table(mj)
-    npairs = len(sym_pairs(n))
-    for al in range(npairs):
-        for i in range(n):
-            for be in range(npairs):
-                for j in range(n):
-                    assert abs(f[al * n + i][be * n + j] - y[al][i][be][j]) <= 1e-8
+    for n, sig in [(3, (3, 0)), (3, (2, 1))]:
+        b = beta_eh(n, sig)
+        eh = EHLagrangian(n, sig)
+        mj = _rational_metric_jet(rng, n, sig)
+        f = bilinear_form_beta(b, mj)
+        y = eh.y_table(mj)
+        npairs = len(sym_pairs(n))
+        assert f == [[y[al][i][be][j] for be in range(npairs) for j in range(n)]
+                     for al in range(npairs) for i in range(n)]
 
 
 def test_bilinear_form_beta_zero_and_symmetry():
@@ -180,10 +177,10 @@ def test_bilinear_form_beta_zero_and_symmetry():
     n, sig = 3, (3, 0)
     zero = BetaForm(n, lambda g: lambda k, l, j, i: 0.0)
     mj = random_metric_jet(rng, n, sig, order=1)
-    assert np.max(np.abs(bilinear_form_beta(zero, mj))) == 0.0
+    assert np.max(np.abs(np.array(bilinear_form_beta(zero, mj)))) == 0.0
     for linear in (False, True):
         b = random_constrained_beta(rng, n, linear_in_g=linear)
-        f = bilinear_form_beta(b, mj)
+        f = np.array(bilinear_form_beta(b, mj))
         assert np.max(np.abs(f - f.T)) <= 1e-9
 
 
@@ -193,7 +190,7 @@ def test_bilinear_form_beta_matches_generic_pipeline():
     b = random_constrained_beta(rng, n, linear_in_g=True)
     sup = bf_supplier(b, n, sig)
     mj = random_metric_jet(rng, n, sig, order=1)
-    f_closed = bilinear_form_beta(b, mj)
+    f_closed = np.array(bilinear_form_beta(b, mj))
     f_gen, defect, cond, _ = bilinear_form_b(sup, mj.to_jet_point())
     assert np.max(np.abs(f_closed - f_gen)) <= 1e-7 * max(1.0, np.max(np.abs(f_gen)))
 

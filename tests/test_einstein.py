@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import varjet.metric
+from varjet import linalg
 from varjet.einstein import EHLagrangian, affine_supplier, natural_lift
 from varjet.jets import pair_index, sym_pairs
 from varjet.metric import (MetricJet, christoffel, constant_metric_jet, curvature,
@@ -14,17 +15,22 @@ from varjet.metric import (MetricJet, christoffel, constant_metric_jet, curvatur
 from varjet.fwd import Jet, value_of
 
 
+def _diag_metric_jet(diag):
+    """The constant diagonal metric with Fraction entries, so that g^-1 and
+    rho are exact (int entries give float quotients in `mat_inverse`)."""
+    return constant_metric_jet([Fraction(v) for v in diag], order=0)
+
+
 def test_lij_rs_identity_n2_matrix_and_det():
     eh = EHLagrangian(2, (2, 0))
-    mj = constant_metric_jet([1, 1], order=0)
+    mj = _diag_metric_jet([1, 1])
     tab = eh.lij_rs(mj)
     expect = [[0, 0, -1], [0, 1, 0], [-1, 0, 0]]   # basis (11),(12),(22)
     for a in range(3):
         for b in range(3):
             assert tab[a][b] == expect[a][b]
     det, pred = eh.regularity_determinant(mj)
-    assert abs(det - (-1.0)) < 1e-12
-    assert abs(pred - (-1.0)) < 1e-12
+    assert det == pred == -1
 
 
 def test_lij_rs_minkowski_entries():
@@ -48,27 +54,43 @@ def test_determinant_identity_examples():
     # Lorentzian n=4: det g < 0, so the sign factor flips the sign of the
     # rho-independent value -3; the magnitude 3 is as printed.
     eh4 = EHLagrangian(4, (1, 3))
-    det, pred = eh4.regularity_determinant(constant_metric_jet([-1, 1, 1, 1], order=0))
-    assert abs(abs(det) - 3.0) < 1e-9
-    assert abs(det - pred) < 1e-12
+    det, pred = eh4.regularity_determinant(_diag_metric_jet([-1, 1, 1, 1]))
+    assert abs(det) == 3
+    assert det == pred
     # Euclidean n=4
     det, pred = EHLagrangian(4, (4, 0)).regularity_determinant(
-        constant_metric_jet([1, 1, 1, 1], order=0))
-    assert abs(det + 3.0) < 1e-9 and abs(pred + 3.0) < 1e-12
-    # n=3, diag(2,1,1): rho^2 = 2, exponent (n+1)(n-4)/2 = -2: det = -2/2 = -1
+        _diag_metric_jet([1, 1, 1, 1]))
+    assert det == pred == -3
+    # n=3, diag(4,1,1): rho^2 = 4, exponent (n+1)(n-4)/2 = -2: det = -2/4
     eh3 = EHLagrangian(3, (3, 0))
-    det, pred = eh3.regularity_determinant(constant_metric_jet([2, 1, 1], order=0))
-    assert abs(det + 1.0) < 1e-9
-    assert abs(pred + 1.0) < 1e-12
+    det, pred = eh3.regularity_determinant(_diag_metric_jet([4, 1, 1]))
+    assert det == pred == Fraction(-1, 2)
+
+
+def test_regularity_and_phi_refuse_float_data_and_a_singular_table():
+    """Float metric data raise TypeError, naming a float entry; at n = 1 the
+    table is the 1 x 1 zero matrix, det 0 = pred, and Phi cannot invert it."""
+    eh3 = EHLagrangian(3, (3, 0))
+    mj = constant_metric_jet([1.0, 1.0, 1.0], order=0)
+    with pytest.raises(TypeError, match="float"):
+        eh3.regularity_determinant(mj)
+    with pytest.raises(TypeError, match="float"):
+        eh3.phi_matrix(mj, (0, 0), (1, 2))
+    with pytest.raises(TypeError, match="float"):
+        eh3.vertical_symmetry_stacked_rank(mj)
+    eh1 = EHLagrangian(1, (1, 0))
+    assert eh1.regularity_determinant(_diag_metric_jet([4])) == (0, 0)
+    with pytest.raises(ValueError, match="singular"):
+        eh1.phi_matrix(_diag_metric_jet([4]), (0, 0), (0, 0))
 
 
 def test_determinant_printed_exponent_is_refuted():
     """Negative control: the literature exponent (n+1)(n+4)/2 disagrees with
-    the numeric determinant at any metric with rho != 1."""
+    the exact determinant at any metric with rho != 1."""
     eh3 = EHLagrangian(3, (3, 0))
-    mj = constant_metric_jet([2, 1, 1], order=0)
+    mj = _diag_metric_jet([4, 1, 1])
     det, _ = eh3.regularity_determinant(mj)
-    rho = 2 ** 0.5
+    rho = 2
     printed = -2 * rho ** 14
     assert abs(det - printed) > 100.0
 
@@ -78,9 +100,9 @@ def test_determinant_identity_random_sweep():
     for n, sig in [(2, (2, 0)), (3, (2, 1)), (4, (1, 3))]:
         eh = EHLagrangian(n, sig)
         for _ in range(100):
-            mj = random_metric_jet(rng, n, sig, order=0)
+            mj = _rational_metric_jet(rng, n, sig)
             det, pred = eh.regularity_determinant(mj)
-            assert abs(det - pred) <= 1e-9 * max(1.0, abs(pred))
+            assert det == pred
 
 
 def test_reconstruction_equals_curvature_contraction():
@@ -108,7 +130,7 @@ def _rational_metric_jet(rng, n, sig):
     while True:
         a = [[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
               for _ in range(n)] for _ in range(n)]
-        if np.linalg.det(np.array(a, dtype=float)) != 0:
+        if linalg.det(a):
             break
     g = tuple(sum(a[i][c] * eps[c] * a[j][c] for c in range(n))
               for i, j in sym_pairs(n))
@@ -324,56 +346,54 @@ def test_y_table_is_symmetric_bilinear_block():
 def test_phi_nondegeneracy_claims():
     rng = np.random.default_rng(43)
     eh3 = EHLagrangian(3, (3, 0))
-    rep = eh3.phi_nondegeneracy(constant_metric_jet([1, 1, 1], order=0), (0, 0), (1, 2))
+    rep = eh3.phi_nondegeneracy(_diag_metric_jet([1, 1, 1]), (0, 0), (1, 2))
     assert rep["nonzero"]
-    # n=4: every single-pair Phi matrix has rank exactly 2, so its
+    # n=4: every single-pair Phi matrix has rank exactly 2 < 10, so its
     # determinant vanishes identically (the printed det claim fails); the
     # uniqueness conclusion V = 0 still holds because the system stacked
     # over all pairs has full rank.
     eh4 = EHLagrangian(4, (1, 3))
     for _ in range(3):
-        mj = random_metric_jet(rng, 4, (1, 3), order=0)
+        mj = _rational_metric_jet(rng, 4, (1, 3))
         rep4 = eh4.phi_nondegeneracy(mj, (0, 1), (2, 3))
         assert rep4["nonzero"]
-        assert rep4["rank"] == 2
-        assert abs(rep4["det"]) < 1e-8 * rep4["scale"] ** 10
+        assert rep4["rank"] == 2 < eh4.npairs
         assert eh4.vertical_symmetry_stacked_rank(mj) == 10
-    mj3 = random_metric_jet(rng, 3, (3, 0), order=0)
+    mj3 = _rational_metric_jet(rng, 3, (3, 0))
     assert eh3.vertical_symmetry_stacked_rank(mj3) == 6
     # equal pairs: the construction is antisymmetric, so the matrix vanishes
-    rep0 = eh4.phi_nondegeneracy(random_metric_jet(rng, 4, (1, 3), order=0),
-                                 (0, 1), (0, 1))
-    assert rep0["max_abs"] < 1e-12
+    rep0 = eh4.phi_nondegeneracy(_rational_metric_jet(rng, 4, (1, 3)), (0, 1), (0, 1))
+    assert rep0["matrix"] == [[0] * eh4.npairs] * eh4.npairs
+    assert not rep0["nonzero"] and rep0["rank"] == 0
 
 
 def test_phi_matrix_equals_the_index_sum():
     """Phi from matrix products equals the displayed index sum over (ab, pq),
-    at a random n = 3 metric, on each ordered pair of stored pairs."""
+    exactly, at a seeded rational n = 3 metric, on each ordered pair of
+    stored pairs, with Lambda the inverse from `rref` of [table | 1]."""
     rng = np.random.default_rng(7)
     eh3 = EHLagrangian(3, (2, 1))
-    mj = random_metric_jet(rng, 3, (2, 1), order=0)
+    mj = _rational_metric_jet(rng, 3, (2, 1))
     table = eh3.lij_rs_with_partials(mj.g)
-    lam = np.linalg.inv(np.array([[float(t.value) for t in row] for row in table]))
-
-    def d1(row, col, w):
-        return float(table[row][col].deriv(w))
-
     N = eh3.npairs
+    red, pivots = linalg.rref([[t.value for t in row] + [int(r == c) for c in range(N)]
+                               for r, row in enumerate(table)])
+    assert pivots == list(range(N))
+    lam = [row[N:] for row in red]
+    d1 = [[[t.deriv(w) for w in range(N)] for t in row] for row in table]
     for st in range(N):
         for uv in range(N):
-            ref = np.zeros((N, N))
+            ref = [[None] * N for _ in range(N)]
             for jk in range(N):
                 for cd in range(N):
-                    val = (float(table[jk][st].deriv(cd, uv))
-                           - float(table[jk][uv].deriv(cd, st)))
+                    val = table[jk][st].deriv(cd, uv) - table[jk][uv].deriv(cd, st)
                     for ab in range(N):
                         for pq in range(N):
                             val += lam[ab][pq] * (
-                                (d1(jk, ab, st) - d1(jk, st, ab)) * d1(pq, uv, cd)
-                                + (d1(jk, uv, ab) - d1(jk, ab, uv)) * d1(pq, st, cd))
+                                (d1[jk][ab][st] - d1[jk][st][ab]) * d1[pq][uv][cd]
+                                + (d1[jk][uv][ab] - d1[jk][ab][uv]) * d1[pq][st][cd])
                     ref[jk][cd] = val
-            got = eh3.phi_matrix(mj, eh3.pairs[st], eh3.pairs[uv])
-            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+            assert eh3.phi_matrix(mj, eh3.pairs[st], eh3.pairs[uv]) == ref
 
 
 def test_natural_lift_constant_field_is_horizontal():

@@ -2,8 +2,10 @@
 
 Every import sits at module level, and no module imports an underscore-
 prefixed (private) name from a sibling module: a helper that two modules
-need is public in one of them.  Only `metric` inverts a matrix or takes a
-determinant: everything else reads g^-1 and rho from its MetricJet.  Only
+need is public in one of them.  Only `metric` inverts a metric row or
+takes its determinant: everything else reads g^-1 and rho from its
+MetricJet, and rational matrices go through `linalg`.  Only `metric` and
+`varcore` import numpy, for their float checks.  Only
 `fwd.Jet` defines `deriv`: a function's partials are read from its Jet, and
 a total derivative of a partial is `jets.contract(G, stencil, *ids)`.
 `varcore.pipeline` has one signature, and no class binds an order offset
@@ -45,6 +47,17 @@ def matrix_calls(source: str, name: str) -> list[str]:
             callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
             if callee in ("mat_inverse", "mat_det"):
                 faults.append(f"{name}:{node.lineno} calls {callee}")
+    return faults
+
+
+def numpy_imports(source: str, name: str) -> list[str]:
+    """Imports of numpy or of a numpy submodule, in either form."""
+    faults = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        mods = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        faults += [f"{name}:{node.lineno} imports {m}" for m in mods
+                   if m.split(".")[0] == "numpy"]
     return faults
 
 
@@ -96,6 +109,21 @@ def test_matrix_call_guard_flags_both_forms():
            "inv = metric.mat_inverse(m)\n")
     assert matrix_calls(src, "m.py") == ["m.py:2 calls mat_det",
                                          "m.py:3 calls mat_inverse"]
+
+
+def test_only_metric_and_varcore_import_numpy():
+    faults = [f for p in SOURCES if p.name not in ("metric.py", "varcore.py")
+              for f in numpy_imports(p.read_text(), p.name)]
+    assert faults == []
+
+
+def test_numpy_guard_flags_both_forms():
+    src = ("import numpy as np\n"
+           "from numpy.linalg import det\n"
+           "import numbers\n"
+           "from . import linalg\n")
+    assert numpy_imports(src, "m.py") == ["m.py:1 imports numpy",
+                                          "m.py:2 imports numpy.linalg"]
 
 
 def test_only_jet_defines_deriv():

@@ -1,5 +1,5 @@
-"""Exact row reduction: the integer path of `rref` against plain field
-elimination, and the entries it refuses."""
+"""Exact row reduction and determinant: the integer paths of `rref` and
+`det` against plain field elimination, and the entries they refuse."""
 
 import random
 import re
@@ -9,7 +9,7 @@ from math import gcd, lcm
 import pytest
 
 from varjet import linalg
-from varjet.linalg import in_row_space, nullspace, rank, rref, solve_exact
+from varjet.linalg import det, in_row_space, nullspace, rank, rref, solve_exact
 
 
 def field_rref(rows):
@@ -50,6 +50,23 @@ def field_nullspace(rows):
             vec[pc] = -red[r][fc]
         basis.append(vec)
     return basis
+
+
+def field_det(rows):
+    """Gaussian elimination over the field, the sign flipped per swap."""
+    m = [[F(v) for v in r] for r in rows]
+    d = F(1)
+    for k in range(len(m)):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            return F(0)
+        if p != k:
+            m[k], m[p], d = m[p], m[k], -d
+        d *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return d
 
 
 def typed(rows):
@@ -102,6 +119,17 @@ def test_rref_rank_nullspace_match_field_elimination():
         assert typed(nullspace(m)) == typed(field_nullspace(m)), m
 
 
+def test_det_matches_field_elimination():
+    """On the square seeded matrices (singular ones among them), on row
+    swaps and on the empty matrix."""
+    square = [m for m in seeded_matrices() if len(m) == len(m[0])]
+    assert sum(field_det(m) == 0 for m in square) > 0
+    for m in square + [[[0, 2], [3, 0]], [[0, 0, 1], [0, 1, 0], [F(1, 2), 0, 0]]]:
+        got = det(m)
+        assert type(got) is F and got == field_det(m), m
+    assert det([]) == 1
+
+
 def test_rref_leaves_its_input_alone():
     m = [[2, 4], [F(1, 3), 5]]
     rref(m)
@@ -148,6 +176,8 @@ def test_non_rational_entries_raise(entry):
     """Floats and complex numbers are refused, with the entry named."""
     with pytest.raises(TypeError, match=re.escape(repr(entry))):
         rref([[F(1), entry]])
+    with pytest.raises(TypeError, match=re.escape(repr(entry))):
+        det([[F(1), entry], [0, 1]])
 
 
 def test_every_exact_routine_takes_the_integer_path(monkeypatch):
