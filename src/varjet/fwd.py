@@ -22,7 +22,10 @@ such bound.
 
 The class works over any scalar ring with ``+ - * /`` (the tests run
 Fractions, floats and complex numbers), which is what lets the exact paths
-share code with the float paths.  `Jet.variable` refuses a Jet value.  No
+share code with the float paths.  Every reciprocal 1/a is taken in the ring
+of a, as `ring_unit(a) / a` (an int is the Fraction it is): a scalar
+divisor's, and those of the one binomial series behind 1/(a0 + h) and
+sqrt(a0 + h).  `Jet.variable` refuses a Jet value.  No
 operation changes a coefficient's type, and none multiplies by 1: a term of
 the shorter factor equal to the exact unit `Fraction(1)` (a seed's) passes
 its Fraction partners through unmultiplied, `partial` multiplies by exponent
@@ -227,30 +230,33 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def _inverse(self):
+    def _binomial(self, alpha: Fraction, s0) -> "Jet":
+        """(a0 + h)^alpha = s0 sum_k C(alpha, k) (h/a0)^k for the nilpotent
+        part h, given s0 = a0^alpha, with 1/a0 and the weights
+        C(alpha, k)/C(alpha, k-1) taken in the ring of a0."""
         a0 = self.value
-        if a0 == 0:
-            raise ZeroDivisionError("jet with zero value part")
-        inv0 = Fraction(1, a0) if isinstance(a0, int) else 1 / a0
-        # 1/(a0 + h) as a geometric series in the nilpotent part h
-        h = Jet(self.order, {k: c for k, c in self.coef.items() if k})
-        u = h * inv0
-        acc = Jet.constant(inv0, self.order)
-        term = Jet.constant(inv0, self.order)
-        for _ in range(self.order):
-            term = -(term * u)
+        one = ring_unit(a0)
+        u = Jet(self.order, {k: c for k, c in self.coef.items() if k}) * (one / a0)
+        acc = term = Jet.constant(s0, self.order)
+        for k in range(1, self.order + 1):
+            w = (alpha - (k - 1)) / k
+            term = term * u * (one * w.numerator / w.denominator)
             if not term.coef:
                 break
             acc = acc + term
         return acc
 
+    def _inverse(self):
+        a0 = self.value
+        if a0 == 0:
+            raise ZeroDivisionError("jet with zero value part")
+        return self._binomial(Fraction(-1), ring_unit(a0) / a0)
+
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._inverse()
         if isinstance(other, (int, float, complex, Fraction)):
-            if isinstance(other, int):
-                other = Fraction(other)
-            return self * (1 / other)
+            return self * (ring_unit(other) / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -271,21 +277,7 @@ class Jet:
         return out
 
     def sqrt(self):
-        a0 = self.value
-        s0 = ring_sqrt(a0)
-        h = Jet(self.order, {k: c for k, c in self.coef.items() if k})
-        u = h * (Fraction(1, a0) if isinstance(a0, int) else 1 / a0)
-        one = ring_unit(a0)     # binomial coefficients in the ring of a0
-        # sqrt(a0) * (1 + u)^{1/2}, binomial series
-        acc = Jet.constant(s0, self.order)
-        term = Jet.constant(s0, self.order)
-        for k in range(1, self.order + 1):
-            c = Fraction(1, 2) - (k - 1)            # C(1/2,k) = C(1/2,k-1)*c/k
-            term = term * u * (one * c.numerator / (c.denominator * k))
-            if not term.coef:
-                break
-            acc = acc + term
-        return acc
+        return self._binomial(Fraction(1, 2), ring_sqrt(self.value))
 
     def __abs__(self):
         return self if self.value >= 0 else -self
@@ -296,10 +288,12 @@ class Jet:
 
 
 def ring_sqrt(x):
-    """Square root dispatch across the coefficient rings in use."""
+    """Square root in the ring of x: a Jet's binomial series, the exact root
+    of an int or a Fraction (`ValueError` when it has none), `math.sqrt`
+    otherwise."""
     if isinstance(x, Jet):
         return x.sqrt()
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
         rn = math.isqrt(x.numerator)
         rd = math.isqrt(x.denominator)
         if rn * rn == x.numerator and rd * rd == x.denominator:
@@ -310,9 +304,10 @@ def ring_sqrt(x):
 
 def ring_unit(v):
     """1 in the ring of the scalars of v, a scalar or a Jet: `Fraction(1)`
-    for int and Fraction scalars, 1.0 otherwise.  A weight `ring_unit(v) / 2`
-    keeps float data off `Fraction`'s reverse operators and exact data exact.
-    A zero Jet gives `Fraction(1)`, correct in every ring."""
+    for int and Fraction scalars, 1.0 otherwise.  The ring rule: 1/a is
+    `ring_unit(a) / a`, and a weight `ring_unit(v) / 2` keeps float data off
+    `Fraction`'s reverse operators and exact data (ints too) exact.  A zero
+    Jet gives `Fraction(1)`, correct in every ring."""
     if isinstance(v, Jet):
         v = next(iter(v.coef.values()), 0)
     return Fraction(1) if isinstance(v, (int, Fraction)) else 1.0

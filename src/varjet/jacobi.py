@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement
 from math import lcm
 
@@ -84,21 +84,21 @@ class JacobiCoefficients:
         return out
 
 
-_GENERIC_MEMO: dict = {}
-_EH_MEMO: dict = {}
+def _entry_types(p2: JetPoint) -> tuple:
+    """Every entry's type, for the memo keys below: Fraction(1, 2) == 0.5
+    and both hash alike, but a float call must never get exact blocks."""
+    return tuple(map(type, chain(p2.x, p2.y, chain.from_iterable(p2.dy),
+                                 chain.from_iterable(p2.d2y))))
 
 
-def _memoized(memo: dict, owner, p2: JetPoint, build) -> JacobiCoefficients:
-    """One-entry memo.  Fraction(1, 2) == 0.5 and both hash alike, so the
-    key holds the entry types: a float call must never get exact
-    coefficients, or the reverse."""
-    types = tuple(map(type, chain(p2.x, p2.y, chain.from_iterable(p2.dy),
-                                  chain.from_iterable(p2.d2y))))
-    key = (owner, p2, types)
-    if key not in memo:
-        memo.clear()
-        memo[key] = build(p2)
-    return memo[key]
+@lru_cache(maxsize=1)
+def _generic_memo(supplier, p2: JetPoint, types: tuple) -> JacobiCoefficients:
+    return _generic_coefficients(supplier, p2)
+
+
+@lru_cache(maxsize=1)
+def _eh_memo(signature: tuple, p2: JetPoint, types: tuple) -> JacobiCoefficients:
+    return _eh_coefficients(p2, signature)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +147,8 @@ def jacobi_residual(supplier, s: PolySection, v_polys: list, x):
     hc_gap): hc_gap is the max first-family Hamilton-Cartan residual of s at
     x, which is 0 when s is extremal there.
     """
-    coef = _memoized(_GENERIC_MEMO, supplier, jet_of_section(s, x, 2),
-                     lambda p2: _generic_coefficients(supplier, p2))
+    p2 = jet_of_section(s, x, 2)
+    coef = _generic_memo(supplier, p2, _entry_types(p2))
     return coef.residual(v_polys, x), coef.hc_gap
 
 
@@ -246,8 +246,8 @@ def eh_jacobi_residual(s: PolySection, v_polys: list, x, signature):
     """The displayed second-order linear operator on vertical metric fields,
     evaluated along a metric section at x (ring-generic: exact over
     Fractions).  v_polys are the stored components V^{ab}, a <= b."""
-    coef = _memoized(_EH_MEMO, tuple(signature), jet_of_section(s, x, 2),
-                     lambda p2: _eh_coefficients(p2, signature))
+    p2 = jet_of_section(s, x, 2)
+    coef = _eh_memo(tuple(signature), p2, _entry_types(p2))
     return coef.residual(v_polys, x)
 
 

@@ -61,13 +61,11 @@ def sign1(i: int) -> int:
 
 
 def triple_index(n: int, i: int, j: int, k: int) -> int:
+    """Position of the sorted triple (i,j,k) in sym_triples(n)."""
     i, j, k = sorted((i, j, k))
-    idx = 0
-    for a, b, c in combinations_with_replacement(range(n), 3):
-        if (a, b, c) == (i, j, k):
-            return idx
-        idx += 1
-    raise IndexError((i, j, k))
+    # T(n) - T(n - i) triples start below i, T(r) = r(r+1)(r+2)/6
+    r = n - i
+    return (n * (n + 1) * (n + 2) - r * (r + 1) * (r + 2)) // 6 + pair_index(r, j - i, k - i)
 
 
 # ---------------------------------------------------------------------------

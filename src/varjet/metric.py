@@ -56,7 +56,8 @@ def _check_nonsingular(det: float, rows) -> None:
 
 
 def mat_inverse(a):
-    """Inverse by adjugate (dimensions here are <= 4).
+    """Inverse by adjugate (dimensions here are <= 4): each cofactor times
+    one reciprocal of det, in the ring of its value (Fractions for ints).
 
     Raises SingularMetricError at a zero value part of det and, for a float
     det, when `_check_nonsingular` refuses it.
@@ -68,13 +69,14 @@ def mat_inverse(a):
         raise SingularMetricError("zero determinant")
     if isinstance(d0, float):
         _check_nonsingular(d0, [map(value_of, row) for row in a])
+    rdet = ring_unit(d0) / det
     inv = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             minor = [[a[r][c] for c in range(n) if c != j]
                      for r in range(n) if r != i]
             cof = mat_det(minor) if minor else 1
-            inv[j][i] = cof / det if (i + j) % 2 == 0 else -cof / det
+            inv[j][i] = cof * rdet if (i + j) % 2 == 0 else -cof * rdet
     return inv
 
 

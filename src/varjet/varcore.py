@@ -15,7 +15,8 @@ regularity form, Noether currents) is assembled from truncated Taylor
 expansions of L_0 and the L^{ij} block at a point, so the same code runs on
 floats and exact rationals, and with either a black-box Lagrangian, whose
 supplier seeds y'' and reads off its coefficients, or closed-form
-coefficient tables.
+coefficient tables.  Float-only are `hc_residual`'s second family (Newton
+inversion), `bilinear_form_b` and `projectability_check`.
 """
 
 from __future__ import annotations
@@ -897,12 +898,13 @@ def noether_current(supplier, X: VectorField, s: PolySection, x) -> list:
               + u^i L,
 
     in the ring of x.  The form is closed along extremals when X is an
-    infinitesimal symmetry.
+    infinitesimal symmetry.  J reads only the values of L_0, the block and
+    A, which need first partials at most, so a cap-0 pipeline supplies it.
     """
     n, m = s.n, s.m
     ev = point_ring(x)
     p2 = jet_of_section(s, x, 2)
-    data = pipeline(supplier, p2.truncated(1), cap=1)
+    data = pipeline(supplier, p2.truncated(1), cap=0)
     pro = prolong(X, p2, order=1)
     u = pro.u
     lval = ev(sum(((2 - delta(i, j)) * data.lij_get(al, i, j).value * p2.y2(al, i, j)

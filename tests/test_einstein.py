@@ -15,15 +15,9 @@ from varjet.metric import (MetricJet, christoffel, constant_metric_jet, curvatur
 from varjet.fwd import Jet, value_of
 
 
-def _diag_metric_jet(diag):
-    """The constant diagonal metric with Fraction entries, so that g^-1 and
-    rho are exact (int entries give float quotients in `mat_inverse`)."""
-    return constant_metric_jet([Fraction(v) for v in diag], order=0)
-
-
 def test_lij_rs_identity_n2_matrix_and_det():
     eh = EHLagrangian(2, (2, 0))
-    mj = _diag_metric_jet([1, 1])
+    mj = constant_metric_jet([1, 1], order=0)
     tab = eh.lij_rs(mj)
     expect = [[0, 0, -1], [0, 1, 0], [-1, 0, 0]]   # basis (11),(12),(22)
     for a in range(3):
@@ -54,16 +48,16 @@ def test_determinant_identity_examples():
     # Lorentzian n=4: det g < 0, so the sign factor flips the sign of the
     # rho-independent value -3; the magnitude 3 is as printed.
     eh4 = EHLagrangian(4, (1, 3))
-    det, pred = eh4.regularity_determinant(_diag_metric_jet([-1, 1, 1, 1]))
+    det, pred = eh4.regularity_determinant(constant_metric_jet([-1, 1, 1, 1], order=0))
     assert abs(det) == 3
     assert det == pred
     # Euclidean n=4
     det, pred = EHLagrangian(4, (4, 0)).regularity_determinant(
-        _diag_metric_jet([1, 1, 1, 1]))
+        constant_metric_jet([1, 1, 1, 1], order=0))
     assert det == pred == -3
     # n=3, diag(4,1,1): rho^2 = 4, exponent (n+1)(n-4)/2 = -2: det = -2/4
     eh3 = EHLagrangian(3, (3, 0))
-    det, pred = eh3.regularity_determinant(_diag_metric_jet([4, 1, 1]))
+    det, pred = eh3.regularity_determinant(constant_metric_jet([4, 1, 1], order=0))
     assert det == pred == Fraction(-1, 2)
 
 
@@ -79,16 +73,23 @@ def test_regularity_and_phi_refuse_float_data_and_a_singular_table():
     with pytest.raises(TypeError, match="float"):
         eh3.vertical_symmetry_stacked_rank(mj)
     eh1 = EHLagrangian(1, (1, 0))
-    assert eh1.regularity_determinant(_diag_metric_jet([4])) == (0, 0)
+    assert eh1.regularity_determinant(constant_metric_jet([4], order=0)) == (0, 0)
     with pytest.raises(ValueError, match="singular"):
-        eh1.phi_matrix(_diag_metric_jet([4]), (0, 0), (0, 0))
+        eh1.phi_matrix(constant_metric_jet([4], order=0), (0, 0), (0, 0))
+
+
+def test_regularity_determinant_of_an_int_metric_is_exact():
+    det, pred = EHLagrangian(3, (3, 0)).regularity_determinant(
+        constant_metric_jet([1, 1, 1], order=0))
+    assert type(det) is Fraction and type(pred) is Fraction
+    assert det == pred == -2
 
 
 def test_determinant_printed_exponent_is_refuted():
     """Negative control: the literature exponent (n+1)(n+4)/2 disagrees with
     the exact determinant at any metric with rho != 1."""
     eh3 = EHLagrangian(3, (3, 0))
-    mj = _diag_metric_jet([4, 1, 1])
+    mj = constant_metric_jet([4, 1, 1], order=0)
     det, _ = eh3.regularity_determinant(mj)
     rho = 2
     printed = -2 * rho ** 14
@@ -346,7 +347,7 @@ def test_y_table_is_symmetric_bilinear_block():
 def test_phi_nondegeneracy_claims():
     rng = np.random.default_rng(43)
     eh3 = EHLagrangian(3, (3, 0))
-    rep = eh3.phi_nondegeneracy(_diag_metric_jet([1, 1, 1]), (0, 0), (1, 2))
+    rep = eh3.phi_nondegeneracy(constant_metric_jet([1, 1, 1], order=0), (0, 0), (1, 2))
     assert rep["nonzero"]
     # n=4: every single-pair Phi matrix has rank exactly 2 < 10, so its
     # determinant vanishes identically (the printed det claim fails); the

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from varjet.fwd import Jet, jet_sum, key_from_vars, key_multiplicity, ring_sqrt, ring_unit
+from varjet.fwd import (Jet, jet_sum, key_from_vars, key_multiplicity, ring_sqrt,
+                        ring_unit, var_key)
 
 
 def test_product_rule_second_order():
@@ -114,6 +115,34 @@ def test_power_and_abs():
 
 def test_ring_sqrt_rational():
     assert ring_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+
+
+def test_ring_sqrt_takes_an_int_as_the_fraction_it_is():
+    root = ring_sqrt(4)
+    assert root == 2 and type(root) is Fraction
+    with pytest.raises(ValueError):
+        ring_sqrt(2)
+    # so a Jet with an int value part has an exact root and reciprocal
+    x = Jet.variable(0, 4, 3, 1)
+    assert _scalar_types(x.sqrt()) == {Fraction} == _scalar_types(1 / x)
+    square = x.sqrt() * x.sqrt()
+    assert {k: c for k, c in square.coef.items() if c} == {0: 4, var_key(0): 1}
+    assert _scalar_types(x / 3) == {Fraction}
+
+
+def test_float_reciprocal_is_the_geometric_series():
+    """The binomial series at exponent -1 is the geometric series
+    sum_k (-u)^k / a0, u = h / a0, bit for bit: its weight -1 is an exact
+    sign flip."""
+    x, y = Jet.variable(0, 1.7, 3), Jet.variable(1, -0.3, 3)
+    f = x * x + y * x + 0.9
+    inv0 = 1 / f.value
+    u = Jet(f.order, {k: c for k, c in f.coef.items() if k}) * inv0
+    acc = term = Jet.constant(inv0, f.order)
+    for _ in range(f.order):
+        term = -(term * u)
+        acc = acc + term
+    assert (1 / f).coef == acc.coef
 
 
 def test_order_above_packed_key_limit_is_refused():

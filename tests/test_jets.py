@@ -1,6 +1,7 @@
 """Jet calculus: sections, total derivatives, partial tables."""
 
 from fractions import Fraction
+from itertools import product
 import random
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 from varjet.fwd import Jet
 from varjet.jets import (JetFunction, JetOrderError, JetPoint, PolySection,
                          contract, jet_of_section, jet_partials, pair_index,
-                         seed_point, sym_pairs, total_derivative,
+                         seed_point, sym_pairs, sym_triples, total_derivative,
                          total_derivative2, total_derivative2_stencil,
-                         total_derivative_stencil)
+                         total_derivative_stencil, triple_index)
 from varjet.metric import random_metric_jet
 from varjet.poly import Poly, parse_poly
 
@@ -89,6 +90,13 @@ def test_symmetric_storage_read_any_order():
     p = jet_of_section(s, (0.5, 2.0), 3)
     assert p.y2(0, 0, 1) == p.y2(0, 1, 0)
     assert p.y3(0, 0, 0, 1) == p.y3(0, 1, 0, 0) == p.y3(0, 0, 1, 0)
+
+
+def test_triple_index_is_the_position_in_sym_triples_in_every_order():
+    for n in range(1, 5):
+        pos = {t: idx for idx, t in enumerate(sym_triples(n))}
+        for t in product(range(n), repeat=3):
+            assert triple_index(n, *t) == pos[tuple(sorted(t))]
 
 
 def test_total_derivative_coordinate_functions():

@@ -68,6 +68,32 @@ def test_metric_jet_forms_its_inverse_and_volume_factor_once(monkeypatch):
     assert len(calls) == 1      # the reference above calls the unpatched one
 
 
+def test_int_metric_is_exact():
+    mj = constant_metric_jet([1, 1, 1])
+    assert all(type(v) is Fraction for row in mj.ginv for v in row)
+    assert type(mj.rho) is Fraction and mj.rho == 1
+    assert mj.ginv == [[int(a == b) for b in range(3)] for a in range(3)]
+
+
+def test_mat_inverse_takes_one_reciprocal_of_det(monkeypatch):
+    # a 4 x 4 symmetric Jet matrix over Fractions, one variable per slot
+    F = Fraction
+    base = [[F(2), F(1, 2), F(0), F(1, 3)], [F(1, 2), F(-1), F(1, 5), F(0)],
+            [F(0), F(1, 5), F(3), F(1, 7)], [F(1, 3), F(0), F(1, 7), F(1)]]
+    a = [[None] * 4 for _ in range(4)]
+    for v, (i, j) in enumerate(sym_pairs(4)):
+        a[i][j] = a[j][i] = Jet.variable(v % 7, base[i][j], 2, F(1))
+    calls = []
+    inverse = Jet._inverse
+    monkeypatch.setattr(Jet, "_inverse", lambda self: calls.append(self) or inverse(self))
+    inv = mat_inverse(a)
+    assert len(calls) == 1
+    for i in range(4):
+        for j in range(4):
+            prod = sum((a[i][k] * inv[k][j] for k in range(1, 4)), a[i][0] * inv[0][j])
+            assert {k: c for k, c in prod.coef.items() if c} == ({0: 1} if i == j else {})
+
+
 @pytest.mark.parametrize("g", [(1.0, 1.0, 1.0), (Fraction(1), 2, 4)])
 def test_metric_jet_refuses_a_singular_row_on_first_read(g):
     mj = MetricJet(2, (1, 1), g)

@@ -81,6 +81,23 @@ def test_helmholtz_eh_exact_over_fractions():
     assert type(res.max_all) is Fraction
 
 
+def test_helmholtz_eh_exact_over_fractions_n3():
+    # g = J^T J for a polynomial chart map with Jacobian J, so rho = |det J|
+    # is rational at a rational point and the cap-3 pipeline stays exact
+    n = 3
+    names = {"x1": 0, "x2": 1, "x3": 2}
+    phi = [parse_poly("x1 + x2^2/9 - x1*x3/5", names, n),
+           parse_poly("x2 + x1*x3/8 + x1^2/7", names, n),
+           parse_poly("x3 + x1*x2/6 - x3^2/11", names, n)]
+    s = PolySection(n, [sum((f.diff(a) * f.diff(b) for f in phi[1:]),
+                            phi[0].diff(a) * phi[0].diff(b))
+                        for a, b in sym_pairs(n)])
+    sup = affine_supplier(EHLagrangian(n, (3, 0)))
+    res = helmholtz_residuals(sup, s, [Fraction(1, 10), Fraction(-1, 5), Fraction(1, 7)])
+    assert res.max_all == 0, res
+    assert type(res.max_all) is Fraction
+
+
 def test_euler_lagrange_eh_exact_over_fractions():
     # both Euler-Lagrange forms stay in the ring of x: exactly 0 here
     s = _eh_flat_pullback_n2()
