@@ -37,7 +37,7 @@ from itertools import chain, combinations_with_replacement
 from math import lcm
 
 from .jets import (JetPoint, PolySection, contract, delta, jet_of_section,
-                   pair_index, point_ring, sym_pairs, total_derivative_stencil)
+                   pair_index, sym_pairs, total_derivative_stencil)
 from .linalg import nullspace
 from .metric import curvature, metric_from_jet_point
 from .poly import Poly
@@ -58,13 +58,11 @@ class JacobiCoefficients:
 
     def residual(self, v_polys: list, x) -> list:
         """The operator applied to the field with components `v_polys`
-        (polynomials in the base variables) at x."""
+        (polynomials in the base variables) at x, read from its 2-jet there
+        (`jets.jet_of_section`, in the ring of x)."""
         n = self.n
-        ev = point_ring(x)
-        v0 = [ev(p.eval(x)) for p in v_polys]
-        d1 = [[p.diff(i) for i in range(n)] for p in v_polys]
-        v1 = [[ev(d.eval(x)) for d in row] for row in d1]
-        v2 = [[ev(row[i].diff(j).eval(x)) for i, j in sym_pairs(n)] for row in d1]
+        jet = jet_of_section(PolySection(n, v_polys), x, 2)
+        v0, v1, v2 = jet.y, jet.dy, jet.d2y
         out = []
         for c2, c1, c0 in zip(self.c2, self.c1, self.c0):
             acc = 0

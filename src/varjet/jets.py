@@ -3,7 +3,9 @@
 Jets of sections of a fibred manifold R^n x R^m -> R^n are stored up to
 order 3 in the coordinates (x^i, y^a, y^a_i, y^a_(ij), y^a_(ijk)).
 Symmetric slots are stored once per sorted index tuple; every accessor
-accepts indices in any order.
+accepts indices in any order.  `jet_of_section` is the one place that
+forms the jet of a polynomial field, and `JetVars` numbers the coordinates
+as AD ids by their storage position.
 
 The total derivative (Olver, Applications of Lie Groups to Differential
 Equations, GTM 107)
@@ -24,7 +26,7 @@ exactly, over any ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 
 from .fwd import Jet, key_from_vars, key_multiplicity, ring_unit
 
@@ -143,23 +145,23 @@ def _identity(v):
 
 def jet_of_section(s: PolySection, x, order: int) -> JetPoint:
     """Jet coordinates y^a_I = (d^|I| s^a / dx^I)(x) for |I| <= order, in
-    the ring of x (see `point_ring`)."""
+    the ring of x (see `point_ring`).  The point may hold Jets: the entries
+    are then Jets (or exact constants) in the variables of those Jets."""
     if order > 3:
         raise JetOrderError("jets only stored up to order 3")
-    n = s.n
-    x = tuple(x)
+    n, x = s.n, tuple(x)
     ev = point_ring(x)
-    y = tuple(ev(p.eval(x)) for p in s.polys)
-    dy = d2y = d3y = ()
-    if order >= 1:
-        dy = tuple(tuple(ev(p.diff(i).eval(x)) for i in range(n)) for p in s.polys)
-    if order >= 2:
-        d2y = tuple(tuple(ev(p.diff(i).diff(j).eval(x)) for i, j in sym_pairs(n))
-                    for p in s.polys)
-    if order >= 3:
-        d3y = tuple(tuple(ev(p.diff(i).diff(j).diff(k).eval(x))
-                          for i, j, k in sym_triples(n)) for p in s.polys)
-    return JetPoint(n, s.m, order, x, y, dy, d2y, d3y)
+    # each partial is one diff of the partial below it
+    d1 = [[p.diff(i) for i in range(n)] for p in s.polys] if order >= 1 else []
+    d2 = [[row[i].diff(j) for i, j in sym_pairs(n)] for row in d1] if order >= 2 else []
+    d3 = [[row[pair_index(n, i, j)].diff(k) for i, j, k in sym_triples(n)]
+          for row in d2] if order >= 3 else []
+
+    def at(polys):
+        return tuple(ev(q.eval(x)) for q in polys)
+
+    return JetPoint(n, s.m, order, x, at(s.polys),
+                    *(tuple(map(at, d)) for d in (d1, d2, d3)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,45 +188,47 @@ class JetFunction:
 
 
 class JetVars:
-    """Enumeration of the jet coordinates of J^order(R^n x R^m) as AD ids.
-
-    Labels are tuples: ('x', i), ('y', a), ('y1', a, i), ('y2', a, (i, j)),
-    ('y3', a, (i, j, k)) with sorted index tuples.  The ids of a lower order
-    are a prefix of those of a higher one.  A function written as a Jet over
-    these ids is a function on J^order: `order` is the domain that
-    `total_derivative` and `total_derivative2` read.
+    """The jet coordinates of J^order(R^n x R^m) as AD ids, numbered by
+    position in JetPoint storage order: x^i, y^a, then the blocks y^a_i,
+    y^a_(ij) and y^a_(ijk), each row a after row a - 1 and a row in
+    `sym_pairs` (`sym_triples`) order.  Every accessor accepts indices in
+    any order, and one above `order` raises JetOrderError.  The ids of a
+    lower order are a prefix of those of a higher one.  A function written
+    as a Jet over these ids is a function on J^order: `order` is the domain
+    that `total_derivative` and `total_derivative2` read.
     """
 
     def __init__(self, n: int, m: int, order: int):
         self.n, self.m, self.order = n, m, order
-        labels: list[tuple] = [("x", i) for i in range(n)]
-        labels += [("y", a) for a in range(m)]
-        if order >= 1:
-            labels += [("y1", a, i) for a in range(m) for i in range(n)]
-        if order >= 2:
-            labels += [("y2", a, p) for a in range(m) for p in sym_pairs(n)]
-        if order >= 3:
-            labels += [("y3", a, t) for a in range(m) for t in sym_triples(n)]
-        self.labels = labels
-        self.id_of = {lab: k for k, lab in enumerate(labels)}
+        self._n2, self._n3 = n * (n + 1) // 2, n * (n + 1) * (n + 2) // 6
+        self._off2 = n + m + m * n
+        self._off3 = self._off2 + m * self._n2
 
     def __len__(self):
-        return len(self.labels)
+        ends = (self.n + self.m, self._off2, self._off3, self._off3 + self.m * self._n3)
+        return ends[self.order]
+
+    def _need(self, order):
+        if self.order < order:
+            raise JetOrderError(f"no order-{order} coordinates on J^{self.order}")
 
     def x(self, i):
-        return self.id_of[("x", i)]
+        return i
 
     def y(self, a):
-        return self.id_of[("y", a)]
+        return self.n + a
 
     def y1(self, a, i):
-        return self.id_of[("y1", a, i)]
+        self._need(1)
+        return self.n + self.m + a * self.n + i
 
     def y2(self, a, i, j):
-        return self.id_of[("y2", a, (min(i, j), max(i, j)))]
+        self._need(2)
+        return self._off2 + a * self._n2 + pair_index(self.n, i, j)
 
     def y3(self, a, i, j, k):
-        return self.id_of[("y3", a, tuple(sorted((i, j, k))))]
+        self._need(3)
+        return self._off3 + a * self._n3 + triple_index(self.n, i, j, k)
 
 
 def seed_point(p: JetPoint, cap: int) -> tuple[JetPoint, JetVars]:
@@ -232,55 +236,20 @@ def seed_point(p: JetPoint, cap: int) -> tuple[JetPoint, JetVars]:
 
     Each coordinate becomes an independent AD variable truncated at total
     order `cap`, with the unit of the ring of y (x may hold int 0 at float
-    data), numbered by the returned JetVars of order `p.order`.
+    data).  One counter numbers the seeds in storage order, x, y and the
+    blocks up to `p.order`, so a coordinate's id is its position, the id
+    that the returned JetVars of order `p.order` gives it.
     """
-    jv = JetVars(p.n, p.m, p.order)
     one = ring_unit(p.y[0])
+    ids = count()
 
-    def seed(lab, val):
-        return Jet.variable(jv.id_of[lab], val, cap, one)
+    def seeded(vals):
+        return tuple(Jet.variable(next(ids), v, cap, one) for v in vals)
 
-    x = tuple(seed(("x", i), p.x[i]) for i in range(p.n))
-    y = tuple(seed(("y", a), p.y[a]) for a in range(p.m))
-    dy = d2y = d3y = ()
-    if p.order >= 1:
-        dy = tuple(tuple(seed(("y1", a, i), p.dy[a][i]) for i in range(p.n))
-                   for a in range(p.m))
-    if p.order >= 2:
-        d2y = tuple(tuple(seed(("y2", a, pr), p.d2y[a][k])
-                          for k, pr in enumerate(sym_pairs(p.n)))
-                    for a in range(p.m))
-    if p.order >= 3:
-        d3y = tuple(tuple(seed(("y3", a, tr), p.d3y[a][k])
-                          for k, tr in enumerate(sym_triples(p.n)))
-                    for a in range(p.m))
-    return JetPoint(p.n, p.m, p.order, x, y, dy, d2y, d3y), jv
-
-
-class PartialTable:
-    """First and second partials of a jet function at a point."""
-
-    def __init__(self, jet: Jet, jv: JetVars):
-        self.jet = jet
-        self.jv = jv
-
-    @property
-    def value(self):
-        return self.jet.value
-
-    def d(self, lab) -> object:
-        return self.jet.deriv(self.jv.id_of[lab])
-
-    def d2(self, lab1, lab2) -> object:
-        return self.jet.deriv(self.jv.id_of[lab1], self.jv.id_of[lab2])
-
-
-def jet_partials(F: JetFunction, p: JetPoint, cap: int = 2) -> PartialTable:
-    """Value with first and second partials of F w.r.t. every jet coordinate."""
-    if p.order != F.order:
-        raise JetOrderError("point order must match the declared order of F")
-    seeded, jv = seed_point(p, cap)
-    return PartialTable(F(seeded), jv)
+    x, y = seeded(p.x), seeded(p.y)
+    blocks = [tuple(seeded(row) for row in block)
+              for block in (p.dy, p.d2y, p.d3y)[:p.order]]
+    return JetPoint(p.n, p.m, p.order, x, y, *blocks), JetVars(p.n, p.m, p.order)
 
 
 # ---------------------------------------------------------------------------

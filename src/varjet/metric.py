@@ -132,6 +132,7 @@ class MetricJet:
 
     @cached_property
     def rho(self):
+        self.ginv       # a singular row raises here, as on reading ginv
         return ring_sqrt(abs(mat_det(self.matrix())))
 
     @cached_property
@@ -187,20 +188,6 @@ def metric_from_jet_point(p: JetPoint, signature) -> MetricJet:
                      tuple(tuple(r) for r in p.dy),
                      tuple(tuple(r) for r in p.d2y),
                      tuple(tuple(r) for r in p.d3y))
-
-
-def rho(mj: MetricJet):
-    """Volume factor sqrt|det g| with its derivatives w.r.t. the g_ab slots.
-
-    Returns (value, grad) where grad[pair_index] = d rho / d g_ab for the
-    stored slot (a <= b); the off-diagonal slots carry the factor 2 that
-    bumping both symmetric entries produces.
-    """
-    ginv, val = mj.ginv, mj.rho
-    half = ring_unit(val) / 2
-    # d det/d g_ab (full index) = det * g^{ab}; stored slot doubles off-diagonal
-    return val, [val * ginv[a][b] * half if a == b else val * ginv[a][b]
-                 for a, b in sym_pairs(mj.n)]
 
 
 @dataclass(frozen=True)

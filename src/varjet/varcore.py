@@ -30,7 +30,7 @@ import numpy as np
 
 from .fwd import Jet, jet_sum, ring_unit
 from .jets import (JetFunction, JetOrderError, JetPoint, JetVars, PolySection,
-                   contract, delta, jet_of_section, jet_partials, pair_index,
+                   contract, delta, jet_of_section, pair_index,
                    point_ring, seed_point, sym_pairs, total_derivative2_stencil,
                    total_derivative_stencil)
 from .poly import Poly
@@ -80,16 +80,17 @@ def projectability_check(lag: SecondOrderLagrangian, samples,
     given sample jets."""
     n, m = lag.n, lag.m
     worst_aff = worst_j2 = worst_tris = 0.0
+    pairs = sym_pairs(n)
     for p in samples:
-        d2 = jet_partials(lag.L, p.truncated(2)).d2
-        pairs = sym_pairs(n)
+        q, jv = seed_point(p.truncated(2), 2)
+        d2 = lag.L(q).deriv
         # affineness: all second partials in the y'' block vanish
         for a in range(m):
             for b in range(m):
                 for p1 in pairs:
                     for p2 in pairs:
-                        worst_aff = max(worst_aff, abs(float(d2(("y2", a, p1),
-                                                                ("y2", b, p2)))))
+                        worst_aff = max(worst_aff, abs(float(d2(jv.y2(a, *p1),
+                                                                jv.y2(b, *p2)))))
         # J^2 projectability system, for 1 <= a <= b <= c <= n
         for al in range(m):
             for be in range(m):
@@ -98,14 +99,14 @@ def projectability_check(lag: SecondOrderLagrangian, samples,
                         for ic in range(ib, n):
                             for i in range(n):
                                 r = (Fraction(1, 2 - delta(i, ib))
-                                     * d2(("y2", be, _sp(ia, ic)), ("y2", al, _sp(i, ib)))
+                                     * d2(jv.y2(be, ia, ic), jv.y2(al, i, ib))
                                      + Fraction(1, 2 - delta(i, ia))
-                                     * d2(("y2", be, _sp(ib, ic)), ("y2", al, _sp(i, ia)))
+                                     * d2(jv.y2(be, ib, ic), jv.y2(al, i, ia))
                                      + Fraction(1, 2 - delta(i, ic))
-                                     * d2(("y2", be, _sp(ia, ib)), ("y2", al, _sp(i, ic))))
+                                     * d2(jv.y2(be, ia, ib), jv.y2(al, i, ic)))
                                 worst_j2 = max(worst_j2, abs(float(r)))
         # first-order cross conditions dL_b^{ih}/dy^a_a' = dL_a^{ia'}/dy^b_h
-        for r in _first_cross_residuals(d2, n, m):
+        for r in _first_cross_residuals(d2, jv):
             worst_tris = max(worst_tris, abs(r))
     affine = worst_aff <= tol
     j2 = affine or worst_j2 <= tol
@@ -118,10 +119,11 @@ def _sp(i, j):
     return (i, j) if i <= j else (j, i)
 
 
-def _first_cross_residuals(d2, n: int, m: int):
+def _first_cross_residuals(d2, jv: JetVars):
     """Residuals of dL_b^{ih}/dy^a_{a'} - dL_a^{ia'}/dy^b_h, which are also
     the components of the fibre differential of the w' contraction; `d2`
-    reads a second partial of L by coordinate labels."""
+    reads a second partial of L by the ids of `jv`, a JetVars of order 2."""
+    n, m = jv.n, jv.m
     res = []
     for al in range(m):
         for be in range(m):
@@ -129,9 +131,9 @@ def _first_cross_residuals(d2, n: int, m: int):
                 for h in range(n):
                     for a in range(n):
                         lhs = Fraction(1, 2 - delta(i, h)) \
-                            * d2(("y2", be, _sp(i, h)), ("y1", al, a))
+                            * d2(jv.y2(be, i, h), jv.y1(al, a))
                         rhs = Fraction(1, 2 - delta(i, a)) \
-                            * d2(("y2", al, _sp(i, a)), ("y1", be, h))
+                            * d2(jv.y2(al, i, a), jv.y1(be, h))
                         res.append(float(lhs - rhs))
     return res
 
@@ -151,18 +153,19 @@ def legendre_coefficients(lag: SecondOrderLagrangian, p: JetPoint) -> LegendreCo
     if p.order < 3:
         raise JetOrderError("Legendre coefficients need an order-3 jet")
     n, m = lag.n, lag.m
-    t = jet_partials(lag.L, p.truncated(2))
-    st = [total_derivative_stencil(t.jv, p, j) for j in range(n)]
+    q, jv = seed_point(p.truncated(2), 2)
+    lq = lag.L(q)
+    st = [total_derivative_stencil(jv, p, j) for j in range(n)]
     lij = {}
     for a in range(m):
         for (i, j) in sym_pairs(n):
-            lij[(a, i, j)] = t.d(("y2", a, (i, j))) * Fraction(1, 2 - delta(i, j))
+            lij[(a, i, j)] = lq.deriv(jv.y2(a, i, j)) * Fraction(1, 2 - delta(i, j))
     li0 = {}
     for a in range(m):
         for i in range(n):
-            total = t.d(("y1", a, i))
+            total = lq.deriv(jv.y1(a, i))
             for j in range(n):
-                dj = contract(t.jet, st[j], t.jv.y2(a, i, j))
+                dj = contract(lq, st[j], jv.y2(a, i, j))
                 total = total - Fraction(1, 2 - delta(i, j)) * dj
             li0[(a, i)] = total
     return LegendreCoefficients(lij, li0)
@@ -206,17 +209,14 @@ class GenericAffineSupplier:
         dy = tuple(tuple(_raised(v, top) for v in row) for row in dy)
         one = ring_unit(y[0])
         half = one / 2
-        d2y = tuple(
-            tuple(Jet.variable(jv.id_of[("y2", a, pr)], 0, top, one)
-                  for pr in sym_pairs(n)) for a in range(m))
-        p2 = JetPoint(n, m, 2, x, y, dy, d2y)
-        out = self.lag.L(p2)
-        y2_ids = range(jv.id_of[("y2", 0, (0, 0))], len(jv))
+        d2y = tuple(tuple(Jet.variable(jv.y2(a, i, j), 0, top, one)
+                          for i, j in sym_pairs(n)) for a in range(m))
+        out = self.lag.L(JetPoint(n, m, 2, x, y, dy, d2y))
+        y2_ids = range(jv.y2(0, 0, 0), len(jv))
         lij = {}
         for a in range(m):
             for (i, j) in sym_pairs(n):
-                vid = jv.id_of[("y2", a, (i, j))]
-                cjet = out.partial(vid)
+                cjet = out.partial(jv.y2(a, i, j))
                 flat = cjet.without(y2_ids)
                 if len(flat.coef) != len(cjet.coef):
                     raise NotProjectableError(
@@ -435,7 +435,7 @@ def bar_lagrangian(supplier, q: JetPoint):
     worst = 0.0
     for al in range(m):
         for i in range(n):
-            d = data.lbar.deriv(data.jv.id_of[("y1", al, i)]) - data.p[(al, i)].value
+            d = data.lbar.deriv(data.jv.y1(al, i)) - data.p[(al, i)].value
             worst = max(worst, abs(float(d)))
     return data.lbar.value * ring_unit(q.y[0]), worst, data
 
@@ -545,11 +545,11 @@ def euler_lagrange(supplier, s: PolySection, x) -> list:
     st = [total_derivative_stencil(jv, p2, i) for i in range(n)]
     out = []
     for al in range(m):
-        acc = data.l0.deriv(jv.id_of[("y", al)])
+        acc = data.l0.deriv(jv.y(al))
         for be in range(m):
             for (i, j) in sym_pairs(n):
                 acc = acc + (2 - delta(i, j)) * p2.y2(be, i, j) \
-                    * data.lij_get(be, i, j).deriv(jv.id_of[("y", al)])
+                    * data.lij_get(be, i, j).deriv(jv.y(al))
         for i in range(n):
             acc = acc - contract(data.a[(al, i)], st[i])
         out.append(ev(acc))
@@ -567,9 +567,9 @@ def euler_lagrange_first_order(supplier, s: PolySection, x) -> list:
     st = [total_derivative_stencil(jv, p2, i) for i in range(n)]
     out = []
     for al in range(m):
-        acc = data.lbar.deriv(jv.id_of[("y", al)])
+        acc = data.lbar.deriv(jv.y(al))
         for i in range(n):
-            g = data.lbar.partial(jv.id_of[("y1", al, i)])
+            g = data.lbar.partial(jv.y1(al, i))
             acc = acc - contract(g, st[i])
         out.append(ev(acc))
     return out
@@ -755,24 +755,20 @@ def _prolongation(X: VectorField, x, y, dy, order: int, d2y=None) -> Prolongatio
                    - y^a_(hj) D_i u^h,
 
     which is D_J(v^a - u^h y^a_h) + u^h y^a_(J,h) after cancellation.
-    The second derivatives of X are taken only for order >= 2; with d2y
-    None, v2 is the y''-free part of v^a_(ij).
+    The jets of u over x and of v over (x, y), to `order`, are those of
+    `jets.jet_of_section` (x and y may hold Jets).  With d2y None, v2 is
+    the y''-free part of v^a_(ij).
     """
     n, m = X.n, X.m
-    pt = list(x) + list(y)
-    dxu = [[p.diff(i) for i in range(n)] for p in X.u]
-    dxv = [[p.diff(i) for i in range(n)] for p in X.v]
-    dyv = [[p.diff(n + b) for b in range(m)] for p in X.v]
-    u = [p.eval(x) for p in X.u]
-    du = [[q.eval(x) for q in row] for row in dxu]
-    v0 = [p.eval(pt) for p in X.v]
-    dvx = [[q.eval(pt) for q in row] for row in dxv]
-    dvy = [[q.eval(pt) for q in row] for row in dyv]
+    ju = jet_of_section(PolySection(n, X.u), x, order)
+    jw = jet_of_section(PolySection(n + m, X.v), tuple(x) + tuple(y), order)  # v over (x, y)
+    du = [list(row) for row in ju.dy]           # du[h][i] = du^h/dx^i
+    dvy = [list(row[n:]) for row in jw.dy]      # dvy[a][b] = dv^a/dy^b
     v1 = []
     for a in range(m):
         row = []
         for i in range(n):
-            acc = dvx[a][i]
+            acc = jw.y1(a, i)
             for b in range(m):
                 acc = acc + dy[b][i] * dvy[a][b]
             for h in range(n):
@@ -780,30 +776,26 @@ def _prolongation(X: VectorField, x, y, dy, order: int, d2y=None) -> Prolongatio
             row.append(acc)
         v1.append(row)
     if order < 2:
-        return Prolongation(v0, v1, None, u, du, dvy)
-    d2u = [[[q.diff(j).eval(x) for j in range(n)] for q in row] for row in dxu]
-    d2vxx = [[[q.diff(j).eval(pt) for j in range(n)] for q in row] for row in dxv]
-    d2vxy = [[[q.diff(n + b).eval(pt) for b in range(m)] for q in row] for row in dxv]
-    d2vyy = [[[q.diff(n + c).eval(pt) for c in range(m)] for q in row] for row in dyv]
+        return Prolongation(list(jw.y), v1, None, list(ju.y), du, dvy)
     v2 = []
     for a in range(m):
         row = []
         for (i, j) in sym_pairs(n):
-            acc = d2vxx[a][i][j]
+            acc = jw.y2(a, i, j)
             for b in range(m):
-                acc = acc + dy[b][j] * d2vxy[a][i][b] + dy[b][i] * d2vxy[a][j][b]
+                acc = acc + dy[b][j] * jw.y2(a, i, n + b) + dy[b][i] * jw.y2(a, j, n + b)
                 if d2y is not None:
                     acc = acc + d2y[b][pair_index(n, i, j)] * dvy[a][b]
                 for c in range(m):
-                    acc = acc + dy[b][i] * dy[c][j] * d2vyy[a][b][c]
+                    acc = acc + dy[b][i] * dy[c][j] * jw.y2(a, n + b, n + c)
             for h in range(n):
-                acc = acc - d2u[h][i][j] * dy[a][h]
+                acc = acc - ju.y2(h, i, j) * dy[a][h]
                 if d2y is not None:
                     acc = acc - du[h][i] * d2y[a][pair_index(n, h, j)] \
                               - du[h][j] * d2y[a][pair_index(n, h, i)]
             row.append(acc)
         v2.append(row)
-    return Prolongation(v0, v1, v2, u, du, dvy)
+    return Prolongation(list(jw.y), v1, v2, list(ju.y), du, dvy)
 
 
 def prolong(X: VectorField, p: JetPoint, order: int = 2) -> Prolongation:
@@ -922,17 +914,16 @@ def noether_current(supplier, X: VectorField, s: PolySection, x) -> list:
     return out
 
 
-def noether_divergence(supplier, X: VectorField, s: PolySection, x,
-                       h: float = 1e-3) -> float:
+def noether_divergence(supplier, X: VectorField, s: PolySection, x) -> float:
     """sum_i dJ^i/dx^i by Richardson central differences of
-    `noether_current` at step `h`: a float estimate in every ring of x, with
-    an error of order h^4 that it does not report.  At a Fraction point it
-    is not the exact -E_a Q^a of Noether's identity: on a curved section
-    with rational rho the two differ by about 1e-12.  An exact divergence,
-    built from the pipeline and the D_j stencils, would no longer call
-    `noether_current`, so it waits on a benchmark change that stops
-    requiring that call's span."""
-    n = s.n
+    `noether_current` at the step h = 1e-3: a float estimate in every
+    ring of x, with an error of order h^4 that it does not report.  At a
+    Fraction point it is not the exact -E_a Q^a of Noether's identity: on a
+    curved section with rational rho the two differ by about 1e-12.  An
+    exact divergence, built from the pipeline and the D_j stencils, would
+    no longer call `noether_current`, so it waits on a benchmark change
+    that stops requiring that call's span."""
+    n, h = s.n, 1e-3
     total = 0.0
     for i in range(n):
         def val(t):

@@ -1,4 +1,4 @@
-"""Jet calculus: sections, total derivatives, partial tables."""
+"""Jet calculus: sections, total derivatives, seeded partials and ids."""
 
 from fractions import Fraction
 from itertools import product
@@ -9,7 +9,7 @@ import pytest
 
 from varjet.fwd import Jet
 from varjet.jets import (JetFunction, JetOrderError, JetPoint, PolySection,
-                         contract, jet_of_section, jet_partials, pair_index,
+                         contract, jet_of_section, pair_index,
                          seed_point, sym_pairs, sym_triples, total_derivative,
                          total_derivative2, total_derivative2_stencil,
                          total_derivative_stencil, triple_index)
@@ -127,13 +127,14 @@ def test_jet_partials_quadratic_monomial():
     d2[pair_index(n, 0, 0)] = 3.0
     p = JetPoint(n, m, 2, (0.0, 0.0), (0.0,), ((0.0, 0.0),), (tuple(d2),))
     F = JetFunction(2, lambda q: q.y2(0, 0, 0) ** 2)
-    t = jet_partials(F, p)
+    seeded, jv = seed_point(p, 2)
+    t = F(seeded)
     assert t.value == 9.0
-    assert t.d(("y2", 0, (0, 0))) == 6.0
-    assert t.d2(("y2", 0, (0, 0)), ("y2", 0, (0, 0))) == 2.0
+    assert t.deriv(jv.y2(0, 0, 0)) == 6.0
+    assert t.deriv(jv.y2(0, 0, 0), jv.y2(0, 0, 0)) == 2.0
     # independence of untouched coordinates is exact
-    assert t.d(("y", 0)) == 0
-    assert t.d2(("y", 0), ("y1", 0, 1)) == 0
+    assert t.deriv(jv.y(0)) == 0
+    assert t.deriv(jv.y(0), jv.y1(0, 1)) == 0
 
 
 def test_chain_rule_consistency_random_sections():
@@ -344,10 +345,10 @@ def test_seed_point_partial_symmetry():
     p = jet_of_section(s, (0.7, -0.3), 2)
     seeded, jv = seed_point(p, cap=2)
     F = seeded.y1(0, 0) * seeded.y2(0, 0, 1) + seeded.x[1] * seeded.y[0]
-    for lab1 in jv.labels:
-        for lab2 in jv.labels:
-            a = F.deriv(jv.id_of[lab1], jv.id_of[lab2])
-            b = F.deriv(jv.id_of[lab2], jv.id_of[lab1])
+    for id1 in range(len(jv)):
+        for id2 in range(len(jv)):
+            a = F.deriv(id1, id2)
+            b = F.deriv(id2, id1)
             assert a == b
 
 
@@ -360,3 +361,33 @@ def test_seed_point_takes_its_unit_from_the_fibre_values():
     seeded, _ = seed_point(p, 2)
     seeds = [*seeded.x, *seeded.y, *(v for row in seeded.dy for v in row)]
     assert all(isinstance(c, float) for s in seeds for c in s.coef.values())
+
+
+def test_jet_var_ids_are_the_positions_of_seed_points_seeds():
+    """Every accessor id, in every index order, is the position of that
+    coordinate's seed in `seed_point`'s output (x, y, then the blocks in
+    storage order), the seed is the AD variable of that id, and len(jv) is
+    the seed count; an accessor above the order raises."""
+    one = Fraction(1)
+    for n, m, order in product(range(1, 5), range(1, 4), range(4)):
+        sizes = (n, len(sym_pairs(n)), len(sym_triples(n)))[:order]
+        p = JetPoint(n, m, order, (one,) * n, (one,) * m,
+                     *(((one,) * k,) * m for k in sizes))
+        seeded, jv = seed_point(p, 1)
+        stored = [*seeded.x, *seeded.y, *(v for block in (seeded.dy, seeded.d2y, seeded.d3y)
+                                         for row in block for v in row)]
+        position = {id(s): k for k, s in enumerate(stored)}
+        assert len(jv) == len(stored)
+        assert all(s.deriv(k) == 1 for k, s in enumerate(stored))
+        reads = [(jv.x(i), seeded.x[i]) for i in range(n)]
+        reads += [(jv.y(a), seeded.y[a]) for a in range(m)]
+        for a in range(m):
+            for r, name in enumerate(("y1", "y2", "y3"), 1):
+                for idx in product(range(n), repeat=r):
+                    if r <= order:
+                        reads.append((getattr(jv, name)(a, *idx),
+                                      getattr(seeded, name)(a, *idx)))
+                    else:
+                        with pytest.raises(JetOrderError):
+                            getattr(jv, name)(a, *idx)
+        assert [k for k, _ in reads] == [position[id(s)] for _, s in reads]

@@ -9,7 +9,8 @@ MetricJet, and rational matrices go through `linalg`.  Only `metric` and
 `fwd.Jet` defines `deriv`: a function's partials are read from its Jet, and
 a total derivative of a partial is `jets.contract(G, stencil, *ids)`.
 `varcore.pipeline` has one signature, and no class binds an order offset
-(a name ending in `_cap`).
+(a name ending in `_cap`).  Only `jets` and `poly` evaluate a derivative
+of a polynomial: the jet of a polynomial field is `jets.jet_of_section`.
 """
 
 import ast
@@ -66,6 +67,15 @@ def deriv_methods(source: str, name: str) -> list[str]:
     return [f"{name}:{node.name}" for node in ast.walk(ast.parse(source, filename=name))
             if isinstance(node, ast.ClassDef)
             and any(isinstance(f, ast.FunctionDef) and f.name == "deriv" for f in node.body)]
+
+
+def evals_of_diffs(source: str, name: str) -> list[str]:
+    """Calls of `.eval(...)` on the result of a `.diff(...)` call."""
+    return [f"{name}:{node.lineno} evaluates a derivative"
+            for node in ast.walk(ast.parse(source, filename=name))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "eval" and isinstance(node.func.value, ast.Call)
+            and getattr(node.func.value.func, "attr", None) == "diff"]
 
 
 def cap_bindings(source: str, name: str) -> list[str]:
@@ -138,6 +148,21 @@ def test_deriv_guard_flags_a_class_method_only():
            "def deriv(f):\n"
            "    return f\n")
     assert deriv_methods(src, "m.py") == ["m.py:_Partials"]
+
+
+def test_only_jets_and_poly_evaluate_polynomial_derivatives():
+    faults = [f for p in SOURCES if p.name not in ("jets.py", "poly.py")
+              for f in evals_of_diffs(p.read_text(), p.name)]
+    assert faults == []
+
+
+def test_derivative_evaluation_guard_flags_a_chained_call_only():
+    src = ("a = p.diff(0).eval(x)\n"
+           "b = p.diff(0).diff(1).eval(x)\n"
+           "d = p.diff(0)\n"
+           "c = d.eval(x) + p.eval(x) + diff(p).eval(x)\n")
+    assert evals_of_diffs(src, "m.py") == ["m.py:1 evaluates a derivative",
+                                           "m.py:2 evaluates a derivative"]
 
 
 def test_pipeline_has_one_signature_and_no_supplier_order_offset():

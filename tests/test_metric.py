@@ -8,10 +8,10 @@ import pytest
 
 import varjet.metric
 from varjet.fwd import Jet
-from varjet.jets import pair_index, sym_pairs
+from varjet.jets import delta, pair_index, sym_pairs
 from varjet.metric import (MetricJet, SingularMetricError, christoffel,
                            constant_metric_jet, covariant_derivative_residual,
-                           curvature, mat_det, mat_inverse, random_metric_jet, rho,
+                           curvature, mat_det, mat_inverse, random_metric_jet,
                            sigma_nabla)
 from varjet.poly import Poly, parse_poly
 from varjet.jets import PolySection, jet_of_section
@@ -19,30 +19,37 @@ from varjet.metric import metric_from_jet_point
 
 
 def test_rho_identity_and_minkowski():
-    assert rho(constant_metric_jet([1, 1, 1]))[0] == 1
-    assert rho(constant_metric_jet([-1, 1, 1, 1]))[0] == 1
+    assert constant_metric_jet([1, 1, 1]).rho == 1
+    assert constant_metric_jet([-1, 1, 1, 1]).rho == 1
 
 
 def test_rho_diag_2_3_and_derivative_vs_fd():
     mj = constant_metric_jet([2.0, 3.0], order=0)
-    val, grad = rho(mj)
-    assert abs(val - math.sqrt(6)) < 1e-14
-    # finite differences on each stored slot fix the storage factor
+    assert abs(mj.rho - math.sqrt(6)) < 1e-14
+    # on a slot-seeded jet, d rho / d g_ab = rho g^{ab} (2 - delta_ab) / 2:
+    # the off-diagonal slot carries the factor 2 that bumping both
+    # symmetric entries produces, as the finite differences confirm
     h = 1e-6
-    for k, (a, b) in enumerate(sym_pairs(2)):
-        g_plus = list(mj.g)
-        g_minus = list(mj.g)
-        g_plus[k] += h
-        g_minus[k] -= h
-        vp = rho(MetricJet(2, (2, 0), tuple(g_plus)))[0]
-        vm = rho(MetricJet(2, (2, 0), tuple(g_minus)))[0]
-        assert abs(grad[k] - (vp - vm) / (2 * h)) < 1e-7
+    for g in (mj.g, (2.0, 0.5, 3.0)):
+        base = MetricJet(2, (2, 0), g)
+        seeded = MetricJet(2, (2, 0), tuple(Jet.variable(k, v, 1, 1.0)
+                                            for k, v in enumerate(g)))
+        for k, (a, b) in enumerate(sym_pairs(2)):
+            grad = seeded.rho.deriv(k)
+            assert abs(grad - base.rho * base.ginv[a][b] * (2 - delta(a, b)) / 2) < 1e-14
+            g_plus = list(g)
+            g_minus = list(g)
+            g_plus[k] += h
+            g_minus[k] -= h
+            vp = MetricJet(2, (2, 0), tuple(g_plus)).rho
+            vm = MetricJet(2, (2, 0), tuple(g_minus)).rho
+            assert abs(grad - (vp - vm) / (2 * h)) < 1e-7
 
 
 def test_rho_rejects_singular():
     mj = MetricJet(2, (1, 1), (1.0, 1.0, 1.0))
     with pytest.raises(SingularMetricError):
-        rho(mj)
+        mj.rho
 
 
 def test_metric_jet_forms_its_inverse_and_volume_factor_once(monkeypatch):
@@ -96,11 +103,10 @@ def test_mat_inverse_takes_one_reciprocal_of_det(monkeypatch):
 
 @pytest.mark.parametrize("g", [(1.0, 1.0, 1.0), (Fraction(1), 2, 4)])
 def test_metric_jet_refuses_a_singular_row_on_first_read(g):
-    mj = MetricJet(2, (1, 1), g)
     with pytest.raises(SingularMetricError):
-        mj.ginv
+        MetricJet(2, (1, 1), g).ginv
     with pytest.raises(SingularMetricError):
-        rho(mj)
+        MetricJet(2, (1, 1), g).rho
 
 
 def test_mat_inverse_refuses_nearly_singular_float_matrices():

@@ -7,7 +7,7 @@ import numpy as np
 from varjet.einstein import (EHLagrangian, affine_supplier,
                              covariant_noether_current, natural_lift)
 from varjet.jets import (JetFunction, JetPoint, PolySection, jet_of_section,
-                         jet_partials, pair_index, sym_pairs)
+                         pair_index, seed_point, sym_pairs)
 from varjet.metric import metric_from_jet_point, random_metric_jet
 from varjet.poly import Poly, parse_poly
 from varjet.varcore import (GenericAffineSupplier, SecondOrderLagrangian,
@@ -243,17 +243,18 @@ def _transformed_by_definition(F, X, p):
     + div(u) L at p, from pr X and the partials of L."""
     n, m = X.n, X.m
     pro = prolong(X, p, 2)
-    part = jet_partials(F, p, cap=1)
+    seeded, jv = seed_point(p, 1)
+    part = F(seeded)
     div = sum(X.u[i].diff(i).eval(p.x) for i in range(n))
     acc = div * part.value
     for i in range(n):
-        acc = acc + X.u[i].eval(p.x) * part.d(("x", i))
+        acc = acc + X.u[i].eval(p.x) * part.deriv(jv.x(i))
     for a in range(m):
-        acc = acc + pro.v[a] * part.d(("y", a))
+        acc = acc + pro.v[a] * part.deriv(jv.y(a))
         for i in range(n):
-            acc = acc + pro.v1[a][i] * part.d(("y1", a, i))
+            acc = acc + pro.v1[a][i] * part.deriv(jv.y1(a, i))
         for k, pr in enumerate(sym_pairs(n)):
-            acc = acc + pro.v2[a][k] * part.d(("y2", a, pr))
+            acc = acc + pro.v2[a][k] * part.deriv(jv.y2(a, *pr))
     return acc
 
 

@@ -474,7 +474,7 @@ def test_bilinear_form_is_lbar_hessian():
             for be in range(m):
                 for j in range(n):
                     hess = float(value_of(data.lbar.deriv(
-                        data.jv.id_of[("y1", al, i)], data.jv.id_of[("y1", be, j)])))
+                        data.jv.y1(al, i), data.jv.y1(be, j))))
                     assert abs(b[al * n + i][be * n + j] - hess) <= 1e-6
 
 
