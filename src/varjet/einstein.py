@@ -122,29 +122,36 @@ class EHLagrangian:
         """Y_{kl}^{i;rs,j}: the linear map from first derivatives to momenta,
         at the jet's metric value.
 
-        Returned as Y[pair (kl)][i][pair (rs)][j].
+        Returned as Y[pair (kl)][i][pair (rs)][j].  Over G = g^-1 it is
+        rho w (c G_ij + u_j G_ri + v_j G_si - x_ij G_rs - z_ij G_kl), with
+        w = 1/((1 + delta_kl)(1 + delta_rs)) and
+
+            c = 2 G_rs G_kl - G_rk G_sl - G_rl G_sk,
+            u_j = G_sk G_lj + G_sl G_kj,    v_j = G_rk G_lj + G_rl G_kj,
+            x_ij = S^{kl}_ij,   z_ij = S^{rs}_ij,   S^{pq}_ij = G_pi G_qj + G_qi G_pj:
+
+        the displayed bracket with its products shared, S once per pair,
+        and c, u, v and rho w once per (kl, rs), so an entry takes six
+        products.
         """
-        n = self.n
-        ginv, rho = mj.ginv, mj.rho
+        n, g = self.n, mj.ginv
+        sym = [[[g[k][i] * g[l][j] + g[l][i] * g[k][j] for j in range(n)]
+                for i in range(n)] for k, l in self.pairs]
         out = [[[[None] * n for _ in range(self.npairs)] for _ in range(n)]
                for _ in range(self.npairs)]
         for a, (k, l) in enumerate(self.pairs):
+            x = sym[a]
             for b, (r, s) in enumerate(self.pairs):
-                w = Fraction(1, (1 + delta(k, l)) * (1 + delta(r, s)))
+                z = sym[b]
+                rw = mj.rho * Fraction(1, (1 + delta(k, l)) * (1 + delta(r, s)))
+                c = 2 * g[r][s] * g[k][l] - g[r][k] * g[s][l] - g[r][l] * g[s][k]
+                u = [g[s][k] * g[l][j] + g[s][l] * g[k][j] for j in range(n)]
+                v = [g[r][k] * g[l][j] + g[r][l] * g[k][j] for j in range(n)]
                 for i in range(n):
+                    row = out[a][i][b]
                     for j in range(n):
-                        br = (2 * ginv[r][s] * ginv[k][l] * ginv[i][j]
-                              - (ginv[r][k] * ginv[s][l]
-                                 + ginv[r][l] * ginv[s][k]) * ginv[i][j]
-                              + (ginv[s][k] * ginv[l][j]
-                                 + ginv[s][l] * ginv[k][j]) * ginv[r][i]
-                              + (ginv[r][k] * ginv[l][j]
-                                 + ginv[r][l] * ginv[k][j]) * ginv[s][i]
-                              - (ginv[k][i] * ginv[l][j]
-                                 + ginv[l][i] * ginv[k][j]) * ginv[r][s]
-                              - (ginv[r][i] * ginv[s][j]
-                                 + ginv[r][j] * ginv[s][i]) * ginv[k][l])
-                        out[a][i][b][j] = rho * w * br
+                        row[j] = rw * (c * g[i][j] + u[j] * g[r][i] + v[j] * g[s][i]
+                                       - x[i][j] * g[r][s] - z[i][j] * g[k][l])
         return out
 
     def momenta(self, mj: MetricJet):

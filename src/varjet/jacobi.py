@@ -36,6 +36,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement
 from math import lcm
 
+from .fwd import ring_unit
 from .jets import (JetPoint, PolySection, contract, delta, jet_of_section,
                    pair_index, sym_pairs, total_derivative_stencil)
 from .linalg import nullspace
@@ -47,14 +48,15 @@ from .varcore import hc_first_family, pipeline
 @dataclass
 class JacobiCoefficients:
     """The coefficient blocks of a Jacobi operator at one background point,
-    with the first-family Hamilton-Cartan gap of the background (None for
-    the Einstein-Hilbert operator, which does not compute it)."""
+    with the first-family Hamilton-Cartan gap of the background in the ring
+    of the data (None for the Einstein-Hilbert operator, which does not
+    compute it)."""
 
     n: int
     c2: list
     c1: list
     c0: list
-    hc_gap: float | None = None
+    hc_gap: float | Fraction | None = None
 
     def residual(self, v_polys: list, x) -> list:
         """The operator applied to the field with components `v_polys`
@@ -126,7 +128,7 @@ def _generic_coefficients(supplier, p2: JetPoint) -> JacobiCoefficients:
     c1 = [[[bracket(al, jv.y1(c, k), p[(c, k)].deriv(jv.y(al)) - p[(al, k)].deriv(jv.y(c))
                     + h.deriv(jv.y(al), jv.y1(c, k))) for k in range(n)]
            for c in range(m)] for al in range(m)]
-    gap = max((abs(float(g)) for g in hc_first_family(data, p2)), default=0.0)
+    gap = max([0 * ring_unit(h), *map(abs, hc_first_family(data, p2))])
     return JacobiCoefficients(n, c2, c1, c0, gap)
 
 
@@ -142,8 +144,8 @@ def jacobi_residual(supplier, s: PolySection, v_polys: list, x):
 
     `v_polys` are the components V^c of the vertical field (polynomials in
     the base variables, one per fibre coordinate).  Returns (residuals,
-    hc_gap): hc_gap is the max first-family Hamilton-Cartan residual of s at
-    x, which is 0 when s is extremal there.
+    hc_gap): hc_gap is the max |first-family Hamilton-Cartan residual| of s
+    at x, in the ring of the data, which is 0 when s is extremal there.
     """
     p2 = jet_of_section(s, x, 2)
     coef = _generic_memo(supplier, p2, _entry_types(p2))
@@ -175,6 +177,13 @@ def _eh_coefficients(p2: JetPoint, signature) -> JacobiCoefficients:
                     t2 = t2 + g[la][sg] * mj.dcomp(sg, be, la) * g[c][be]
         t_vec.append(t1 - t2)
 
+    # the zero-order bracket reads P^a_{s nu} = g^{ar} g_{ts} Gamma^t_{r nu}
+    # + Gamma^a_{nu s}, through the lowered Christoffels g_{ts} Gamma^t_{r nu}
+    low = [[[sum(mj.comp(t, sg) * gam[t][r][nu] for t in range(n)) for nu in range(n)]
+            for r in range(n)] for sg in range(n)]
+    pg = [[[sum(g[a][r] * low[sg][r][nu] for r in range(n)) + gam[a][nu][sg]
+            for nu in range(n)] for sg in range(n)] for a in range(n)]
+
     half = Fraction(1, 2)
     c2 = [[[[0] * n for _ in range(n)] for _ in range(npairs)] for _ in range(npairs)]
     c1 = [[[0] * n for _ in range(npairs)] for _ in range(npairs)]
@@ -184,29 +193,28 @@ def _eh_coefficients(p2: JetPoint, signature) -> JacobiCoefficients:
             # the zero-order bracket is sum_la g^{la b} inner[la]
             inner = []
             for la in range(n):
-                v = riem[a][mu][nu][la]
-                for r in range(n):
-                    for t in range(n):
-                        for sg in range(n):
-                            v = v + g[a][r] * mj.comp(t, sg) \
-                                * (gam[t][r][nu] * gam[sg][mu][la]
-                                   - gam[t][r][la] * gam[sg][mu][nu])
+                v = riem[a][mu][nu][la] - tr_gam[la] * gam[a][mu][nu]
                 for sg in range(n):
-                    v = v + gam[a][nu][sg] * gam[sg][mu][la] \
-                        - gam[a][la][sg] * gam[sg][mu][nu] \
-                        - gam[sg][sg][la] * gam[a][mu][nu] \
+                    v = v + pg[a][sg][nu] * gam[sg][mu][la] \
+                        - pg[a][sg][la] * gam[sg][mu][nu] \
                         + gam[a][mu][sg] * gam[sg][nu][la]
                 inner.append(v)
             for b in range(n):
                 col = pair_index(n, a, b)
                 cc2, cc1 = c2[row][col], c1[row][col]
-                # second-order part
+                # second-order part: each Kronecker-weighted term only where
+                # its deltas are 1
                 for i in range(n):
                     for j in range(n):
-                        co = ((delta(a, nu) * delta(j, mu)
-                               + delta(a, mu) * delta(nu, j)) * g[i][b]
-                              - g[i][j] * delta(a, nu) * delta(b, mu)
-                              - g[a][b] * delta(i, nu) * delta(j, mu))
+                        co = 0
+                        if a == nu and j == mu:
+                            co = co + g[i][b]
+                        if a == mu and j == nu:
+                            co = co + g[i][b]
+                        if a == nu and b == mu:
+                            co = co - g[i][j]
+                        if i == nu and j == mu:
+                            co = co - g[a][b]
                         if co != 0:
                             cc2[i][j] = cc2[i][j] + half * co
                 # first-order part
@@ -215,15 +223,19 @@ def _eh_coefficients(p2: JetPoint, signature) -> JacobiCoefficients:
                     co = delta(a, nu) * delta(i, mu) + delta(a, mu) * delta(i, nu)
                     if co:
                         br = br + half * co * t_vec[b]
-                    if delta(a, mu) * delta(b, nu):
+                    if a == mu and b == nu:
                         br = br - half * t_vec[i]
                     for la in range(n):
-                        br = br + half * delta(i, nu) * g[la][a] * gam[b][mu][la]
-                        br = br + half * delta(i, mu) * g[la][a] * gam[b][la][nu]
-                        br = br + half * delta(b, nu) * (g[la][i] * gam[a][mu][la]
-                                                     - g[la][a] * gam[i][mu][la])
-                        br = br + half * delta(b, mu) * (g[la][i] * gam[a][nu][la]
-                                                     - g[la][a] * gam[i][nu][la])
+                        if i == nu:
+                            br = br + half * g[la][a] * gam[b][mu][la]
+                        if i == mu:
+                            br = br + half * g[la][a] * gam[b][la][nu]
+                        if b == nu:
+                            br = br + half * (g[la][i] * gam[a][mu][la]
+                                              - g[la][a] * gam[i][mu][la])
+                        if b == mu:
+                            br = br + half * (g[la][i] * gam[a][nu][la]
+                                              - g[la][a] * gam[i][nu][la])
                     cc1[i] = cc1[i] + br
                 # zero-order part
                 br0 = 0
@@ -277,7 +289,8 @@ class DiffOpMatrix:
     @cached_property
     def _integer_terms(self) -> list:
         """terms[A][B]: (a, b, d c) for each term c D^a D^b of P^A_B, with d
-        the lcm of every coefficient's denominator."""
+        the lcm of every coefficient's denominator.  Read by `mode_matrix`
+        and `polynomial_solution_space`, so both build integer rows."""
         d = lcm(*(c.denominator for row in self.entries for e in row
                   for c in e.values()))
         return [[[(a, b, int(c * d)) for (a, b), c in e.items()] for e in row]
@@ -366,20 +379,22 @@ def polynomial_solution_space(op: DiffOpMatrix, degree: int) -> SolutionSpace:
     nm = len(mons)
     cols = op.npairs * nm
     out_mons = _homogeneous_exponents(n, degree - 2) if degree >= 2 else []
+    col = {J: m_i for m_i, J in enumerate(mons)}
     rows = []
-    for arow in range(op.npairs):
+    for terms in op._integer_terms:
         for K in out_mons:
-            row = [Fraction(0)] * cols
-            for brow in range(op.npairs):
-                for (a, b), c in op.entries[arow][brow].items():
+            # the operator scaled to integers (`_integer_terms`) has the
+            # same kernel
+            row = [0] * cols
+            for brow, e in enumerate(terms):
+                for a, b, c in e:
                     # coefficient of x^K in c * d^2(x^J)/dx^a dx^b
                     J = list(K)
                     J[a] += 1
                     J[b] += 1
                     J = tuple(J)
-                    factor = J[a] * (J[b] - delta(a, b))
-                    row[brow * nm + mons.index(J)] += c * factor
-            if any(v != 0 for v in row):
+                    row[brow * nm + col[J]] += c * J[a] * (J[b] - delta(a, b))
+            if any(row):
                 rows.append(row)
     basis = nullspace(rows, ncols=cols)
     # rank-nullity: the rows have rank cols - dim ker

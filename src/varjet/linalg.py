@@ -6,14 +6,18 @@ the EH regularity and symmetry checks must be exact rank statements, not
 numerical-rank guesses.
 
 Rows are reduced fraction-free: each row is scaled to integers by the lcm
-of its denominators, a row is eliminated against the pivot row as
-pv*row_i - f*row_r and divided by the gcd of its entries, and each pivot
-row is divided by its pivot once at the end (E. H. Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 22, 1968, for integer-preserving elimination).  The RREF is unique,
-so this equals field elimination, entry for entry, and its entries are
-Fractions.  `det` runs Bareiss's elimination, every division exact, on
-the rows scaled to integers.  Any other entry type raises `TypeError`.
+of its denominators (an all-int row is taken as it is), a row is
+eliminated against the pivot row as pv*row_i - f*row_r and divided by the
+gcd of its entries, and each pivot row is divided by its pivot once at the
+end (E. H. Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968, for
+integer-preserving elimination).  The RREF is unique, so this equals field
+elimination, entry for entry, and its entries are Fractions.  A `Fraction`
+is formed only for a returned value: `rref` forms one per nonzero cell of
+its result and shares one zero, `nullspace` reads those, `rank` and
+`in_row_space` count the pivots of the integer elimination and form none.
+`det` runs Bareiss's elimination, every division exact, on the rows
+scaled to integers.  Any other entry type raises `TypeError`.
 """
 
 from __future__ import annotations
@@ -33,18 +37,24 @@ def _check_entries(rows: list[list], routine: str) -> None:
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form (a new matrix of Fractions) and pivot
     columns.  Entries must be ints or Fractions; any other raises
-    `TypeError`."""
+    `TypeError`.  A Fraction is formed for each nonzero cell of the
+    result, from the primitive integer pivot row; every zero cell, padding
+    rows included, is one shared `Fraction(0)`."""
     _check_entries(rows, "rref")
     m, pivots = _integer_rref([_integer_row(r) for r in rows])
+    zero = Fraction(0)
     ncols = len(m[0]) if m else 0
-    red = [[Fraction(v, row[c]) for v in row] for row, c in zip(m, pivots)]
-    red += [[Fraction(0)] * ncols for _ in range(len(m) - len(pivots))]
+    red = [[Fraction(v, row[c]) if v else zero for v in row]
+           for row, c in zip(m, pivots)]
+    red += [[zero] * ncols for _ in range(len(m) - len(pivots))]
     return red, pivots
 
 
 def _integer_row(row: list) -> list[int]:
     """The row scaled to primitive integers (lcm of the denominators, then
-    gcd of the numerators)."""
+    gcd of the numerators; an all-int row is only divided by its gcd)."""
+    if all(type(v) is int for v in row):
+        return _primitive(list(row))
     den = lcm(*(v.denominator for v in row))
     return _primitive([v.numerator * (den // v.denominator) for v in row])
 
@@ -106,14 +116,19 @@ def det(rows: list[list]) -> Fraction:
 
 
 def rank(rows) -> int:
+    """Exact rank of the matrix (rows of ints and Fractions): the pivot
+    count of the integer elimination, with no Fraction formed."""
     if not rows:
         return 0
-    return len(rref(rows)[1])
+    _check_entries(rows, "rank")
+    return len(_integer_rref([_integer_row(r) for r in rows])[1])
 
 
 def nullspace(rows: list[list], ncols: int | None = None) -> list[list]:
     """Exact basis of the kernel of the matrix (rows of ints and
-    Fractions), one Fraction vector per free column."""
+    Fractions), one Fraction vector per free column.  Its entries are the
+    negated free columns of `rref` at the pivot positions, a 1 at the free
+    column and one shared `Fraction(0)` elsewhere."""
     zero, one = Fraction(0), Fraction(1)
     if not rows:
         if ncols is None:
@@ -128,7 +143,8 @@ def nullspace(rows: list[list], ncols: int | None = None) -> list[list]:
         vec = [zero] * ncols
         vec[fc] = one
         for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+            if red[r][fc]:
+                vec[pc] = -red[r][fc]
         basis.append(vec)
     return basis
 

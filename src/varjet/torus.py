@@ -101,8 +101,10 @@ def mode_solve(k, op: DiffOpMatrix | None = None) -> ModeSolveResult:
     cls, pdim = classify_mode(kv.k)
     gauge = [g for g in _gauge_rows(kv.k, op.n) if any(g)]
     gdim = rank(gauge)
-    # the basis spans the exact kernel, so g lies in it iff M g = 0
-    gauge_in = all(sum(a * b for a, b in zip(r, g)) == 0 for r in rows for g in gauge)
+    # the basis spans the exact kernel, so g lies in it iff M g = 0, read
+    # over the nonzero entries of g only
+    gauge_nz = [[(j, v) for j, v in enumerate(g) if v] for g in gauge]
+    gauge_in = all(sum(r[j] * v for j, v in g) == 0 for r in rows for g in gauge_nz)
     kernel_is_gauge = gauge_in and len(basis) == gdim
     return ModeSolveResult(kv, len(basis), basis, cls, pdim, gdim,
                            kernel_is_gauge, kv.is_null())

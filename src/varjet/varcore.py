@@ -341,15 +341,17 @@ def fibre_primitive_jets(supplier, x, y, dy, lij: dict, cap: int):
 
     `lij` is the block at t = 1.  The Newton interpolant through the first
     eight nodes is integrated exactly if it predicts the ninth sample
-    (exactly over Fractions, to 1e-10 relative over floats), else a
-    QuadratureError carries the miss as a float.  The rule is exact for a
-    block of degree <= 7 in y'; over Fractions degree 8 always misses, and
-    a higher degree or a non-polynomial block passes only by coincidence.
+    (exactly when every coefficient of the sampled Jets is an int or a
+    Fraction, else to 1e-10 relative), else a QuadratureError carries the
+    miss as a float.  The rule is exact for a block of degree <= 7 in y';
+    over Fractions degree 8 always misses, and a higher degree or a
+    non-polynomial block passes only by coincidence.
     """
     one = ring_unit(dy[0][0])
-    exact = isinstance(one, Fraction)
     f = [_radial_contraction(lij if t == 1 else supplier.tables(
         x, y, [[t * v for v in row] for row in dy])[1], dy, cap) for t in _NODES]
+    exact = all(isinstance(c, (int, Fraction))
+                for s in f for g in s for c in g.coef.values())
     tol = 0.0 if exact else 1e-10 * max(1.0, *(abs(g.value) for s in f for g in s))
     for j in range(1, len(f)):      # in place: f[k] becomes f[t_0, ..., t_k]
         for k in range(len(f) - 1, j - 1, -1):

@@ -344,6 +344,56 @@ def test_y_table_is_symmetric_bilinear_block():
                     assert abs(y[a][i][b][j] - y[b][j][a][i]) < 1e-9
 
 
+def _y_display_terms(g, k, l, r, s, i, j):
+    """The signed terms of the bracket of Y_{kl}^{i;rs,j} exactly as
+    displayed, over g = g^-1 (test oracle)."""
+    return [2 * g[r][s] * g[k][l] * g[i][j],
+            -g[r][k] * g[s][l] * g[i][j], -g[r][l] * g[s][k] * g[i][j],
+            g[s][k] * g[l][j] * g[r][i], g[s][l] * g[k][j] * g[r][i],
+            g[r][k] * g[l][j] * g[s][i], g[r][l] * g[k][j] * g[s][i],
+            -g[k][i] * g[l][j] * g[r][s], -g[l][i] * g[k][j] * g[r][s],
+            -g[r][i] * g[s][j] * g[k][l], -g[r][j] * g[s][i] * g[k][l]]
+
+
+def _y_table_against_display(mj):
+    """Pairs (Y entry, displayed value, rho w times the sum of |terms|)."""
+    n = mj.n
+    y = EHLagrangian(n, mj.signature).y_table(mj)
+    out = []
+    for a, (k, l) in enumerate(sym_pairs(n)):
+        for b, (r, s) in enumerate(sym_pairs(n)):
+            w = Fraction(1, (1 + (k == l)) * (1 + (r == s)))
+            for i in range(n):
+                for j in range(n):
+                    terms = _y_display_terms(mj.ginv, k, l, r, s, i, j)
+                    out.append((y[a][i][b][j], mj.rho * w * sum(terms),
+                                abs(mj.rho * w) * sum(abs(t) for t in terms)))
+    return out
+
+
+def test_y_table_equals_the_display():
+    """The factored bracket equals the displayed one exactly, in type too,
+    at diag(-1, 1, 1, 1) and at P^T diag(-1, 1, 1, 1) P for a unimodular
+    integer P (det -1, so rho = 1 is exact, and no diagonal pattern to
+    lean on), and over floats up to rounding: 1e-15 of the size of the
+    display's terms."""
+    u = [[1, 1, 0, 0], [0, 1, -1, 0], [0, 0, 1, 2], [0, 0, 0, 1]]
+    low = [[1, 0, 0, 0], [2, 1, 0, 0], [0, 1, 1, 0], [-1, 0, 1, 1]]
+    pm = [[sum(u[i][c] * low[c][j] for c in range(4)) for j in range(4)] for i in range(4)]
+    assert linalg.det(pm) == 1
+    eta = (-1, 1, 1, 1)
+    g = tuple(sum(pm[c][i] * eta[c] * pm[c][j] for c in range(4)) for i, j in sym_pairs(4))
+    for mj in (constant_metric_jet([Fraction(e) for e in eta], order=0),
+               MetricJet(4, (3, 1), g, ())):
+        got = _y_table_against_display(mj)
+        assert all(type(y) is Fraction and y == want for y, want, _ in got)
+        assert any(y for y, _, _ in got)
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        got = _y_table_against_display(random_metric_jet(rng, 4, (1, 3), order=0))
+        assert all(abs(y - want) <= 1e-15 * scale for y, want, scale in got)
+
+
 def test_phi_nondegeneracy_claims():
     rng = np.random.default_rng(43)
     eh3 = EHLagrangian(3, (3, 0))

@@ -637,6 +637,19 @@ def test_generic_coefficients_read_few_partials_at_a_constant_background(monkeyp
     assert all(v == 0 for row in coef.c0 for v in row)
 
 
+def test_hc_gap_keeps_the_ring_of_the_data():
+    """At the Minkowski n = 4 origin over Fractions the extremality gap is
+    an exact `Fraction(0)`; at the same background in floats it is a
+    float."""
+    eps = (-1, 1, 1, 1)
+    sup = affine_supplier(EHLagrangian(4, (1, 3)))
+    for one in (F(1), 1.0):
+        s = PolySection(4, [Poly.constant(4, one * eps[a] if a == b else 0 * one)
+                            for a, b in sym_pairs(4)])
+        gap = jacobi_coefficients(sup, s, (0 * one,) * 4).hc_gap
+        assert type(gap) is type(one) and gap == 0
+
+
 NAMES3 = {"x1": 0, "x2": 1, "x3": 2}
 DYADIC3 = ((0.5, -0.25, 0.125), (F(1, 2), F(-1, 4), F(1, 8)))
 

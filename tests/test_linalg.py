@@ -119,6 +119,21 @@ def test_rref_rank_nullspace_match_field_elimination():
         assert typed(nullspace(m)) == typed(field_nullspace(m)), m
 
 
+def test_rank_counts_integer_pivots_without_rref(monkeypatch):
+    """`rank` and `in_row_space` read the pivots of the integer elimination
+    and form no RREF: with `rref` made to raise they still agree with
+    field elimination on every seeded matrix."""
+    def refuse(rows):
+        raise AssertionError("rank must not call rref")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    for m in seeded_matrices():
+        want = len(field_rref(m)[1])
+        assert rank(m) == want, m
+        assert in_row_space(m, m[-1]) and in_row_space(m, [0] * len(m[0]))
+        assert in_row_space(m[:-1], m[-1]) == (rank(m[:-1]) == want), m
+
+
 def test_det_matches_field_elimination():
     """On the square seeded matrices (singular ones among them), on row
     swaps and on the empty matrix."""
@@ -178,6 +193,8 @@ def test_non_rational_entries_raise(entry):
         rref([[F(1), entry]])
     with pytest.raises(TypeError, match=re.escape(repr(entry))):
         det([[F(1), entry], [0, 1]])
+    with pytest.raises(TypeError, match=re.escape(repr(entry))):
+        rank([[F(1), entry]])
 
 
 def test_every_exact_routine_takes_the_integer_path(monkeypatch):

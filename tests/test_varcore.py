@@ -346,6 +346,24 @@ def test_block_beyond_degree_7_raises_with_a_float_residual(g):
         pipeline(GenericAffineSupplier(_one_dim_block_lagrangian(g)), q, cap=1).li
 
 
+def test_float_block_at_a_fraction_point_is_checked_to_tolerance():
+    """Whether the check node must be met exactly is read from the sampled
+    block, not from the point: the random family's float coefficients at
+    an all-Fraction point are held to the float tolerance (the rounding
+    miss, about 7e-15, raised when the ring of y' decided it), and H
+    agrees with H at the same point in floats."""
+    lag = random_projectable_lagrangian(np.random.default_rng(5), 2, 2)
+    x, y = (Fraction(1, 3), Fraction(-2, 5)), (Fraction(1, 4), Fraction(-1, 6))
+    dy = ((Fraction(1, 2), Fraction(-1, 3)), (Fraction(2, 7), Fraction(1, 5)))
+    data = pipeline(GenericAffineSupplier(lag), JetPoint(2, 2, 1, x, y, dy), cap=1)
+    h = data.h.value
+    assert type(h) is float and data.primitive_degree == 1
+    assert 0 < data.primitive_residual <= 1e-12
+    fl = JetPoint(2, 2, 1, tuple(map(float, x)), tuple(map(float, y)),
+                  tuple(tuple(map(float, r)) for r in dy))
+    assert abs(h - pipeline(GenericAffineSupplier(lag), fl, cap=1).h.value) <= 1e-12
+
+
 def _counted_tables(monkeypatch) -> list:
     """Wrap `GenericAffineSupplier.tables` to append 1 per call to the list."""
     calls = []
