@@ -132,9 +132,17 @@ class EHLagrangian:
 
         the displayed bracket with its products shared, S once per pair,
         and c, u, v and rho w once per (kl, rs), so an entry takes six
-        products.
+        products.  When every G entry is an int or a Fraction, G = N / d
+        (`linalg.integer_scaled`) and the bracket, cubic in G, is
+        evaluated on the integers N with 1/d^3 folded into rho w, so a
+        Fraction is formed only for an entry's one product with rho w.
         """
         n, g = self.n, mj.ginv
+        scaled = linalg.integer_scaled(v for row in g for v in row)
+        d3 = 1
+        if scaled is not None:
+            nums, d = scaled
+            g, d3 = [nums[i * n:(i + 1) * n] for i in range(n)], d ** 3
         sym = [[[g[k][i] * g[l][j] + g[l][i] * g[k][j] for j in range(n)]
                 for i in range(n)] for k, l in self.pairs]
         out = [[[[None] * n for _ in range(self.npairs)] for _ in range(n)]
@@ -143,7 +151,7 @@ class EHLagrangian:
             x = sym[a]
             for b, (r, s) in enumerate(self.pairs):
                 z = sym[b]
-                rw = mj.rho * Fraction(1, (1 + delta(k, l)) * (1 + delta(r, s)))
+                rw = mj.rho * Fraction(1, (1 + delta(k, l)) * (1 + delta(r, s)) * d3)
                 c = 2 * g[r][s] * g[k][l] - g[r][k] * g[s][l] - g[r][l] * g[s][k]
                 u = [g[s][k] * g[l][j] + g[s][l] * g[k][j] for j in range(n)]
                 v = [g[r][k] * g[l][j] + g[r][l] * g[k][j] for j in range(n)]

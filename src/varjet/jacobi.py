@@ -34,12 +34,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement
-from math import lcm
 
 from .fwd import ring_unit
 from .jets import (JetPoint, PolySection, contract, delta, jet_of_section,
                    pair_index, sym_pairs, total_derivative_stencil)
-from .linalg import nullspace
+from .linalg import integer_scaled, nullspace
 from .metric import curvature, metric_from_jet_point
 from .poly import Poly
 from .varcore import hc_first_family, pipeline
@@ -288,21 +287,28 @@ class DiffOpMatrix:
 
     @cached_property
     def _integer_terms(self) -> list:
-        """terms[A][B]: (a, b, d c) for each term c D^a D^b of P^A_B, with d
-        the lcm of every coefficient's denominator.  Read by `mode_matrix`
-        and `polynomial_solution_space`, so both build integer rows."""
-        d = lcm(*(c.denominator for row in self.entries for e in row
-                  for c in e.values()))
-        return [[[(a, b, int(c * d)) for (a, b), c in e.items()] for e in row]
-                for row in self.entries]
+        """terms[A]: one flat list of (B, a, b, d c) for each nonzero term
+        c D^a D^b of P^A_B, with d the lcm of every coefficient's
+        denominator (`linalg.integer_scaled`).  An empty entry P^A_B adds
+        nothing.  Read by `mode_matrix` and `polynomial_solution_space`,
+        so both build integer rows from the nonzero terms only."""
+        terms = [[(brow, a, b, c) for brow, e in enumerate(row) for (a, b), c in e.items()]
+                 for row in self.entries]
+        nums = iter(integer_scaled(t[3] for row in terms for t in row)[0])
+        return [[(brow, a, b, next(nums)) for brow, a, b, _ in row] for row in terms]
 
     def mode_matrix(self, k) -> list:
         """d P(D -> i k): D^a D^b maps to -k_a k_b, and d (the lcm of the
         coefficient denominators, 2 for the Lorentz operator) makes it an
         integer matrix for an integer k.  d does not change the kernel."""
         kk = [[ka * kb for kb in k] for ka in k]
-        return [[-sum(c * kk[a][b] for a, b, c in e) for e in row]
-                for row in self._integer_terms]
+        out = []
+        for terms in self._integer_terms:
+            row = [0] * self.npairs
+            for brow, a, b, c in terms:
+                row[brow] -= c * kk[a][b]
+            out.append(row)
+        return out
 
 
 def flat_operator_matrix(eps) -> DiffOpMatrix:
@@ -386,14 +392,13 @@ def polynomial_solution_space(op: DiffOpMatrix, degree: int) -> SolutionSpace:
             # the operator scaled to integers (`_integer_terms`) has the
             # same kernel
             row = [0] * cols
-            for brow, e in enumerate(terms):
-                for a, b, c in e:
-                    # coefficient of x^K in c * d^2(x^J)/dx^a dx^b
-                    J = list(K)
-                    J[a] += 1
-                    J[b] += 1
-                    J = tuple(J)
-                    row[brow * nm + col[J]] += c * J[a] * (J[b] - delta(a, b))
+            for brow, a, b, c in terms:
+                # coefficient of x^K in c * d^2(x^J)/dx^a dx^b
+                J = list(K)
+                J[a] += 1
+                J[b] += 1
+                J = tuple(J)
+                row[brow * nm + col[J]] += c * J[a] * (J[b] - delta(a, b))
             if any(row):
                 rows.append(row)
     basis = nullspace(rows, ncols=cols)

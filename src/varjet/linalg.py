@@ -13,11 +13,16 @@ end (E. H. Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968, for
 integer-preserving elimination).  The RREF is unique, so this equals field
 elimination, entry for entry, and its entries are Fractions.  A `Fraction`
-is formed only for a returned value: `rref` forms one per nonzero cell of
-its result and shares one zero, `nullspace` reads those, `rank` and
-`in_row_space` count the pivots of the integer elimination and form none.
-`det` runs Bareiss's elimination, every division exact, on the rows
-scaled to integers.  Any other entry type raises `TypeError`.
+is formed only for a returned value: `rref` forms one per nonzero
+off-pivot cell of its result and shares one zero and one 1 (every pivot
+cell), `nullspace` reads the off-pivot cells, `rank` and `in_row_space`
+count the pivots of the integer elimination and form none.  `det` runs
+Bareiss's elimination, every division exact, on the rows scaled to
+integers.  Any other entry type raises `TypeError`.
+
+`integer_scaled` is the one scaling path to integer numerators over one
+denominator: the rows and determinants here, the exact `y_table`, the
+flat pairing and the integer terms of the flat operator.
 """
 
 from __future__ import annotations
@@ -34,29 +39,40 @@ def _check_entries(rows: list[list], routine: str) -> None:
                                 f"{type(v).__name__} {v!r}")
 
 
+def integer_scaled(values) -> tuple[list[int], int] | None:
+    """(nums, d) with values[i] == nums[i] / d, d the lcm of the values'
+    denominators (1 for all ints), for an iterable of ints and Fractions;
+    None if any value is of another type."""
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return None
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form (a new matrix of Fractions) and pivot
     columns.  Entries must be ints or Fractions; any other raises
-    `TypeError`.  A Fraction is formed for each nonzero cell of the
-    result, from the primitive integer pivot row; every zero cell, padding
-    rows included, is one shared `Fraction(0)`."""
+    `TypeError`.  A Fraction is formed for each nonzero cell right of a
+    pivot, from the primitive integer pivot row; every pivot cell is one
+    shared `Fraction(1)` and every zero cell, padding rows included, one
+    shared `Fraction(0)`."""
     _check_entries(rows, "rref")
     m, pivots = _integer_rref([_integer_row(r) for r in rows])
-    zero = Fraction(0)
+    zero, one = Fraction(0), Fraction(1)
     ncols = len(m[0]) if m else 0
-    red = [[Fraction(v, row[c]) if v else zero for v in row]
+    red = [[zero] * c + [one] + [Fraction(v, row[c]) if v else zero for v in row[c + 1:]]
            for row, c in zip(m, pivots)]
     red += [[zero] * ncols for _ in range(len(m) - len(pivots))]
     return red, pivots
 
 
 def _integer_row(row: list) -> list[int]:
-    """The row scaled to primitive integers (lcm of the denominators, then
-    gcd of the numerators; an all-int row is only divided by its gcd)."""
-    if all(type(v) is int for v in row):
-        return _primitive(list(row))
-    den = lcm(*(v.denominator for v in row))
-    return _primitive([v.numerator * (den // v.denominator) for v in row])
+    """The row scaled to primitive integers (`integer_scaled`, then the
+    gcd of the numerators)."""
+    return _primitive(integer_scaled(row)[0])
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -99,9 +115,10 @@ def det(rows: list[list]) -> Fraction:
     integers by the lcm of all denominators, whose k-th pivot is a k x k
     minor, so every division by the previous pivot is exact."""
     _check_entries(rows, "det")
-    den = lcm(*(v.denominator for r in rows for v in r))
-    m = [[v.numerator * (den // v.denominator) for v in r] for r in rows]
-    n, sign, prev = len(m), 1, 1
+    nums, den = integer_scaled(v for r in rows for v in r)
+    n = len(rows)
+    m = [nums[i * n:(i + 1) * n] for i in range(n)]
+    sign, prev = 1, 1
     for k in range(n - 1):
         swap = next((i for i in range(k, n) if m[i][k]), None)
         if swap is None:

@@ -10,7 +10,10 @@ cone two wave polarizations join (dimension 6).  The literature's mode-3
 basis fields are particular gauge directions and are validated against the
 kernel.  The presymplectic pairing of two mode fields is assembled from the
 momentum-coefficient table at the flat metric; each component is i times
-an exact rational, and the rational is what it returns.
+an exact rational, and the rational is what it returns.  The contraction
+runs on integers: the table and each field's amplitudes are scaled to
+integer numerators over one denominator (`linalg.integer_scaled`), and one
+Fraction is formed per returned component.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 from .einstein import EHLagrangian
 from .jacobi import DiffOpMatrix, flat_operator_matrix
 from .jets import delta, pair_index, sym_pairs
-from .linalg import in_row_space, nullspace, rank
+from .linalg import in_row_space, integer_scaled, nullspace, rank
 from .metric import constant_metric_jet
 
 LORENTZ_EPS = (-1, 1, 1, 1)
@@ -224,6 +228,15 @@ def y_table_flat():
     return EHLagrangian(4, flat.signature).y_table(flat)
 
 
+@cache
+def _y_table_flat_integer():
+    """`y_table_flat()` as (integer table, d): Y == table / d entrywise."""
+    ytab = y_table_flat()
+    nums, d = integer_scaled(v for a in ytab for yi in a for yb in yi for v in yb)
+    it = iter(nums)
+    return [[[[next(it) for _ in yb] for yb in yi] for yi in a] for a in ytab], d
+
+
 def presymplectic_pair(x_field: BasisField, y_field: BasisField) -> PresymplecticValue:
     """omega_2^i(X, Y) from the momentum-coefficient contraction
 
@@ -231,23 +244,30 @@ def presymplectic_pair(x_field: BasisField, y_field: BasisField) -> Presymplecti
                                           - V^{ab} dW^{kl}/dx^j),
 
     a single Fourier mode i c_i exp(i (k + l) . x) with c_i an exact
-    Fraction; the coefficients c_i are returned.  Only pairs of nonzero
-    amplitudes of X and Y are visited."""
-    ytab = y_table_flat()
-    kv, lv = x_field.mode, y_field.mode
-    a_nz = [(p, v) for p, v in enumerate(x_field.amp) if v != 0]
-    b_nz = [(q, v) for q, v in enumerate(y_field.amp) if v != 0]
+    Fraction; the coefficients c_i are returned.  The sum runs on integers,
+    over the pairs of nonzero amplitudes of X and Y only: the flat Y table
+    and each field's amplitudes scaled to integer numerators over one
+    denominator, one Fraction(sum, denominators) per c_i.  Amplitudes must
+    be ints or Fractions; any other raises `TypeError`."""
+    ytab, yden = _y_table_flat_integer()
+    k, l = x_field.mode.k, y_field.mode.k
+    xs, ys = integer_scaled(x_field.amp), integer_scaled(y_field.amp)
+    if xs is None or ys is None:
+        raise TypeError("presymplectic_pair takes int and Fraction amplitudes")
+    a_nz = [(p, v) for p, v in enumerate(xs[0]) if v]
+    b_nz = [(q, v) for q, v in enumerate(ys[0]) if v]
+    den = yden * xs[1] * ys[1]
     coeff = []
     for i in range(4):
-        acc = Fraction(0)
+        acc = 0
         # with V^p W^q: the first term at (kl, ab) = (p, q), the second at
         # (ab, kl) = (p, q)
         for p, av in a_nz:
             for q, bv in b_nz:
-                acc += av * bv * sum(ytab[q][i][p][j] * kv[j] - ytab[p][i][q][j] * lv[j]
-                                     for j in range(4))
-        coeff.append(acc)
-    return PresymplecticValue(kv + lv, tuple(coeff))
+                acc += av * bv * (sum(map(mul, ytab[q][i][p], k))
+                                  - sum(map(mul, ytab[p][i][q], l)))
+        coeff.append(Fraction(acc, den))
+    return PresymplecticValue(x_field.mode + y_field.mode, tuple(coeff))
 
 
 def cohomology_class(w: PresymplecticValue) -> tuple:

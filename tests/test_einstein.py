@@ -373,18 +373,29 @@ def _y_table_against_display(mj):
 
 def test_y_table_equals_the_display():
     """The factored bracket equals the displayed one exactly, in type too,
-    at diag(-1, 1, 1, 1) and at P^T diag(-1, 1, 1, 1) P for a unimodular
+    at diag(-1, 1, 1, 1), at P^T diag(-1, 1, 1, 1) P for a unimodular
     integer P (det -1, so rho = 1 is exact, and no diagonal pattern to
-    lean on), and over floats up to rounding: 1e-15 of the size of the
-    display's terms."""
+    lean on) and at A diag(-1, 1, 1, 1) A^T for a rational A with
+    det A = 17/12 (rho = 17/12, and g^-1 has entries with denominators, so
+    the integer bracket is scaled by a common denominator d > 1), and over
+    floats up to rounding: 1e-15 of the size of the display's terms."""
     u = [[1, 1, 0, 0], [0, 1, -1, 0], [0, 0, 1, 2], [0, 0, 0, 1]]
     low = [[1, 0, 0, 0], [2, 1, 0, 0], [0, 1, 1, 0], [-1, 0, 1, 1]]
     pm = [[sum(u[i][c] * low[c][j] for c in range(4)) for j in range(4)] for i in range(4)]
     assert linalg.det(pm) == 1
     eta = (-1, 1, 1, 1)
     g = tuple(sum(pm[c][i] * eta[c] * pm[c][j] for c in range(4)) for i, j in sym_pairs(4))
+    h = Fraction(1, 2)
+    am = [[1, h, 0, 0], [0, Fraction(2, 3), -1, 0], [Fraction(1, 3), 0, 1, 2],
+          [0, 0, -h, Fraction(3, 2)]]
+    assert linalg.det(am) == Fraction(17, 12)
+    g_rat = tuple(sum(am[i][c] * eta[c] * am[j][c] for c in range(4))
+                  for i, j in sym_pairs(4))
+    mj_rat = MetricJet(4, (3, 1), g_rat, ())
+    assert mj_rat.rho == Fraction(17, 12)
+    assert linalg.integer_scaled(v for row in mj_rat.ginv for v in row)[1] > 1
     for mj in (constant_metric_jet([Fraction(e) for e in eta], order=0),
-               MetricJet(4, (3, 1), g, ())):
+               MetricJet(4, (3, 1), g, ()), mj_rat):
         got = _y_table_against_display(mj)
         assert all(type(y) is Fraction and y == want for y, want, _ in got)
         assert any(y for y, _, _ in got)

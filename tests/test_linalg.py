@@ -145,6 +145,29 @@ def test_det_matches_field_elimination():
     assert det([]) == 1
 
 
+def test_integer_scaled_is_numerators_over_the_lcm():
+    """Each value is its int numerator over the lcm of the denominators
+    (1 for ints and for no values); any other entry type gives None."""
+    for m in seeded_matrices():
+        for row in m:
+            nums, d = linalg.integer_scaled(row)
+            assert d == lcm(*(F(v).denominator for v in row)), row
+            assert all(type(v) is int for v in nums)
+            assert [F(v, d) for v in nums] == row, row
+    assert linalg.integer_scaled([]) == ([], 1)
+    assert linalg.integer_scaled(iter([3, -2])) == ([3, -2], 1)
+    for entry in (0.5, 1j, "1"):
+        assert linalg.integer_scaled([F(1, 2), entry]) is None
+
+
+def test_rref_shares_one_fraction_across_pivot_cells():
+    """Every pivot cell of the RREF is one shared `Fraction(1)`."""
+    for m in seeded_matrices():
+        red, pivots = rref(m)
+        cells = [red[r][c] for r, c in enumerate(pivots)]
+        assert all(v is cells[0] for v in cells) and cells[:1] in ([], [1]), m
+
+
 def test_rref_leaves_its_input_alone():
     m = [[2, 4], [F(1, 3), 5]]
     rref(m)

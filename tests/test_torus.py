@@ -4,13 +4,14 @@ and the radical probe."""
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
 from test_linalg import field_nullspace, field_rref, typed
 
 from varjet.jets import pair_index
-from varjet.linalg import rank
+from varjet.linalg import integer_scaled, rank
 from varjet.torus import (BasisField, ModeVector, SideConditionError,
                           basis_field, basis_field_as_tabulated,
                           cohomology_class, gauge_mode_amplitudes,
@@ -309,16 +310,31 @@ def _dense_pair(x_field, y_field):
 
 
 def test_pairing_matches_dense_contraction():
-    rng = random.Random(65)
-    labels = {h: tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(4))
-              for h in range(1, 9)}
-    fields = [basis_field(h, labels[h]) for h in range(1, 9)]
-    fields += [basis_field_as_tabulated(h, labels[h]) for h in (1, 6)]
-    for x_field, y_field in product(fields, repeat=2):
-        w = presymplectic_pair(x_field, y_field)
-        want = _dense_pair(x_field, y_field)
-        assert w.mode == x_field.mode + y_field.mode
-        assert [(c, type(c) is F) for c in w.coeff] == [(c, True) for c in want]
+    """The integer contraction equals the dense Fraction one, in type too.
+    The second label set, with components up to 7, has pairs of fields
+    whose amplitude denominators (k1/k3, k3/k4, 2 k2, ...) are coprime and
+    above 1, so the product of both amplitude denominators is exercised."""
+    for seed, limit in ((65, 3), (70, 7)):
+        rng = random.Random(seed)
+        labels = {h: tuple(rng.choice([v for v in range(-limit, limit + 1) if v])
+                           for _ in range(4)) for h in range(1, 9)}
+        fields = [basis_field(h, labels[h]) for h in range(1, 9)]
+        fields += [basis_field_as_tabulated(h, labels[h]) for h in (1, 6)]
+        dens = [integer_scaled(f.amp)[1] for f in fields]
+        assert limit < 7 or any(gcd(a, b) == 1 < min(a, b)
+                                for a, b in product(dens, repeat=2))
+        for x_field, y_field in product(fields, repeat=2):
+            w = presymplectic_pair(x_field, y_field)
+            want = _dense_pair(x_field, y_field)
+            assert w.mode == x_field.mode + y_field.mode
+            assert [(c, type(c) is F) for c in w.coeff] == [(c, True) for c in want]
+            assert type(w.closedness_defect()) is F
+
+
+def test_pairing_refuses_inexact_amplitudes():
+    f = basis_field(8, (1, 1, 1, 1))
+    with pytest.raises(TypeError, match="amplitudes"):
+        presymplectic_pair(BasisField(8, f.mode, tuple(map(float, f.amp))), f)
 
 
 def test_pairing_mode_is_sum_of_modes():
