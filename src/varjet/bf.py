@@ -16,6 +16,7 @@ Einstein-Hilbert Lagrangian is the special case beta = beta_EH.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import partial
 
@@ -23,7 +24,8 @@ from .fwd import Jet, ring_unit, value_of
 from .jets import (JetFunction, contract, delta, jet_of_section, pair_index,
                    point_ring, seed_point, sign1, sym_pairs,
                    total_derivative2_stencil, total_derivative_stencil)
-from .metric import MetricJet, christoffel, curvature, metric_from_jet_point
+from .metric import (MetricJet, christoffel, covariant_derivatives, curvature,
+                     metric_from_jet_point)
 from .varcore import TableAffineSupplier
 
 
@@ -401,73 +403,25 @@ def flat_corollary_expression(beta: BetaForm, s, x, signature):
     sym_14(beta~^sharp) has components S^{k l t i} = (-1)^l beta_{lj}^{ik}
     g^{jt} (indices in slot order), with beta_{lt}^{jk} the antisymmetrized
     auxiliary; the result is R^{ki} = (nabla^2 S)_{uv}^{k u v i}, in the
-    ring of x.
+    ring of x.  `metric.covariant_derivatives` forms only the components
+    of nabla nabla S that the contraction reads.
     """
     n = beta.n
     p3 = jet_of_section(s, x, 3)
     cd = curvature(metric_from_jet_point(p3, signature))
-    gam, dgam = cd.gamma, cd.dgamma
-
     # S as functions on J^0 (of the metric value); its x-derivatives along
     # the section are the total derivatives D_u S and D_uD_v S
     seeded, jv = seed_point(p3.truncated(0), cap=2)
     smj = metric_from_jet_point(seeded, signature)
-    tab = beta.table(smj)
-    giv = smj.ginv
-    s_fn = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for l in range(n):
-            for t in range(n):
-                for i in range(n):
-                    acc = 0
-                    for j in range(n):
-                        acc = acc + sign1(l) * _beta_aux(tab, l, j, i, k) * giv[j][t]
-                    s_fn[k][l][t][i] = acc
-
+    tab, giv = beta.table(smj), smj.ginv
+    s_fn = {(k, l, t, i): sum(sign1(l) * _beta_aux(tab, l, j, i, k) * giv[j][t]
+                              for j in range(n))
+            for k, l, t, i in itertools.product(range(n), repeat=4)}
     st1 = [total_derivative_stencil(jv, p3, u) for u in range(n)]
     st2 = [[total_derivative2_stencil(jv, p3, v, u) for u in range(n)]
            for v in range(n)]
-
-    def sval(k, l, t, i):
-        return s_fn[k][l][t][i].value
-
-    def ds(u, k, l, t, i):
-        return contract(s_fn[k][l][t][i], st1[u])
-
-    def nabla1(v, k, l, t, i):
-        acc = ds(v, k, l, t, i)
-        for m_ in range(n):
-            acc += gam[k][v][m_] * sval(m_, l, t, i) \
-                + gam[l][v][m_] * sval(k, m_, t, i) \
-                + gam[t][v][m_] * sval(k, l, m_, i) \
-                + gam[i][v][m_] * sval(k, l, t, m_)
-        return acc
-
-    def nabla2(u, v, k, l, t, i):
-        # d_u (nabla_v S) with Gamma corrections on the four slots and -Gamma^e_{uv} nabla_e
-        acc = contract(s_fn[k][l][t][i], st2[v][u])
-        for m_ in range(n):
-            acc += dgam[k][v][m_][u] * sval(m_, l, t, i) \
-                + dgam[l][v][m_][u] * sval(k, m_, t, i) \
-                + dgam[t][v][m_][u] * sval(k, l, m_, i) \
-                + dgam[i][v][m_][u] * sval(k, l, t, m_)
-            acc += gam[k][v][m_] * ds(u, m_, l, t, i) \
-                + gam[l][v][m_] * ds(u, k, m_, t, i) \
-                + gam[t][v][m_] * ds(u, k, l, m_, i) \
-                + gam[i][v][m_] * ds(u, k, l, t, m_)
-        for m_ in range(n):
-            acc += gam[k][u][m_] * nabla1(v, m_, l, t, i) \
-                + gam[l][u][m_] * nabla1(v, k, m_, t, i) \
-                + gam[t][u][m_] * nabla1(v, k, l, m_, i) \
-                + gam[i][u][m_] * nabla1(v, k, l, t, m_)
-            acc -= gam[m_][u][v] * nabla1(m_, k, l, t, i)
-        return acc
-
-    out = {}
-    for a, b in sym_pairs(n):
-        tot = 0
-        for u in range(n):
-            for v in range(n):
-                tot += nabla2(u, v, a, u, v, b)
-        out[(a, b)] = tot
-    return out
+    _, nab2 = covariant_derivatives(cd, lambda idx: s_fn[idx].value,
+                                    lambda u, idx: contract(s_fn[idx], st1[u]),
+                                    lambda u, v, idx: contract(s_fn[idx], st2[v][u]), 4)
+    return {(a, b): sum(nab2(u, v, (a, u, v, b)) for u in range(n) for v in range(n))
+            for a, b in sym_pairs(n)}

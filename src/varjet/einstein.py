@@ -18,7 +18,8 @@ from . import linalg
 from .fwd import Jet, jet_sum, ring_unit, value_of
 from .jets import (JetFunction, JetPoint, PolySection, delta, jet_of_section,
                    pair_index, sym_pairs)
-from .metric import MetricJet, christoffel, curvature, metric_from_jet_point
+from .metric import (MetricJet, christoffel, covariant_derivatives, curvature,
+                     metric_from_jet_point)
 from .poly import Poly
 from .varcore import TableAffineSupplier
 
@@ -391,40 +392,23 @@ def covariant_noether_current(n: int, u_polys: list[Poly], mj: MetricJet, x):
 
         i_{c_1^2((nabla^g)^2 u)^sharp} v_g - i_{c_1^1((nabla^g)^2 u)^sharp} v_g,
 
-    evaluated from the metric jet at x.  The volume form must be the
+    evaluated from the metric jet at x, with (nabla^g)^2 u read from
+    `metric.covariant_derivatives` (u contravariant, its 2-jet from
+    `jet_of_section`) and contracted with g^-1.  The volume form must be the
     Riemannian one (v_g = rho v): the literature example displays the
     coordinate volume, which agrees only at normal-coordinate centres where
     rho = 1; coordinate covariance of the current (checked in the tests)
     forces the rho factor.
     """
-    cd = curvature(mj)
-    gam, ginv, dgam = cd.gamma, mj.ginv, cd.dgamma
-    ju = jet_of_section(PolySection(n, u_polys), x, 2)    # du[c][h] = d_h u^c
-    u, du = ju.y, ju.dy
-    # nabla_h u^c
-    nab = [[du[c][h] + sum(gam[c][h][e] * u[e] for e in range(n))
-            for h in range(n)] for c in range(n)]
-    # (nabla^2 u)_{a h}^c = d_a(nabla_h u^c) - Gamma^e_{ah} nabla_e u^c
-    #                      + Gamma^c_{ae} nabla_h u^e
-    nab2 = [[[0] * n for _ in range(n)] for _ in range(n)]  # [a][h][c]
-    for a in range(n):
-        for h in range(n):
-            for c in range(n):
-                s = ju.y2(c, h, a)
-                for e in range(n):
-                    s = s + dgam[c][h][e][a] * u[e] + gam[c][h][e] * du[e][a]
-                    s = s - gam[e][a][h] * nab[c][e] + gam[c][a][e] * nab[e][h]
-                nab2[a][h][c] = s
+    ju = jet_of_section(PolySection(n, u_polys), x, 2)    # u^c, d_h u^c, d_h d_a u^c
+    _, nab2 = covariant_derivatives(curvature(mj), lambda idx: ju.y[idx[0]],
+                                    lambda h, idx: ju.dy[idx[0]][h],
+                                    lambda a, h, idx: ju.y2(idx[0], h, a), 1)
+    ginv = mj.ginv
     out = []
     for i in range(n):
-        c12 = 0
-        c11 = 0
-        for ap in range(n):
-            for cc in range(n):
-                c12 = c12 + ginv[i][ap] * nab2[ap][cc][cc]
-        for a in range(n):
-            for ap in range(n):
-                c11 = c11 + ginv[a][ap] * nab2[ap][a][i]
+        c12 = sum(ginv[i][a] * nab2(a, c, (c,)) for a in range(n) for c in range(n))
+        c11 = sum(ginv[a][b] * nab2(b, a, (i,)) for a in range(n) for b in range(n))
         out.append(mj.rho * (c12 - c11))
     return out
 

@@ -32,6 +32,8 @@ from math import gcd, lcm
 
 
 def _check_entries(rows: list[list], routine: str) -> None:
+    """Raise the `TypeError` naming the first entry that is neither an int
+    nor a Fraction (the error path of a None from `integer_scaled`)."""
     for r in rows:
         for v in r:
             if not isinstance(v, (int, Fraction)):
@@ -59,7 +61,6 @@ def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     pivot, from the primitive integer pivot row; every pivot cell is one
     shared `Fraction(1)` and every zero cell, padding rows included, one
     shared `Fraction(0)`."""
-    _check_entries(rows, "rref")
     m, pivots = _integer_rref([_integer_row(r) for r in rows])
     zero, one = Fraction(0), Fraction(1)
     ncols = len(m[0]) if m else 0
@@ -69,10 +70,14 @@ def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     return red, pivots
 
 
-def _integer_row(row: list) -> list[int]:
+def _integer_row(row: list, routine: str = "rref") -> list[int]:
     """The row scaled to primitive integers (`integer_scaled`, then the
-    gcd of the numerators)."""
-    return _primitive(integer_scaled(row)[0])
+    gcd of the numerators); an entry of another type raises `TypeError`,
+    named for `routine`."""
+    scaled = integer_scaled(row)
+    if scaled is None:
+        _check_entries([row], routine)
+    return _primitive(scaled[0])
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -114,8 +119,10 @@ def det(rows: list[list]) -> Fraction:
     entry raises `TypeError`): Bareiss's elimination on the rows scaled to
     integers by the lcm of all denominators, whose k-th pivot is a k x k
     minor, so every division by the previous pivot is exact."""
-    _check_entries(rows, "det")
-    nums, den = integer_scaled(v for r in rows for v in r)
+    scaled = integer_scaled(v for r in rows for v in r)
+    if scaled is None:
+        _check_entries(rows, "det")
+    nums, den = scaled
     n = len(rows)
     m = [nums[i * n:(i + 1) * n] for i in range(n)]
     sign, prev = 1, 1
@@ -137,8 +144,7 @@ def rank(rows) -> int:
     count of the integer elimination, with no Fraction formed."""
     if not rows:
         return 0
-    _check_entries(rows, "rank")
-    return len(_integer_rref([_integer_row(r) for r in rows])[1])
+    return len(_integer_rref([_integer_row(r, "rank") for r in rows])[1])
 
 
 def nullspace(rows: list[list], ncols: int | None = None) -> list[list]:

@@ -7,14 +7,19 @@ formulas are written over generic scalar rings; numpy enters only for the
 signature validation of float metrics and the sampling in
 `random_metric_jet`.  A MetricJet forms its inverse g^-1 and volume factor
 rho once, on first read; every reader of the same jet shares them, and
-`mat_inverse` and `mat_det` are called nowhere else.
+`mat_inverse` and `mat_det` are called nowhere else.  The Levi-Civita
+derivatives nabla T and nabla nabla T of a tensor field are formed only by
+`covariant_derivatives`, component by component on read: the Noether
+current, the flat BF corollary, `sigma_nabla` and
+`covariant_derivative_residual` read them, and only this module reads
+`CurvatureData.dgamma`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -290,44 +295,80 @@ def _freeze4(t):
     return tuple(tuple(tuple(tuple(r) for r in p) for p in q) for q in t)
 
 
+def _connection_terms(c, n: int, upper: int, idx: tuple, read):
+    """sum over m < n and the slots s of idx of c(idx[s], m) read(idx with
+    m at s) on the first `upper` slots, minus c(m, idx[s]) read(...) on the
+    rest: with c(a, m) = Gamma^a_{vm} the Gamma-terms of nabla_v, with
+    c(a, m) = d_u Gamma^a_{vm} the terms that d_u adds to them."""
+    acc = 0
+    for s, a in enumerate(idx):
+        for m in range(n):
+            j = idx[:s] + (m,) + idx[s + 1:]
+            acc = acc + c(a, m) * read(j) if s < upper else acc - c(m, a) * read(j)
+    return acc
+
+
+def covariant_derivatives(cd, t, dt, d2t, upper: int):
+    """Levi-Civita nabla T and nabla nabla T at one point, from component
+    readers over index tuples I: t(I) = T_I, dt(u, I) = d_u T_I and
+    d2t(u, v, I) = d_u d_v T_I, the first `upper` slots of I contravariant
+    and the rest covariant.  `cd` is the CurvatureData at the point, or
+    the Christoffel table alone when only nabla T is read.
+
+    Returns the readers nab(v, I) = (nabla_v T)_I and nab2(u, v, I) =
+    (nabla_u nabla_v T)_I: d_u (nabla_v T)_I (dGamma-terms on T and
+    Gamma-terms on d_u T), plus the Gamma-terms of nabla_u on the slots I
+    of nabla T and -Gamma^m_{uv} (nabla_m T)_I for its covariant slot v.
+    Each component, and each dt read, is formed on first read and kept for
+    later reads of the same readers; no full tensor is built.
+    """
+    gam = getattr(cd, "gamma", cd)
+    n = len(gam)
+    dt = cache(dt)
+
+    @cache
+    def nab(v, idx):
+        return dt(v, idx) + _connection_terms(lambda a, m: gam[a][v][m], n, upper, idx, t)
+
+    @cache
+    def nab2(u, v, idx):
+        dgam = cd.dgamma
+        d_nab = (d2t(u, v, idx)
+                 + _connection_terms(lambda a, m: dgam[a][v][m][u], n, upper, idx, t)
+                 + _connection_terms(lambda a, m: gam[a][v][m], n, upper, idx,
+                                     lambda j: dt(u, j)))
+        return (d_nab + _connection_terms(lambda a, m: gam[a][u][m], n, upper, idx,
+                                          lambda j: nab(v, j))
+                - sum(gam[m][u][v] * nab(m, idx) for m in range(n)))
+
+    return nab, nab2
+
+
 def sigma_nabla(gamma, g_row, n: int, signature) -> MetricJet:
     """The 1-jet of metric with value g and vanishing covariant derivative.
 
     `gamma[i][j][k]` are the symbols of a symmetric linear connection; the
-    output's first derivatives satisfy dg_{ij,k} = Gamma^h_{ik} g_{hj}
-    + Gamma^h_{jk} g_{hi}, the unique choice making (nabla g)_x = 0.
+    output's first derivatives dg_{ij,k} = Gamma^h_{ik} g_{hj} + Gamma^h_{jk}
+    g_{hi} are minus the Gamma-terms of nabla_k g_{ij} (`covariant_derivatives`
+    at dg = 0), the unique choice making (nabla g)_x = 0.
     """
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 if gamma[i][j][k] != gamma[i][k][j]:
                     raise ValueError("connection symbols must be symmetric")
-    dg = []
-    for i, j in sym_pairs(n):
-        row = []
-        for k in range(n):
-            s = 0
-            for h in range(n):
-                s = s + gamma[h][i][k] * g_row[pair_index(n, h, j)] \
-                      + gamma[h][j][k] * g_row[pair_index(n, h, i)]
-            row.append(s)
-        dg.append(tuple(row))
-    return MetricJet(n, tuple(signature), tuple(g_row), tuple(dg))
+    nab, _ = covariant_derivatives(gamma, lambda idx: g_row[pair_index(n, *idx)],
+                                   lambda k, idx: 0, None, 0)
+    dg = tuple(tuple(-nab(k, pr) for k in range(n)) for pr in sym_pairs(n))
+    return MetricJet(n, tuple(signature), tuple(g_row), dg)
 
 
 def covariant_derivative_residual(mj: MetricJet) -> float:
     """max |nabla_k g_ij| for the metric jet's own Levi-Civita symbols."""
-    gam = christoffel(mj)
-    n = mj.n
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = mj.dcomp(i, j, k)
-                for h in range(n):
-                    s = s - gam[h][i][k] * mj.comp(h, j) - gam[h][j][k] * mj.comp(h, i)
-                worst = max(worst, abs(float(value_of(s))))
-    return worst
+    nab, _ = covariant_derivatives(christoffel(mj), lambda idx: mj.comp(*idx),
+                                   lambda k, idx: mj.dcomp(*idx, k), None, 0)
+    return max(abs(float(value_of(nab(k, pr))))
+               for pr in sym_pairs(mj.n) for k in range(mj.n))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from operator import mul
 
 from .einstein import EHLagrangian
 from .jacobi import DiffOpMatrix, flat_operator_matrix
-from .jets import delta, pair_index, sym_pairs
+from .jets import pair_index, sym_pairs
 from .linalg import in_row_space, integer_scaled, nullspace, rank
 from .metric import constant_metric_jet
 
@@ -304,18 +304,11 @@ def upsilon_matrix_flat():
 
 def upsilon_natural_flat():
     """The symmetrized map of the Hessian criterion: rows indexed by the
-    fibre pair, columns by (pair, i <= j)."""
+    fibre pair a, columns by (pair b, i <= j), entries (Y_{a i b j} +
+    Y_{a j b i}) / (1 + delta_ij), that is Y_{a i b i} at i = j."""
     ytab = y_table_flat()
-    rows = []
-    for a in range(10):
-        row = []
-        for b in range(10):
-            for (i, j) in sym_pairs(4):
-                v = (ytab[a][i][b][j] + ytab[a][j][b][i]) \
-                    * Fraction(1, 1 + delta(i, j))
-                row.append(v)
-        rows.append(row)
-    return rows
+    return [[ytab[a][i][b][j] + ytab[a][j][b][i] if i != j else ytab[a][i][b][i]
+             for b in range(10) for i, j in sym_pairs(4)] for a in range(10)]
 
 
 @dataclass

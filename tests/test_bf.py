@@ -20,7 +20,7 @@ from varjet.metric import (MetricJet, constant_metric_jet, curvature,
                            metric_from_jet_point, random_metric_jet,
                            signature_diagonal)
 from varjet.poly import Poly, parse_poly
-from varjet.varcore import bilinear_form_b, euler_lagrange
+from varjet.varcore import bilinear_form_b, euler_lagrange, helmholtz_residuals
 
 
 def test_beta_eh_identity_entry():
@@ -414,6 +414,25 @@ def test_el_bf_beta_eh_exact_zero_on_flat_pullback():
     cov = el_residual_beta(beta_eh(n, sig), s, x, sig)
     assert list(cov.values()) == [0] * 6
     assert all(isinstance(v, Fraction) for v in cov.values())
+
+
+@pytest.mark.parametrize("which", ["beta_eh", "random"])
+def test_helmholtz_on_bf_supplier_n3(which):
+    """The BF operator is variational: the three Helmholtz families of
+    the closed-form BF supplier vanish to rounding at a seeded point of a
+    curved chart of the flat metric, for beta_EH and a random constrained
+    beta."""
+    rng = np.random.default_rng(48)
+    n, sig = 3, (3, 0)
+    names = {f"x{i+1}": i for i in range(n)}
+    phi = [parse_poly("x1 + x2^2/9", names, n),
+           parse_poly("x2 + x1*x3/8", names, n),
+           parse_poly("x3 - x1^2/7", names, n)]
+    s = flat_pullback_section(n, [1.0, 1.0, 1.0], phi)
+    x = [rng.uniform(-0.3, 0.3) for _ in range(n)]
+    b = beta_eh(n, sig) if which == "beta_eh" else random_constrained_beta(rng, n)
+    res = helmholtz_residuals(bf_supplier(b, n, sig), s, x)
+    assert res.max_all <= 1e-12, res
 
 
 def test_el_residual_beta_contracts_only_first_order_jets(monkeypatch):

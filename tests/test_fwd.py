@@ -407,3 +407,37 @@ def test_jet_sum_equals_the_fold_of_addition(ring):
             got = jet_sum(order, terms, ws)
             assert got.order == fold.order == order
             _same_coefficients(got, fold.coef)
+
+
+# -- ring laws over Fractions ----------------------------------------------
+
+def _terms(j, order):
+    """j's nonzero terms of degree <= order."""
+    return {k: c for k, c in j.coef.items() if c != 0 and k & 31 <= order}
+
+
+def test_ring_laws_hold_exactly_over_fractions():
+    """Seeded sparse Jets in four variables at mixed orders obey, exactly
+    and at the order of each result, associativity and distributivity,
+    (1/a) a == 1, and sqrt(a)^2 == a where a's value has a rational root;
+    every coefficient stays a Fraction."""
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(120):
+        a, b, c = (_determined_jet(rng, rng.randrange(5), Fraction, rng.randrange(1, 15))
+                   for _ in range(3))
+        order = min(a.order, b.order, c.order)
+        for left, right in (((a * b) * c, a * (b * c)), (a * (b + c), a * b + a * c),
+                            ((b + c) * a, b * a + c * a)):
+            assert left.order == right.order == order
+            assert _terms(left, order) == _terms(right, order)
+            assert all(type(v) is Fraction for v in left.coef.values())
+        root0 = Fraction(rng.randrange(1, 6), rng.randrange(1, 5))
+        unit = Jet(a.order, {**a.coef, 0: root0 * root0})
+        for got in ((1 / unit) * unit, unit * (Fraction(1) / unit)):
+            assert got.order == a.order and _terms(got, a.order) == {0: 1}
+        root = unit.sqrt()
+        assert root.value == root0 and all(type(v) is Fraction for v in root.coef.values())
+        assert _terms(root * root, a.order) == _terms(unit, a.order)
+        checked += len(unit.coef) > 1
+    assert checked > 60

@@ -11,6 +11,8 @@ a total derivative of a partial is `jets.contract(G, stencil, *ids)`.
 `varcore.pipeline` has one signature, and no class binds an order offset
 (a name ending in `_cap`).  Only `jets` and `poly` evaluate a derivative
 of a polynomial: the jet of a polynomial field is `jets.jet_of_section`.
+Only `metric` reads `CurvatureData.dgamma`: the covariant derivatives nabla T
+and nabla nabla T are formed by `metric.covariant_derivatives`.
 """
 
 import ast
@@ -76,6 +78,13 @@ def evals_of_diffs(source: str, name: str) -> list[str]:
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr == "eval" and isinstance(node.func.value, ast.Call)
             and getattr(node.func.value.func, "attr", None) == "diff"]
+
+
+def dgamma_reads(source: str, name: str) -> list[str]:
+    """Reads of an attribute named `dgamma`."""
+    return [f"{name}:{node.lineno} reads dgamma"
+            for node in ast.walk(ast.parse(source, filename=name))
+            if isinstance(node, ast.Attribute) and node.attr == "dgamma"]
 
 
 def cap_bindings(source: str, name: str) -> list[str]:
@@ -163,6 +172,20 @@ def test_derivative_evaluation_guard_flags_a_chained_call_only():
            "c = d.eval(x) + p.eval(x) + diff(p).eval(x)\n")
     assert evals_of_diffs(src, "m.py") == ["m.py:1 evaluates a derivative",
                                            "m.py:2 evaluates a derivative"]
+
+
+def test_only_metric_reads_dgamma():
+    faults = [f for p in SOURCES if p.name != "metric.py"
+              for f in dgamma_reads(p.read_text(), p.name)]
+    assert faults == []
+
+
+def test_dgamma_guard_flags_attribute_reads_only():
+    src = ("dg = cd.dgamma\n"
+           "x = curvature(mj).dgamma[0]\n"
+           "dgamma = 1\n"
+           "y = cd.gamma\n")
+    assert dgamma_reads(src, "m.py") == ["m.py:1 reads dgamma", "m.py:2 reads dgamma"]
 
 
 def test_pipeline_has_one_signature_and_no_supplier_order_offset():

@@ -1,5 +1,6 @@
 """Metric jets: volume factor, curvature, sigma-nabla section."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,8 +12,8 @@ from varjet.fwd import Jet
 from varjet.jets import delta, pair_index, sym_pairs
 from varjet.metric import (MetricJet, SingularMetricError, christoffel,
                            constant_metric_jet, covariant_derivative_residual,
-                           curvature, mat_det, mat_inverse, random_metric_jet,
-                           sigma_nabla)
+                           covariant_derivatives, curvature, mat_det,
+                           mat_inverse, random_metric_jet, sigma_nabla)
 from varjet.poly import Poly, parse_poly
 from varjet.jets import PolySection, jet_of_section
 from varjet.metric import metric_from_jet_point
@@ -191,19 +192,40 @@ def test_flat_polynomial_pullback_metric_curvature_zero():
         assert worst <= 1e-12
 
 
+NAMES3 = {"x1": 0, "x2": 1, "x3": 2}
+
+
+def _curved_fraction_section():
+    """A non-constant n = 3 Lorentzian metric section with Fraction
+    coefficients, its polynomials and a Fraction point."""
+    n = 3
+    base = {(0, 0): "1", (1, 1): "1", (2, 2): "-1"}
+    extra = ["x1^2/3 - x2/5", "x3/4 + x1*x2/7", "x2^2/6 - x1*x3/2",
+             "x1/3 + x3^2/8", "x1*x2/5 - x3/9", "x2*x3/4 + x1^2/6"]
+    polys = [parse_poly(base.get(pr, "0"), NAMES3, n) + parse_poly(e, NAMES3, n)
+             for pr, e in zip(sym_pairs(n), extra)]
+    x0 = (Fraction(1, 3), Fraction(-1, 4), Fraction(2, 5))
+    return PolySection(n, polys), polys, x0
+
+
+def _field_readers(polys, x, shape):
+    """Component readers t, dt, d2t of `covariant_derivatives` for a tensor
+    field whose components, in row-major order over `shape`, are `polys`."""
+    ju = jet_of_section(PolySection(len(x), polys), x, 2)
+
+    def flat(idx):
+        return sum(i * math.prod(shape[s + 1:]) for s, i in enumerate(idx))
+
+    return (lambda idx: ju.y[flat(idx)], lambda u, idx: ju.dy[flat(idx)][u],
+            lambda u, v, idx: ju.y2(flat(idx), u, v))
+
+
 def test_dgamma_is_the_x_derivative_of_christoffel_exactly():
     # a non-constant Lorentzian metric section with Fraction coefficients:
     # dgamma from the 2-jet must equal d/dx^r of the Christoffel symbols
     # of the section's 1-jet, with x seeded as Jet variables
     n, sig = 3, (2, 1)
-    names = {"x1": 0, "x2": 1, "x3": 2}
-    base = {(0, 0): "1", (1, 1): "1", (2, 2): "-1"}
-    extra = ["x1^2/3 - x2/5", "x3/4 + x1*x2/7", "x2^2/6 - x1*x3/2",
-             "x1/3 + x3^2/8", "x1*x2/5 - x3/9", "x2*x3/4 + x1^2/6"]
-    polys = [parse_poly(base.get(pr, "0"), names, n) + parse_poly(e, names, n)
-             for pr, e in zip(sym_pairs(n), extra)]
-    x0 = (Fraction(1, 3), Fraction(-1, 4), Fraction(2, 5))
-    sec = PolySection(n, polys)
+    sec, polys, x0 = _curved_fraction_section()
     cd = curvature(metric_from_jet_point(jet_of_section(sec, x0, 2), sig))
     xs = [Jet.variable(i, x0[i], 1, Fraction(1)) for i in range(n)]
     seeded = MetricJet(n, sig, tuple(p.eval(xs) for p in polys),
@@ -220,6 +242,63 @@ def test_dgamma_is_the_x_derivative_of_christoffel_exactly():
                     assert cd.dgamma[i][j][k][r] == want, (i, j, k, r)
                     checked += want != 0
     assert checked > 0
+
+
+def test_covariant_derivatives_satisfy_the_ricci_identity_exactly():
+    """[nabla_k, nabla_l] V^i = R^i_{jkl} V^j with R from `curvature`, and
+    [nabla_k, nabla_l] T^i_j = R^i_{mkl} T^m_j - R^m_{jkl} T^i_m for a
+    mixed field, over Fractions with ==: the dGamma-terms and the Gamma-
+    terms on upper and lower slots of nabla nabla."""
+    n, sig = 3, (2, 1)
+    sec, _, x0 = _curved_fraction_section()
+    cd = curvature(metric_from_jet_point(jet_of_section(sec, x0, 2), sig))
+    riem = cd.riemann
+    vp = [parse_poly(e, NAMES3, n) for e in ("x2^2/3 - x1", "x1*x3/5 + 2", "x3^2/7 + x2/4")]
+    v_val = jet_of_section(PolySection(n, vp), x0, 0).y
+    _, nab2 = covariant_derivatives(cd, *_field_readers(vp, x0, (n,)), 1)
+    nonzero = 0
+    for i, k, l in itertools.product(range(n), repeat=3):
+        got = nab2(k, l, (i,)) - nab2(l, k, (i,))
+        assert type(got) is Fraction
+        assert got == sum(riem[i][j][k][l] * v_val[j] for j in range(n)), (i, k, l)
+        nonzero += got != 0
+    assert nonzero == n * n * (n - 1)    # every k != l
+    tp = [vp[i] * parse_poly(e, NAMES3, n) for i in range(n)
+          for e in ("x1 + 1", "x2*x3/3", "x1^2/2 - x3")]
+    t_val = jet_of_section(PolySection(n, tp), x0, 0).y
+    _, nab2 = covariant_derivatives(cd, *_field_readers(tp, x0, (n, n)), 1)
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        got = nab2(k, l, (i, j)) - nab2(l, k, (i, j))
+        want = sum(riem[i][m][k][l] * t_val[m * n + j] - riem[m][j][k][l] * t_val[i * n + m]
+                   for m in range(n))
+        assert type(got) is Fraction and got == want, (i, j, k, l)
+
+
+def test_covariant_derivatives_of_cartesian_forms_on_a_flat_pullback():
+    """On g = phi^* delta with Fraction coefficients the Cartesian
+    coordinates phi^a have parallel differentials, so nabla nabla phi^a = 0
+    and the form phi^b d phi^a has nabla = d phi^b (x) d phi^a and
+    nabla nabla = 0, exactly: these fix the -Gamma^m_{uv} nabla_m term,
+    which the Ricci identity cancels."""
+    n, sig = 3, (3, 0)
+    phi = [parse_poly(e, NAMES3, n)
+           for e in ("x1 + x2^2/9", "x2 + x1*x3/8", "x3 - x1^2/7")]
+    sec = PolySection(n, [sum((f.diff(a) * f.diff(b) for f in phi[1:]),
+                              phi[0].diff(a) * phi[0].diff(b))
+                          for a, b in sym_pairs(n)])
+    x0 = (Fraction(1, 8), Fraction(-1, 4), Fraction(3, 16))
+    cd = curvature(metric_from_jet_point(jet_of_section(sec, x0, 2), sig))
+    dphi = jet_of_section(PolySection(n, phi), x0, 1).dy
+    for a in range(n):
+        _, nab2 = covariant_derivatives(cd, *_field_readers([phi[a]], x0, ()), 0)
+        assert all(type(nab2(u, v, ())) is Fraction and nab2(u, v, ()) == 0
+                   for u in range(n) for v in range(n))
+    w = [phi[1] * phi[0].diff(i) for i in range(n)]
+    nab, nab2 = covariant_derivatives(cd, *_field_readers(w, x0, (n,)), 0)
+    assert any(nab(v, (i,)) != 0 for v in range(n) for i in range(n))
+    for u, v, i in itertools.product(range(n), repeat=3):
+        assert nab(v, (i,)) == dphi[1][v] * dphi[0][i], (v, i)
+        assert type(nab2(u, v, (i,))) is Fraction and nab2(u, v, (i,)) == 0, (u, v, i)
 
 
 def test_sigma_nabla_zero_connection():

@@ -493,3 +493,11 @@ def test_upsilon_matrices_flat():
     assert rank(ups) == 40
     unat = upsilon_natural_flat()
     assert rank(unat) == 10
+    # every entry is (Y_aibj + Y_ajbi) / (1 + delta_ij), a Fraction
+    ytab = y_table_flat()
+    cols = [(b, i, j) for b in range(10) for i in range(4) for j in range(i, 4)]
+    assert [len(row) for row in unat] == [len(cols)] * 10
+    for a, row in enumerate(unat):
+        for v, (b, i, j) in zip(row, cols):
+            want = (ytab[a][i][b][j] + ytab[a][j][b][i]) / (1 + (i == j))
+            assert type(v) is F and v == want, (a, b, i, j)
