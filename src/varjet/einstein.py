@@ -34,6 +34,7 @@ class EHLagrangian:
         self.npairs = len(self.pairs)
         self.pair_pos = {p: k for k, p in enumerate(self.pairs)}
         self.pk = [[pair_index(n, a, b) for b in range(n)] for a in range(n)]
+        self._phi_last = (None, None)     # (metric jet, its _phi_arrays)
 
     # -- second-derivative coefficient block --------------------------------
 
@@ -261,7 +262,11 @@ class EHLagrangian:
         slots w, v at the jet's metric value, and ld[w] = Lambda d1[:][w][:],
         Lambda the inverse of the table's value, read off one `linalg.rref`
         of [table | d1[:][0][:] | ... | d1[:][N-1][:]].  The data must be
-        exact; a singular table raises ValueError."""
+        exact; a singular table raises ValueError.  The arrays of the last
+        jet read are kept, so `phi_matrix`, `phi_nondegeneracy` and
+        `vertical_symmetry_stacked_rank` on one jet build them once."""
+        if self._phi_last[0] is mj:
+            return self._phi_last[1]
         table = self.lij_rs_with_partials(mj.g)
         slots = range(self.npairs)
         d1 = [[[t.deriv(w) for w in slots] for t in row] for row in table]
@@ -274,6 +279,7 @@ class EHLagrangian:
             raise ValueError("the (L_EH)^{ij}_{rs} table is singular")
         ld = [[row[self.npairs * (w + 1):self.npairs * (w + 2)] for row in red]
               for w in slots]
+        self._phi_last = (mj, (d1, d2, ld))
         return d1, d2, ld
 
     @staticmethod
@@ -326,19 +332,35 @@ def _l0_table(n: int):
     c_{(p,q,r), (sa[k], sb[k])} = c for k, c in zip(ks, cs), nonzero."""
     np_, ns = n * (n + 1) // 2, n * n * (n + 1) // 2    # G slots, y' slots
     pk = [[pair_index(n, a, b) for b in range(n)] for a in range(n)]
+    # trip[x][y][z]: the sorted slot triple (p, q, r) of (x, y, z), packed
+    # above the y' pair (A, B) of a key; symmetric, so rows can be hoisted
+    trip = [[[0] * np_ for _ in range(np_)] for _ in range(np_)]
+    for t in itertools.product(range(np_), repeat=3):
+        p, q, r = sorted(t)
+        trip[t[0]][t[1]][t[2]] = ((r * np_ + p) * np_ + q) * ns * ns
     acc: dict = {}          # (T, A, B) packed into one int: a small, fast build
-    for i, j, a, b, c, d in itertools.product(range(n), repeat=6):
-        # each of the five sums is a sum of G G G y_{ab,i} y_{cd,j}
-        s1, s2 = pk[a][b] * n + i, pk[c][d] * n + j
-        ab = min(s1, s2) * ns + max(s1, s2)
-        for w, t in ((8, (pk[j][b], pk[a][i], pk[c][d])),
-                     (-2, (pk[i][j], pk[a][b], pk[c][d])),
-                     (6, (pk[i][j], pk[b][c], pk[d][a])),
-                     (-4, (pk[i][c], pk[d][a], pk[b][j])),
-                     (-8, (pk[i][a], pk[b][d], pk[c][j]))):
-            p, q, r = sorted(t)
-            key = ((r * np_ + p) * np_ + q) * ns * ns + ab
-            acc[key] = acc.get(key, 0) + w
+    get = acc.get
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        # each of the five sums is a sum of G G G y_{ab,i} y_{cd,j}, with
+        # slots (jb, ai, cd), (ij, ab, cd), (ij, bc, da), (ic, da, bj), (ia, bd, cj)
+        pab, pcd, pb, pc = pk[a][b], pk[c][d], pk[b], pk[c]
+        r2, r3 = trip[pab][pcd], trip[pb[c]][pk[d][a]]
+        for i in range(n):
+            s1, pi = pab * n + i, pk[i]
+            r1, r4, r5 = trip[pi[a]][pcd], trip[pi[c]][pk[d][a]], trip[pi[a]][pb[d]]
+            for j in range(n):
+                s2, pij, pbj = pcd * n + j, pi[j], pb[j]
+                ab = s1 * ns + s2 if s1 <= s2 else s2 * ns + s1
+                key = r1[pbj] + ab
+                acc[key] = get(key, 0) + 8
+                key = r2[pij] + ab
+                acc[key] = get(key, 0) - 2
+                key = r3[pij] + ab
+                acc[key] = get(key, 0) + 6
+                key = r4[pbj] + ab
+                acc[key] = get(key, 0) - 4
+                key = r5[pc[j]] + ab
+                acc[key] = get(key, 0) - 8
     keys = sorted(key for key, c in acc.items() if c)
     index = {ab: k for k, ab in enumerate(sorted({key % (ns * ns) for key in keys}))}
     table: dict = {}

@@ -26,9 +26,11 @@ exactly, over any ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement, count
 
 from .fwd import Jet, key_from_vars, key_multiplicity, ring_unit
+from .linalg import integer_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -272,25 +274,58 @@ def contract(G, stencil, *ids):
     from G's own coefficients by one lookup at key(ids) + key_t per term (no
     partial Jet is built).  A hit is scaled by the multiplicity of
     ids + ids_t when that is not 1; a miss adds c_t * 0, so the sum keeps
-    the ring that `G.deriv` gives it.  A read past `G.order` raises
-    `ValueError`.  With no ids, the operator applied to G."""
-    get, room, base = G.coef.get, G.order - len(ids), key_from_vars(ids)
-    total = 0
+    the ring that `G.deriv` gives it.  For an exact G and a stencil of
+    rational coefficients the sum runs over integers, G's numerators against
+    the stencil's, and forms one `Fraction`, over the product of their dens
+    (when every read misses, the sum is the stencil's sum of c_t * 0).  A
+    read past `G.order` raises `ValueError`.  With no ids, the operator
+    applied to G."""
+    if G.den is None:
+        return _stencil_sum(G.num.get, G.order, stencil, ids)[0]
+    scaled = getattr(stencil, "scaled", None)     # a list built elsewhere has none
+    if scaled is None:
+        return _stencil_sum(G.coef.get, G.order, stencil, ids)[0]
+    terms, den, zero = scaled
+    total, hit = _stencil_sum(G.num.get, G.order, terms, ids)
+    if not hit:
+        return zero
+    den *= G.den
+    return Fraction(total) if den == 1 else Fraction(total, den)
+
+
+def _stencil_sum(get, order, stencil, ids):
+    """(sum, whether any read hit) of `contract`."""
+    room, base = order - len(ids), key_from_vars(ids)
+    total, hit = 0, False
     for c, t, k in stencil:
         if len(t) > room:
-            raise ValueError(f"jet truncated at order {G.order}, asked {ids + t}")
+            raise ValueError(f"jet truncated at order {order}, asked {ids + t}")
         g = get(base + k)
         if g is None:
             total = total + c * 0
         else:
+            hit = True
             m = key_multiplicity(ids + t)
             total = total + c * (g if m == 1 else g * m)
-    return total
+    return total, hit
+
+
+class _Stencil(list):
+    """The (c, ids, key) triples of a stencil.  When every c is an int or
+    a Fraction, `scaled` holds the same triples with c as an integer
+    numerator over one den, that den and sum_t c_t * 0; else it is None."""
+
+    __slots__ = ("scaled",)
 
 
 def _stencil(terms: dict) -> list:
     """The (c, ids, key) triples of the terms {ids: c} with c != 0."""
-    return [(c, ids, key_from_vars(ids)) for ids, c in terms.items() if c != 0]
+    st = _Stencil((c, ids, key_from_vars(ids)) for ids, c in terms.items() if c != 0)
+    scaled = integer_scaled(c for c, _, _ in st)
+    st.scaled = None if scaled is None else (
+        [(w, t, k) for w, (_, t, k) in zip(scaled[0], st)], scaled[1],
+        sum((c * 0 for c, _, _ in st), 0))
+    return st
 
 
 def total_derivative_stencil(jv: JetVars, p: JetPoint, j: int) -> list:

@@ -179,7 +179,7 @@ def _raised(v, order: int) -> Jet:
     """v as a Jet of `order` with v's coefficients (a scalar as a constant):
     exact for an affine v; otherwise only the terms of degree `order` are
     missing, and a table truncated below `order` never reads them."""
-    return Jet(order, dict(v.coef)) if isinstance(v, Jet) else Jet.constant(v, order)
+    return v.truncated(order) if isinstance(v, Jet) else Jet.constant(v, order)
 
 
 class GenericAffineSupplier:
@@ -350,8 +350,7 @@ def fibre_primitive_jets(supplier, x, y, dy, lij: dict, cap: int):
     one = ring_unit(dy[0][0])
     f = [_radial_contraction(lij if t == 1 else supplier.tables(
         x, y, [[t * v for v in row] for row in dy])[1], dy, cap) for t in _NODES]
-    exact = all(isinstance(c, (int, Fraction))
-                for s in f for g in s for c in g.coef.values())
+    exact = all(g.exact for s in f for g in s)
     tol = 0.0 if exact else 1e-10 * max(1.0, *(abs(g.value) for s in f for g in s))
     for j in range(1, len(f)):      # in place: f[k] becomes f[t_0, ..., t_k]
         for k in range(len(f) - 1, j - 1, -1):

@@ -2,10 +2,12 @@
 reconstruction against the curvature contraction, natural lifts."""
 
 from fractions import Fraction
+import itertools
 
 import numpy as np
 import pytest
 
+import varjet.einstein
 import varjet.metric
 from varjet import linalg
 from varjet.einstein import EHLagrangian, affine_supplier, natural_lift
@@ -427,6 +429,66 @@ def test_phi_nondegeneracy_claims():
     rep0 = eh4.phi_nondegeneracy(_rational_metric_jet(rng, 4, (1, 3)), (0, 1), (0, 1))
     assert rep0["matrix"] == [[0] * eh4.npairs] * eh4.npairs
     assert not rep0["nonzero"] and rep0["rank"] == 0
+
+
+def test_phi_arrays_are_built_once_per_metric_jet(monkeypatch):
+    """`phi_matrix`, `phi_nondegeneracy` and `vertical_symmetry_stacked_rank`
+    on one metric jet build the seeded L^{ij}_{rs} table once; a new jet
+    builds it again, with the values of a fresh instance."""
+    rng = np.random.default_rng(47)
+    eh3 = EHLagrangian(3, (2, 1))
+    builds = []
+    build = eh3.lij_rs_with_partials
+    monkeypatch.setattr(eh3, "lij_rs_with_partials",
+                        lambda g_row: builds.append(g_row) or build(g_row))
+    mj = _rational_metric_jet(rng, 3, (2, 1))
+    rep = eh3.phi_nondegeneracy(mj, (0, 1), (1, 2))
+    rank = eh3.vertical_symmetry_stacked_rank(mj)
+    mat = eh3.phi_matrix(mj, (0, 1), (1, 2))
+    assert len(builds) == 1 and mat == rep["matrix"] and rank == 6
+    other = _rational_metric_jet(rng, 3, (2, 1))
+    assert eh3.phi_matrix(other, (0, 0), (1, 2)) == \
+        EHLagrangian(3, (2, 1)).phi_matrix(other, (0, 0), (1, 2))
+    assert len(builds) == 2
+
+
+def _l0_table_by_the_sorted_loop(n: int):
+    """`einstein._l0_table` as it was first written: one sorted() per term
+    of the five sums over all six indices."""
+    np_, ns = n * (n + 1) // 2, n * n * (n + 1) // 2
+    pk = [[pair_index(n, a, b) for b in range(n)] for a in range(n)]
+    acc: dict = {}
+    for i, j, a, b, c, d in itertools.product(range(n), repeat=6):
+        s1, s2 = pk[a][b] * n + i, pk[c][d] * n + j
+        ab = min(s1, s2) * ns + max(s1, s2)
+        for w, t in ((8, (pk[j][b], pk[a][i], pk[c][d])),
+                     (-2, (pk[i][j], pk[a][b], pk[c][d])),
+                     (6, (pk[i][j], pk[b][c], pk[d][a])),
+                     (-4, (pk[i][c], pk[d][a], pk[b][j])),
+                     (-8, (pk[i][a], pk[b][d], pk[c][j]))):
+            p, q, r = sorted(t)
+            key = ((r * np_ + p) * np_ + q) * ns * ns + ab
+            acc[key] = acc.get(key, 0) + w
+    keys = sorted(key for key, c in acc.items() if c)
+    index = {ab: k for k, ab in enumerate(sorted({key % (ns * ns) for key in keys}))}
+    table: dict = {}
+    for key in keys:
+        t, ab = divmod(key, ns * ns)
+        r, pq = divmod(t, np_ * np_)
+        ks, cs = table.setdefault(r, {}).setdefault(divmod(pq, np_), ([], []))
+        ks.append(index[ab])
+        cs.append(acc[key])
+    return ([(r, [(p, q, tuple(ks), tuple(cs)) for (p, q), (ks, cs) in rows.items()])
+             for r, rows in table.items()],
+            tuple(ab // ns for ab in index), tuple(ab % ns for ab in index))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_l0_table_equals_the_sorted_loop(n):
+    """The L0 table built with its slot triples looked up and its pair
+    reads hoisted is the table of the sorted loop, entry for entry and in
+    the same order."""
+    assert varjet.einstein._l0_table(n) == _l0_table_by_the_sorted_loop(n)
 
 
 def test_phi_matrix_equals_the_index_sum():

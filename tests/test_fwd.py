@@ -441,3 +441,128 @@ def test_ring_laws_hold_exactly_over_fractions():
         assert _terms(root * root, a.order) == _terms(unit, a.order)
         checked += len(unit.coef) > 1
     assert checked > 60
+
+
+# -- the integer storage of exact Jets --------------------------------------
+
+def _unlike_jet(rng, order, nterms):
+    """A determined sparse Fraction Jet with denominators drawn from 1, 2,
+    3, 5, 7, 14 and 15, so two such Jets rarely share a den."""
+    coef = {}
+    for _ in range(nterms):
+        vars_ = [rng.randrange(4) for _ in range(rng.randrange(order + 1))]
+        coef[key_from_vars(vars_)] = Fraction(rng.choice((-7, -2, 1, 3, 5, 6)),
+                                              rng.choice((1, 2, 3, 5, 7, 14, 15)))
+    return Jet(order, coef)
+
+
+def _assert_normalized(j):
+    """den > 0, no common factor of den and the numerators, no key above
+    the order."""
+    assert type(j.den) is int and j.den > 0, j.den
+    assert math.gcd(j.den, *j.num.values()) == 1, (j.den, j.num)
+    assert all(type(n) is int for n in j.num.values())
+    assert all(k & 31 <= j.order for k in j.num), j
+
+
+def test_exact_storage_is_normalized_after_every_operation():
+    """Every operation on exact Jets, with unlike denominators (1/3 against
+    1/14, so the lcm path runs) and mixed orders, gives integer numerators
+    over a positive den that shares no factor with them, and no key above
+    the order; sums and products have the values of Fraction arithmetic on
+    the coefficients."""
+    rng = random.Random(61)
+    lcm_runs = 0
+    for _ in range(80):
+        a = _unlike_jet(rng, rng.randrange(1, 5), rng.randrange(1, 12))
+        b = _unlike_jet(rng, rng.randrange(1, 5), rng.randrange(1, 12))
+        lcm_runs += math.lcm(a.den, b.den) not in (a.den, b.den)
+        unit = Jet(a.order, {**a.coef, 0: Fraction(9, 49)})
+        c = Fraction(rng.choice((-3, 2, 5)), rng.choice((3, 14)))
+        v = rng.randrange(4)
+        order = min(a.order, b.order)
+        for got in (a + b, b + a, a - b, b - a, a * b, b * a, -a, a * c, c * a, a / c,
+                    a + c, c - a, a + 1, a * 6, a * 0, a - a, a.partial(v),
+                    a.without([v]), a.truncated(a.order - 1), 1 / unit, unit.sqrt(),
+                    unit ** 3, unit ** -2,
+                    jet_sum(order, [a, b, c, 2], [Fraction(1, 3), -1, 1, c])):
+            _assert_normalized(got)
+        total = dict(a.coef)
+        for k, x in b.coef.items():
+            total[k] = total.get(k, 0) + x
+        assert _terms(a + b, order) == _terms(Jet(order, total), order)
+        assert _terms(a * b, order) == _terms(Jet(order, _all_pairs_product(a, b)), order)
+    assert lcm_runs > 20
+
+
+def _merged(x, y):
+    """x + y as the plain ring operations give it: y's coefficients added
+    into a copy of x's, sums that cancel dropped."""
+    out = dict(x.coef)
+    for k, c in y.coef.items():
+        s = out[k] + c if k in out else c
+        if s == 0:
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def test_exact_jets_against_other_rings_give_the_plain_results():
+    """An exact Jet times or plus a float or complex Jet or scalar is the
+    plain operation on its Fractions, value for value and type for type, and
+    is not exact; times or plus a Jet of ints or an int scalar it stays
+    exact, with the values of the plain operation, read as Fractions."""
+    rng = random.Random(67)
+    for _ in range(40):
+        order = rng.randrange(1, 4)
+        x = Jet(order, {**_unlike_jet(rng, order, rng.randrange(1, 10)).coef,
+                        0: Fraction(2, 9)})
+        for ring in ("float", "complex"):
+            y = _determined_jet(rng, order, _RINGS[ring], rng.randrange(1, 10))
+            y = y + _RINGS[ring](3, 4)          # not empty, so not taken for ints
+            for left, right in ((x, y), (y, x)):
+                for got, want in ((left * right, _all_pairs_product(left, right)),
+                                  (left + right, _merged(left, right))):
+                    _same_coefficients(got, want)
+                    assert got.den is None
+        for s in (2.5, 0.5j):
+            _same_coefficients(x * s, {k: c * s for k, c in x.coef.items()})
+            _same_coefficients(x + s, _merged(x, Jet.constant(s, order)))
+        ints = _determined_jet(rng, order, _RINGS["int"], rng.randrange(1, 10))
+        for got, want in ((x * ints, _all_pairs_product(x, ints)),
+                          (ints * x, _all_pairs_product(ints, x)),
+                          (x + ints, _merged(x, ints)), (ints - x, _merged(ints, -x)),
+                          (x + 1, _merged(x, Jet.constant(1, order))),
+                          (x * 3, {k: c * 3 for k, c in x.coef.items()})):
+            assert got.den is not None and got.coef == want
+            assert all(type(c) is Fraction for c in got.coef.values())
+
+
+def test_every_stored_term_of_an_exact_jet_reads_as_a_fraction():
+    """value, deriv and coef of a Fraction-bearing Jet give a Fraction for
+    every term it stores, a stored zero included (a product too small to
+    prune keeps the terms that cancel, and a dict may hold one); a term it
+    does not store reads int 0, as in the plain ring."""
+    x = Jet.variable(0, Fraction(1, 3), 3, Fraction(1))
+    y = Jet.variable(1, Fraction(-2, 7), 3, Fraction(1))
+    f = x * x * y + Fraction(5, 14) * y
+    u = Jet.variable(0, 0, 2, Fraction(1))
+    cancel = (1 + u) * (1 - u)                      # 1 + 0 x0 - x0^2
+    stored = Jet(2, {0: Fraction(0), var_key(1): Fraction(3, 4)})
+    for j in (f, x, y, cancel, stored, f.partial(0), f * Fraction(3, 2), f + 1,
+              jet_sum(2, [f, stored], [Fraction(2, 3), -1])):
+        assert j.den is not None
+        assert all(type(c) is Fraction for c in j.coef.values())
+        for vars_ in ((), (0,), (1,), (2,), (0, 1), (0, 0), (1, 1), (0, 0, 1)):
+            if len(vars_) <= j.order:
+                got = j.deriv(*vars_)
+                kind = Fraction if key_from_vars(vars_) in j.coef else int
+                assert type(got) is kind and (kind is Fraction or got == 0), (j, vars_)
+        assert type(j.value) is (Fraction if 0 in j.coef else int)
+    assert cancel.deriv(0) == 0 and type(cancel.deriv(0)) is Fraction
+    assert stored.value == 0 and type(stored.value) is Fraction
+    assert f.deriv(0, 0, 1) == 2 and f.deriv(1) == Fraction(1, 9) + Fraction(5, 14)
+    for zero in (f - f, f * 0, 0 * f, jet_sum(3, [f, f], [1, -1])):
+        assert not zero.coef and zero.value == 0 and zero.den is not None
+        assert type(ring_unit(zero)) is Fraction

@@ -12,7 +12,10 @@ a total derivative of a partial is `jets.contract(G, stencil, *ids)`.
 (a name ending in `_cap`).  Only `jets` and `poly` evaluate a derivative
 of a polynomial: the jet of a polynomial field is `jets.jet_of_section`.
 Only `metric` reads `CurvatureData.dgamma`: the covariant derivatives nabla T
-and nabla nabla T are formed by `metric.covariant_derivatives`.
+and nabla nabla T are formed by `metric.covariant_derivatives`.  Only `fwd`
+and `jets.contract` read a Jet's storage (its integer numerators `num` and
+their `den`): everything else reads coefficients through `coef`, `deriv` and
+`value`.
 """
 
 import ast
@@ -85,6 +88,24 @@ def dgamma_reads(source: str, name: str) -> list[str]:
     return [f"{name}:{node.lineno} reads dgamma"
             for node in ast.walk(ast.parse(source, filename=name))
             if isinstance(node, ast.Attribute) and node.attr == "dgamma"]
+
+
+def storage_reads(source: str, name: str) -> list[str]:
+    """Reads of an attribute named `num` or `den`, with the function they
+    sit in."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{child.name}()")
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in ("num", "den"):
+                found.append(f"{name}:{child.lineno} {func} reads {child.attr}")
+            visit(child, func)
+
+    visit(ast.parse(source, filename=name), "<module>")
+    return found
 
 
 def cap_bindings(source: str, name: str) -> list[str]:
@@ -186,6 +207,27 @@ def test_dgamma_guard_flags_attribute_reads_only():
            "dgamma = 1\n"
            "y = cd.gamma\n")
     assert dgamma_reads(src, "m.py") == ["m.py:1 reads dgamma", "m.py:2 reads dgamma"]
+
+
+def test_only_fwd_and_contract_read_jet_storage():
+    reads = [f for p in SOURCES if p.name != "fwd.py"
+             for f in storage_reads(p.read_text(), p.name)]
+    assert any(f.startswith("jets.py:") and " contract() " in f for f in reads)
+    assert [f for f in reads
+            if not (f.startswith("jets.py:") and " contract() " in f)] == []
+
+
+def test_storage_guard_flags_num_and_den_reads():
+    src = ("def contract(G):\n"
+           "    return G.num, G.den\n"
+           "def f(j):\n"
+           "    return j.den\n"
+           "n = j.num[0]\n"
+           "q = j.numerator + j.coef[0].denominator\n")
+    assert storage_reads(src, "m.py") == ["m.py:2 contract() reads num",
+                                          "m.py:2 contract() reads den",
+                                          "m.py:4 f() reads den",
+                                          "m.py:5 <module> reads num"]
 
 
 def test_pipeline_has_one_signature_and_no_supplier_order_offset():

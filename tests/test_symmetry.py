@@ -98,6 +98,25 @@ def test_helmholtz_eh_exact_over_fractions_n3():
     assert type(res.max_all) is Fraction
 
 
+def test_helmholtz_eh_exact_over_fractions_n4():
+    # the n = 4 Lorentzian twin of the n = 3 check: g = J^T eta J for
+    # eta = diag(-1, 1, 1, 1), decided over Fractions with no residual
+    n = 4
+    names = {f"x{i + 1}": i for i in range(n)}
+    phi = [parse_poly("x1 + x2^2/9 - x1*x3/5", names, n),
+           parse_poly("x2 + x1*x4/8 + x1^2/7", names, n),
+           parse_poly("x3 + x1*x2/6 - x3^2/11", names, n),
+           parse_poly("x4 + x2*x3/5 - x4^2/13", names, n)]
+    s = PolySection(n, [sum((f.diff(a) * f.diff(b) for f in phi[1:]),
+                            -(phi[0].diff(a) * phi[0].diff(b)))
+                        for a, b in sym_pairs(n)])
+    sup = affine_supplier(EHLagrangian(n, (3, 1)))
+    x = [Fraction(1, 10), Fraction(-1, 5), Fraction(1, 7), Fraction(1, 9)]
+    res = helmholtz_residuals(sup, s, x)
+    assert res.max_all == 0, res
+    assert type(res.max_all) is Fraction
+
+
 def test_euler_lagrange_eh_exact_over_fractions():
     # both Euler-Lagrange forms stay in the ring of x: exactly 0 here
     s = _eh_flat_pullback_n2()
